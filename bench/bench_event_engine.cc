@@ -3,8 +3,7 @@
  * Micro-benchmarks of the PR 7 event-engine hot paths: the
  * hierarchical timing wheel's pop/re-register cycle against the
  * poll-every-component scan it replaced, at 1/4/8/16 registered
- * sources, and the batched readout-noise fill against the per-sample
- * gaussian loop. Prints a fixed-width table and, with `--json <path>`,
+ * sources. Prints a fixed-width table and, with `--json <path>`,
  * writes machine-readable metrics per docs/benchmarks.md.
  *
  * `--smoke` runs every case exactly once (no timing claims): the
@@ -17,9 +16,6 @@
 #include <vector>
 
 #include "bench/report.hh"
-#include "common/rng.hh"
-#include "qsim/readout.hh"
-#include "qsim/transmon.hh"
 #include "timing/wheel.hh"
 
 using namespace quma;
@@ -128,50 +124,6 @@ benchDispatch(bench::JsonReport &json)
     }
 }
 
-void
-benchNoise(bench::JsonReport &json)
-{
-    bench::banner("readout noise (per-sample vs batched gaussian)");
-    constexpr std::size_t kSamples = 300; // one 1500 ns window
-    Rng perSample(0x9b1d), batched(0x9b1d);
-    std::vector<double> buf(kSamples);
-    std::size_t iters = 20000;
-
-    double loop = timeNs(
-        [&] {
-            double acc = 0.0;
-            for (std::size_t k = 0; k < kSamples; ++k)
-                acc += perSample.standardNormal();
-            benchmarkSink = acc;
-        },
-        iters);
-    double batch = timeNs(
-        [&] {
-            batched.fillStandardNormal(buf.data(), kSamples);
-            benchmarkSink = buf[kSamples - 1];
-        },
-        iters);
-    std::printf("gaussian x%zu: per-sample %8.1f ns  batched %8.1f "
-                "ns  (%.2fx)\n",
-                kSamples, loop, batch, loop / batch);
-    json.metric("gaussian_300_per_sample", loop, "ns/window");
-    json.metric("gaussian_300_batched", batch, "ns/window");
-
-    // End-to-end readout window with the batched fill in place.
-    auto rp = qsim::paperQubitParams().readout;
-    Rng rng(0x9b1d);
-    std::vector<double> scratch;
-    double readout = timeNs(
-        [&] {
-            auto t = qsim::simulateReadout(rp, false, 1500, 30000.0,
-                                           rng, &scratch);
-            benchmarkSink = t.trace.empty() ? 0.0 : t.trace[0];
-        },
-        g_smoke ? 1 : 4000);
-    std::printf("simulate_readout_1500ns: %8.1f ns\n", readout);
-    json.metric("simulate_readout_1500ns_batched", readout, "ns/op");
-}
-
 } // namespace
 
 int
@@ -186,7 +138,6 @@ main(int argc, char **argv)
                     "meaningless)\n");
 
     benchDispatch(json);
-    benchNoise(json);
     bench::rule();
 
     return json.writeTo(jsonPath) ? 0 : 1;

@@ -9,6 +9,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <deque>
+
 #include "experiments/allxy.hh"
 #include "isa/assembler.hh"
 #include "isa/encoding.hh"
@@ -73,8 +75,12 @@ void
 BM_ControlStoreExpandCnot(benchmark::State &state)
 {
     auto cs = microcode::QControlStore::standard();
-    for (auto _ : state)
-        benchmark::DoNotOptimize(cs.expandCnot(0, 1));
+    std::deque<isa::Instruction> out;
+    for (auto _ : state) {
+        out.clear();
+        cs.expandCnot(0, 1, out);
+        benchmark::DoNotOptimize(out);
+    }
 }
 BENCHMARK(BM_ControlStoreExpandCnot);
 

@@ -4,8 +4,9 @@
  * zero-allocation overhaul: fused density-matrix conjugations, the
  * closed-form idle (T1/T2) channel against the generic Kraus path it
  * replaced, the diagonal-gate fast paths against full conjugations,
- * and the phasor-recurrence signal chain against direct per-sample
- * sin/cos evaluation. Prints a fixed-width table and, with
+ * the phasor-recurrence signal chain against direct per-sample
+ * sin/cos evaluation, and the integrated-domain readout shot against
+ * the trace it stands for. Prints a fixed-width table and, with
  * `--json <path>`, writes the machine-readable BENCH_qsim.json used to
  * track the kernel perf trajectory across PRs.
  *
@@ -141,6 +142,24 @@ benchSignalChain(bench::JsonReport &json)
         },
         4000);
     report(json, "calibrate_mdu_1500ns", mduCal);
+
+    // One readout as the machine takes it (a trace-free shot and its
+    // closed-form integral) against synthesising and integrating the
+    // trace it stands for.
+    measure::Mdu mdu(measure::calibrateMdu(rp, 1500));
+    double viaTrace = timeNs(
+        [&] {
+            auto t = qsim::simulateReadout(rp, true, 1500, 30000.0, rng);
+            benchmarkSink = mdu.integrate(t.trace).first;
+        },
+        4000);
+    double viaShot = timeNs(
+        [&] {
+            auto shot = qsim::sampleReadoutShot(true, 1500, 30000.0, rng);
+            benchmarkSink = mdu.integrate(shot).first;
+        },
+        400000);
+    report(json, "readout_shot_1500ns", viaShot, viaTrace);
 
     auto trace = qsim::simulateReadout(rp, true, 1500, 30000.0, rng);
     const double twoPi = 2.0 * std::numbers::pi;

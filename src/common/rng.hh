@@ -72,13 +72,14 @@ zigguratTables()
  *
  * Every stochastic component (readout noise, qubit projection, stall
  * injection) owns or borrows an Rng so experiments are exactly
- * reproducible from a single seed. The generator sits on the readout
- * hot path (one draw per ADC noise sample), so both the engine and the
- * distributions are implemented inline without libstdc++ distribution
- * machinery. The engine and the integer/uniform paths are
- * bit-deterministic everywhere; gaussian() is bit-deterministic for a
- * given libm (the ~1% of draws taking the ziggurat wedge/tail branch
- * go through std::exp/std::log, which are not correctly rounded, so
+ * reproducible from a single seed. The generator sits on the per-shot
+ * hot path (projection, decay and integrated readout noise), so both
+ * the engine and the distributions are implemented inline without
+ * libstdc++ distribution machinery. The engine and the integer/uniform
+ * paths are bit-deterministic everywhere; gaussian() is
+ * bit-deterministic for a given libm (the ~1% of draws taking the
+ * ziggurat wedge/tail branch go through std::exp/std::log, which are
+ * not correctly rounded, so
  * streams can differ between C libraries -- though not between C++
  * standard libraries, unlike std::normal_distribution).
  *
@@ -170,20 +171,6 @@ class Rng
     bernoulli(double p)
     {
         return uniform() < p;
-    }
-
-    /**
-     * Fill buf[0..n) with standard-normal draws. The draws are the
-     * same stream, in the same order, as n successive
-     * standardNormal() calls -- batching a hot loop's noise into one
-     * pass never changes the results, it only separates the RNG
-     * work from whatever the loop interleaved it with.
-     */
-    void
-    fillStandardNormal(double *buf, std::size_t n)
-    {
-        for (std::size_t k = 0; k < n; ++k)
-            buf[k] = standardNormal();
     }
 
     /**

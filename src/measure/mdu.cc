@@ -1,5 +1,6 @@
 #include "measure/mdu.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 
@@ -19,7 +20,14 @@ calibrateMdu(const qsim::ReadoutParams &params, TimeNs window_ns)
         fatal("calibrateMdu: window shorter than one ADC sample");
 
     cal.weights.resize(n);
-    double s0 = 0, s1 = 0;
+    cal.sampleNs = dt_ns;
+    cal.noiseSigma = params.noiseSigma;
+    cal.prefix0.assign(n + 1, 0.0);
+    cal.prefix1.assign(n + 1, 0.0);
+    cal.prefixW2.assign(n + 1, 0.0);
+    // Normalise so the |0>-|1> separation is independent of window
+    // length (keeps thresholds comparable across durations).
+    double scale = 1.0 / static_cast<double>(n);
     // The noiseless |0>/|1> responses are Re(c * exp(i*arg)) on a
     // uniform phase grid: generate the tone incrementally.
     signal::Phasor ph = signal::gridPhasor(params.ifHz, 0.0, dt_ns);
@@ -28,17 +36,14 @@ calibrateMdu(const qsim::ReadoutParams &params, TimeNs window_ns)
         ph.advance();
         double v0 = params.c0.real() * co - params.c0.imag() * si;
         double v1 = params.c1.real() * co - params.c1.imag() * si;
-        cal.weights[k] = v1 - v0;
-        s0 += v0 * cal.weights[k];
-        s1 += v1 * cal.weights[k];
+        double w = (v1 - v0) * scale;
+        cal.weights[k] = w;
+        cal.prefix0[k + 1] = cal.prefix0[k] + w * v0;
+        cal.prefix1[k + 1] = cal.prefix1[k] + w * v1;
+        cal.prefixW2[k + 1] = cal.prefixW2[k] + w * w;
     }
-    // Normalise so the |0>-|1> separation is independent of window
-    // length (keeps thresholds comparable across durations).
-    double scale = 1.0 / static_cast<double>(n);
-    for (auto &w : cal.weights)
-        w *= scale;
-    cal.s0 = s0 * scale;
-    cal.s1 = s1 * scale;
+    cal.s0 = cal.prefix0[n];
+    cal.s1 = cal.prefix1[n];
     cal.threshold = (cal.s0 + cal.s1) / 2.0;
     return cal;
 }
@@ -51,18 +56,19 @@ Mdu::Mdu(MduCalibration calibration, Cycle latency_cycles)
 }
 
 void
-Mdu::submitTrace(signal::Waveform trace, Cycle td, Cycle duration_cycles)
+Mdu::submitShot(const qsim::ReadoutShot &shot, Cycle td,
+                Cycle duration_cycles)
 {
-    if (pendingTrace)
+    if (pendingShot)
         fatal("Mdu: a second measurement started before the previous "
-              "MD trigger consumed its trace");
-    PendingTrace pt{std::move(trace), td, duration_cycles};
+              "MD trigger consumed its shot");
+    PendingShot pending{shot, td, duration_cycles};
     if (armedTrigger) {
         ArmedTrigger trigger = *armedTrigger;
         armedTrigger.reset();
-        process(pt, trigger);
+        process(pending, trigger);
     } else {
-        pendingTrace = std::move(pt);
+        pendingShot = pending;
     }
 }
 
@@ -76,25 +82,58 @@ Mdu::integrate(const signal::Waveform &trace) const
     return {s, s > cal.threshold};
 }
 
+std::pair<double, bool>
+Mdu::integrate(const qsim::ReadoutShot &shot) const
+{
+    const double dt = cal.sampleNs;
+    // The trace's sample count (simulateReadout's floor), clamped to
+    // the weights exactly as integrate(trace) clamps.
+    auto n = std::min(
+        static_cast<std::size_t>(
+            std::floor(static_cast<double>(shot.durationNs) / dt)),
+        cal.weights.size());
+    // Samples carrying the |1> tone: those centred before the decay
+    // instant. Estimate, then settle with simulateReadout's own
+    // comparison so boundary samples classify identically.
+    std::size_t ones = 0;
+    if (shot.initialOne && shot.decayAtNs < 0) {
+        ones = n;
+    } else if (shot.initialOne) {
+        auto centredBefore = [&](std::size_t k) {
+            return (static_cast<double>(k) + 0.5) * dt < shot.decayAtNs;
+        };
+        ones = std::min(
+            n, static_cast<std::size_t>(
+                   std::max(0.0, std::ceil(shot.decayAtNs / dt - 0.5))));
+        while (ones < n && centredBefore(ones))
+            ++ones;
+        while (ones > 0 && !centredBefore(ones - 1))
+            --ones;
+    }
+    double s = cal.prefix1[ones] + (cal.prefix0[n] - cal.prefix0[ones]) +
+               cal.noiseSigma * std::sqrt(cal.prefixW2[n]) * shot.noise;
+    return {s, s > cal.threshold};
+}
+
 void
 Mdu::discriminate(Cycle td, RegIndex dest_reg, QubitMask qubit)
 {
     if (inFlight || armedTrigger)
         fatal("Mdu: discrimination already in progress");
     ArmedTrigger trigger{td, dest_reg, qubit};
-    if (pendingTrace) {
-        PendingTrace pt = std::move(*pendingTrace);
-        pendingTrace.reset();
-        process(pt, trigger);
+    if (pendingShot) {
+        PendingShot pending = *pendingShot;
+        pendingShot.reset();
+        process(pending, trigger);
     } else {
         armedTrigger = trigger;
     }
 }
 
 void
-Mdu::process(const PendingTrace &trace, const ArmedTrigger &trigger)
+Mdu::process(const PendingShot &pending, const ArmedTrigger &trigger)
 {
-    auto [s, bit] = integrate(trace.trace);
+    auto [s, bit] = integrate(pending.shot);
     MduResult r;
     r.s = s;
     r.bit = bit;
@@ -103,7 +142,7 @@ Mdu::process(const PendingTrace &trace, const ArmedTrigger &trigger)
     // The result is available after the integration window has been
     // captured plus the (fixed) discrimination pipeline latency.
     Cycle windowEnd =
-        std::max(trigger.td, trace.td + trace.durationCycles);
+        std::max(trigger.td, pending.td + pending.durationCycles);
     r.completionCycle = windowEnd + latency;
     inFlight = r;
 }
@@ -131,7 +170,7 @@ Mdu::advanceTo(Cycle now)
 void
 Mdu::reset()
 {
-    pendingTrace.reset();
+    pendingShot.reset();
     armedTrigger.reset();
     inFlight.reset();
     done = 0;

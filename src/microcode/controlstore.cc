@@ -35,30 +35,31 @@ MicroStep::pulseMulti(std::vector<std::pair<QubitRole, std::uint8_t>> slots)
 void
 QControlStore::define(std::uint8_t gate, Microprogram program)
 {
+    if (!store[gate])
+        ++defined;
     store[gate] = std::move(program);
 }
 
 bool
 QControlStore::contains(std::uint8_t gate) const
 {
-    return store.count(gate) != 0;
+    return store[gate].has_value();
 }
 
 const Microprogram &
 QControlStore::programFor(std::uint8_t gate) const
 {
-    auto it = store.find(gate);
-    if (it == store.end())
+    if (!store[gate])
         fatal("Q control store has no microprogram for gate id ",
               static_cast<unsigned>(gate));
-    return it->second;
+    return *store[gate];
 }
 
-std::vector<isa::Instruction>
+void
 QControlStore::expand(const Microprogram &prog, QubitMask all,
-                      QubitMask target, QubitMask control) const
+                      QubitMask target, QubitMask control,
+                      std::deque<isa::Instruction> &out) const
 {
-    std::vector<isa::Instruction> out;
     for (const auto &step : prog.body) {
         if (step.kind == MicroStep::Kind::Wait) {
             out.push_back(isa::Instruction::wait(
@@ -89,29 +90,31 @@ QControlStore::expand(const Microprogram &prog, QubitMask all,
         }
         out.push_back(isa::Instruction::pulse(std::move(slots)));
     }
-    return out;
 }
 
-std::vector<isa::Instruction>
-QControlStore::expandApply(std::uint8_t gate, QubitMask mask) const
+void
+QControlStore::expandApply(std::uint8_t gate, QubitMask mask,
+                           std::deque<isa::Instruction> &out) const
 {
-    return expand(programFor(gate), mask, 0, 0);
+    expand(programFor(gate), mask, 0, 0, out);
 }
 
-std::vector<isa::Instruction>
-QControlStore::expandCnot(unsigned qt, unsigned qc) const
+void
+QControlStore::expandCnot(unsigned qt, unsigned qc,
+                          std::deque<isa::Instruction> &out) const
 {
     QubitMask t = QubitMask{1} << qt;
     QubitMask c = QubitMask{1} << qc;
-    return expand(programFor(kCnotGate), t | c, t, c);
+    expand(programFor(kCnotGate), t | c, t, c, out);
 }
 
-std::vector<isa::Instruction>
-QControlStore::expandMeasure(QubitMask mask, RegIndex rd) const
+void
+QControlStore::expandMeasure(QubitMask mask, RegIndex rd,
+                             std::deque<isa::Instruction> &out) const
 {
-    return {isa::Instruction::mpg(mask,
-                                  static_cast<std::int64_t>(msmtCycles)),
-            isa::Instruction::md(mask, rd)};
+    out.push_back(
+        isa::Instruction::mpg(mask, static_cast<std::int64_t>(msmtCycles)));
+    out.push_back(isa::Instruction::md(mask, rd));
 }
 
 QControlStore

@@ -7,10 +7,10 @@
 #ifndef QUMA_MICROCODE_CONTROLSTORE_HH
 #define QUMA_MICROCODE_CONTROLSTORE_HH
 
+#include <array>
 #include <cstdint>
+#include <deque>
 #include <optional>
-#include <unordered_map>
-#include <vector>
 
 #include "common/types.hh"
 #include "isa/instruction.hh"
@@ -32,28 +32,33 @@ class QControlStore
     const Microprogram &programFor(std::uint8_t gate) const;
 
     /** Number of stored microprograms. */
-    std::size_t size() const { return store.size(); }
+    std::size_t size() const { return defined; }
 
     /**
-     * Expand `Apply gate, mask` into QuMIS instructions by binding
-     * the template roles (All -> mask).
+     * Append the expansion of `Apply gate, mask` to `out` by binding
+     * the template roles (All -> mask). Appends
+     * programFor(gate).body.size() microinstructions.
      */
-    std::vector<isa::Instruction> expandApply(std::uint8_t gate,
-                                              QubitMask mask) const;
+    void expandApply(std::uint8_t gate, QubitMask mask,
+                     std::deque<isa::Instruction> &out) const;
 
     /**
-     * Expand `CNOT qt, qc` using the microprogram registered under
-     * the pseudo-gate id kCnotGate (paper Algorithm 2).
+     * Append the expansion of `CNOT qt, qc`, using the microprogram
+     * registered under the pseudo-gate id kCnotGate (paper
+     * Algorithm 2).
      */
-    std::vector<isa::Instruction> expandCnot(unsigned qt,
-                                             unsigned qc) const;
+    void expandCnot(unsigned qt, unsigned qc,
+                    std::deque<isa::Instruction> &out) const;
+
+    /** Microinstructions expandMeasure appends (MPG + MD). */
+    static constexpr std::size_t kMeasureLength = 2;
 
     /**
-     * Expand `Measure mask, rd` into MPG + MD with the configured
-     * measurement pulse duration.
+     * Append the expansion of `Measure mask, rd`: MPG + MD with the
+     * configured measurement pulse duration.
      */
-    std::vector<isa::Instruction> expandMeasure(QubitMask mask,
-                                                RegIndex rd) const;
+    void expandMeasure(QubitMask mask, RegIndex rd,
+                       std::deque<isa::Instruction> &out) const;
 
     /** Measurement pulse duration used by expandMeasure (cycles). */
     Cycle measurementCycles() const { return msmtCycles; }
@@ -74,11 +79,13 @@ class QControlStore
                                   Cycle msmt_cycles = 300);
 
   private:
-    std::vector<isa::Instruction>
-    expand(const Microprogram &prog, QubitMask all, QubitMask target,
-           QubitMask control) const;
+    void expand(const Microprogram &prog, QubitMask all, QubitMask target,
+                QubitMask control,
+                std::deque<isa::Instruction> &out) const;
 
-    std::unordered_map<std::uint8_t, Microprogram> store;
+    /** Indexed by gate id: one slot per possible 8-bit id. */
+    std::array<std::optional<Microprogram>, 256> store;
+    std::size_t defined = 0;
     Cycle msmtCycles = 300;
 };
 

@@ -244,7 +244,8 @@ QumaClient::abandonSlots(const std::uint64_t *rids,
 }
 
 std::uint64_t
-QumaClient::sendRequest(MsgType type, const Writer &payload) const
+QumaClient::sendRequest(MsgType type, const Writer &payload,
+                        std::shared_ptr<const ProgressFn> progress) const
 {
     std::uint64_t rid;
     {
@@ -253,6 +254,8 @@ QumaClient::sendRequest(MsgType type, const Writer &payload) const
             throw WireError("connection is down: " + readerFailure);
         rid = nextRequestId++;
         slots.emplace(rid, Slot{});
+        if (progress)
+            progressHandlers.emplace(rid, std::move(progress));
     }
     std::vector<std::uint8_t> frame = sealFrame(type, rid, payload);
     try {
@@ -263,6 +266,7 @@ QumaClient::sendRequest(MsgType type, const Writer &payload) const
     } catch (...) {
         std::lock_guard<std::mutex> lock(mu);
         slots.erase(rid);
+        progressHandlers.erase(rid);
         throw;
     }
     std::lock_guard<std::mutex> lock(mu);
@@ -556,15 +560,11 @@ QumaClient::awaitStreaming(
     for (runtime::JobId id : ids) {
         Writer w;
         w.u64(id);
+        // The handler is registered before the request leaves: a
+        // job that is already done is answered with its final
+        // progress frame at once, ahead of the reply.
         const std::uint64_t rid =
-            sendRequest(MsgType::AwaitRequest, w);
-        if (progressShared) {
-            // Registered after the request leaves: a push racing
-            // this window is dropped by the reader, which is fine
-            // under the best-effort progress contract.
-            std::lock_guard<std::mutex> lock(mu);
-            progressHandlers.emplace(rid, progressShared);
-        }
+            sendRequest(MsgType::AwaitRequest, w, progressShared);
         pending.emplace(rid, id);
     }
     // On any throw below (error reply, decode failure, a throwing

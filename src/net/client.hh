@@ -215,10 +215,13 @@ class QumaClient final : public runtime::IExperimentBackend
     /**
      * Register a slot and put the request on the wire; returns the
      * requestId to wait on. Thread-safe; concurrent senders are
-     * serialized per frame (sendMu), never per round-trip.
+     * serialized per frame (sendMu), never per round-trip. A given
+     * `progress` handler is registered with the slot, before the
+     * request leaves, so no push under its requestId can outrun it.
      */
-    std::uint64_t sendRequest(MsgType type,
-                              const Writer &payload) const;
+    std::uint64_t
+    sendRequest(MsgType type, const Writer &payload,
+                std::shared_ptr<const ProgressFn> progress = nullptr) const;
     /** Park until the reader fulfils the slot; decode error replies
      *  (UnknownJob -> fatal, others -> WireError), check the type. */
     std::vector<std::uint8_t> waitReply(std::uint64_t request_id,

@@ -753,14 +753,16 @@ QumaGateway::forwardSubmit(Conn &conn, std::uint16_t version,
         if (type == MsgType::TrySubmitRequest &&
             backendSaturated(*pick)) {
             // The backend's own admission would soft-reject; shed
-            // here and save the round trip.
+            // here and save the round trip. Count before replying:
+            // a client that reads stats after the reply must see
+            // the shed.
+            jobsShed.fetch_add(1, std::memory_order_relaxed);
             releaseFlowSlot(conn);
             Writer w;
             w.boolean(false);
             w.u64(0);
             queueFrame(conn, MsgType::TrySubmitReply, client_rid,
                        version, w);
-            jobsShed.fetch_add(1, std::memory_order_relaxed);
             return;
         }
         std::shared_ptr<BackendLink> link;
@@ -799,12 +801,12 @@ QumaGateway::forwardSubmit(Conn &conn, std::uint16_t version,
     // Nothing healthy to route to.
     releaseFlowSlot(conn);
     if (type == MsgType::TrySubmitRequest) {
+        jobsShed.fetch_add(1, std::memory_order_relaxed);
         Writer w;
         w.boolean(false);
         w.u64(0);
         queueFrame(conn, MsgType::TrySubmitReply, client_rid, version,
                    w);
-        jobsShed.fetch_add(1, std::memory_order_relaxed);
     } else {
         queueError(conn, client_rid, version, WireErrorCode::Internal,
                    "no healthy backend");

@@ -93,9 +93,10 @@ replayCapture(const CaptureFile &capture, const ReplayOptions &options)
     ReplayReport report;
     report.corruptRecords = capture.corruptRecords;
 
-    // Pass 1 -- index the CAPTURED replies: every reply by its
-    // requestId, and the submit correlation oldId -> submit rid that
-    // the id remapping pivots on.
+    // Pass 1 -- index the CAPTURED replies: every reply (never a
+    // pushed ProgressFrame) by its requestId, and the submit
+    // correlation oldId -> submit rid that the id remapping pivots
+    // on.
     std::unordered_map<std::uint64_t,
                        std::pair<MsgType, std::vector<std::uint8_t>>>
         captured;
@@ -106,6 +107,10 @@ replayCapture(const CaptureFile &capture, const ReplayOptions &options)
         std::optional<SplitFrame> sf = splitFrame(f.frame);
         if (!sf)
             continue; // torn/foreign outbound record: not comparable
+        // Progress pushes ride the await's requestId ahead of its
+        // reply; they are not the reply.
+        if (sf->header.type == MsgType::ProgressFrame)
+            continue;
         const std::uint64_t rid = sf->header.requestId;
         if (sf->header.type == MsgType::SubmitReply &&
             sf->payload.size() == 8) {
@@ -154,6 +159,8 @@ replayCapture(const CaptureFile &capture, const ReplayOptions &options)
                 if (fh.length > 0 &&
                     !stream->recvAll(payload.data(), payload.size()))
                     break;
+                if (fh.type == MsgType::ProgressFrame)
+                    continue; // a push, not the request's reply
                 {
                     std::lock_guard<std::mutex> lock(router.mu);
                     router.replies[fh.requestId] = {fh.type,

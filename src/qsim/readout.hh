@@ -51,22 +51,48 @@ struct ReadoutTrace
 };
 
 /**
+ * One readout reduced to what the MDU's integral depends on. The trace
+ * simulateReadout synthesises is the |1> tone up to the decay instant,
+ * the |0> tone after it, plus i.i.d. gaussian noise per sample; any
+ * weighted sum of that noise is itself a single gaussian, so one
+ * standard-normal draw stands in for the whole window's noise (see
+ * Mdu::integrate(const ReadoutShot &)).
+ */
+struct ReadoutShot
+{
+    /** True qubit state at the start of the readout window. */
+    bool initialOne = false;
+    /** True qubit state at the end of the window (after T1 decay). */
+    bool finalOne = false;
+    /** Decay instant within the window (ns from start), or -1. */
+    double decayAtNs = -1.0;
+    /** Length of the readout window. */
+    TimeNs durationNs = 0;
+    /** Standard-normal draw scaling the integrated readout noise. */
+    double noise = 0.0;
+};
+
+/**
  * Generate the digitised IF trace for one readout of one qubit.
  *
  * If the qubit starts in |1> it may decay during the window with the
  * exponential statistics of the supplied T1; the trace switches from
- * the |1> response to the |0> response at the decay instant.
+ * the |1> response to the |0> response at the decay instant. Draws
+ * one uniform (decay instant, only for |1> with T1 > 0), then one
+ * standard normal per ADC sample.
  *
- * The additive noise is drawn in one batched pass (the whole
- * window's gaussians up front, then a vectorizable add) -- the RNG
- * stream and draw order are identical to a per-sample loop, so the
- * trace is bit-identical either way. `noise_scratch`, when given,
- * holds the batch buffer so repeated readouts on one chip stay
- * allocation-free.
+ * The machine never builds a trace: this is the distributional
+ * reference the integrated-domain shot is tested against.
  */
 ReadoutTrace simulateReadout(const ReadoutParams &params, bool initial_one,
-                             TimeNs duration_ns, double t1_ns, Rng &rng,
-                             std::vector<double> *noise_scratch = nullptr);
+                             TimeNs duration_ns, double t1_ns, Rng &rng);
+
+/**
+ * Sample one readout in the integrated domain: the same decay draw as
+ * simulateReadout, then a single standard normal for the noise.
+ */
+ReadoutShot sampleReadoutShot(bool initial_one, TimeNs duration_ns,
+                              double t1_ns, Rng &rng);
 
 } // namespace quma::qsim
 

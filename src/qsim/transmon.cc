@@ -71,7 +71,7 @@ TransmonChip::idleEvolve(TimeNs from_ns, TimeNs to_ns)
         return;
     for (unsigned q = 0; q < params.size(); ++q) {
         // The portion of the interval inside the qubit's readout
-        // window is already accounted for by the sampled trace.
+        // window is already accounted for by the sampled shot.
         TimeNs start = std::max(from_ns, busyUntilNs[q]);
         if (start >= to_ns)
             continue;
@@ -153,7 +153,7 @@ TransmonChip::applyCz(unsigned a, unsigned b, TimeNs t0_ns,
     advanceAtLeast(t0_ns + duration_ns);
 }
 
-ReadoutTrace
+ReadoutShot
 TransmonChip::measure(unsigned q, TimeNs t0_ns, TimeNs duration_ns)
 {
     quma_assert(q < params.size(), "qubit index out of range");
@@ -168,14 +168,14 @@ TransmonChip::measure(unsigned q, TimeNs t0_ns, TimeNs duration_ns)
     rho.project(q, outcome);
 
     const TransmonParams &p = params[q];
-    ReadoutTrace trace = simulateReadout(p.readout, outcome, duration_ns,
-                                         p.t1Ns, random, &noiseScratch);
+    ReadoutShot shot = sampleReadoutShot(outcome, duration_ns, p.t1Ns,
+                                         random);
 
     // The measured qubit's state at the end of the window is decided
-    // by the sampled trace (T1 decay included); decoherence inside
+    // by the sampled shot (T1 decay included); decoherence inside
     // the window is suppressed via busyUntilNs so it is not applied
     // twice. Other qubits idle normally as time advances.
-    if (trace.initialOne && !trace.finalOne)
+    if (shot.initialOne && !shot.finalOne)
         rho.resetQubit(q);
     busyUntilNs[q] = t0_ns + duration_ns;
 
@@ -185,7 +185,7 @@ TransmonChip::measure(unsigned q, TimeNs t0_ns, TimeNs duration_ns)
     double sigma = p.quasiStaticDetuningSigmaHz;
     if (sigma > 0)
         roundDetuningHz[q] = random.gaussian(0.0, sigma);
-    return trace;
+    return shot;
 }
 
 double

@@ -114,9 +114,12 @@ class TransmonChip
     /**
      * Measure qubit q with a readout window starting at t0 lasting
      * duration_ns. Projects the qubit, simulates T1 decay during the
-     * window, and returns the digitised IF trace.
+     * window, and returns the readout as an integrated-domain shot.
+     * Draws, in order: the projection (bernoulli), the decay instant
+     * (one uniform, only for |1>), the integrated noise (one
+     * standard normal), then the quasi-static detuning redraw.
      */
-    ReadoutTrace measure(unsigned q, TimeNs t0_ns, TimeNs duration_ns);
+    ReadoutShot measure(unsigned q, TimeNs t0_ns, TimeNs duration_ns);
 
     /** Probability of |1> right now (diagnostic; not a measurement). */
     double probabilityOne(unsigned q) const;
@@ -134,16 +137,13 @@ class TransmonChip
     std::vector<double> roundDetuningHz;
     /**
      * End of each qubit's most recent readout window: its evolution
-     * during the window is captured by the sampled trace, so idle
+     * during the window is captured by the sampled shot, so idle
      * decoherence is suppressed until this time.
      */
     std::vector<TimeNs> busyUntilNs;
     DensityMatrix rho;
     Rng random;
     TimeNs nowNs = 0;
-    /** Batched readout-noise buffer, reused across measurements so
-     *  the per-shot readout path stays allocation-free. */
-    std::vector<double> noiseScratch;
 };
 
 /**

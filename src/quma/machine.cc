@@ -327,10 +327,11 @@ QumaMachine::onMeasurementPulse(unsigned qubit,
     quma_assert(qubit < mdus.size(), "measurement of unknown qubit");
     Cycle td = nsToCycles(pulse.t0Ns);
     Cycle dur = nsToCycles(pulse.durationNs);
-    auto trace = chipSim->measure(qubit, pulse.t0Ns, pulse.durationNs);
-    recorder.recordMeasurement({td, qubit, dur, trace.initialOne});
+    qsim::ReadoutShot shot =
+        chipSim->measure(qubit, pulse.t0Ns, pulse.durationNs);
+    recorder.recordMeasurement({td, qubit, dur, shot.initialOne});
     wokenMask |= std::uint64_t{1} << srcMdu(qubit);
-    mdus[qubit]->submitTrace(std::move(trace.trace), td, dur);
+    mdus[qubit]->submitShot(shot, td, dur);
 }
 
 void

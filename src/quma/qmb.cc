@@ -38,34 +38,42 @@ QuantumPipeline::QuantumPipeline(microcode::QControlStore store,
 bool
 QuantumPipeline::tryDispatch(const isa::Instruction &inst)
 {
-    std::vector<isa::Instruction> expanded;
+    // Size the expansion from the microprogram before building it: a
+    // backpressured dispatch is retried, and must cost no expansion.
+    auto fits = [&](std::size_t length) {
+        return buffer.size() + length <= depth;
+    };
     switch (inst.op) {
       case isa::Opcode::Apply:
-        expanded = cs.expandApply(inst.gate, inst.qmask);
-        break;
+        if (!fits(cs.programFor(inst.gate).body.size()))
+            return false;
+        cs.expandApply(inst.gate, inst.qmask, buffer);
+        return true;
       case isa::Opcode::MeasureQ:
-        expanded = cs.expandMeasure(inst.qmask, inst.rd);
-        break;
+        if (!fits(microcode::QControlStore::kMeasureLength))
+            return false;
+        cs.expandMeasure(inst.qmask, inst.rd, buffer);
+        return true;
       case isa::Opcode::Cnot:
-        expanded = cs.expandCnot(inst.rd, inst.rs);
-        break;
+        if (!fits(cs.programFor(microcode::QControlStore::kCnotGate)
+                      .body.size()))
+            return false;
+        cs.expandCnot(inst.rd, inst.rs, buffer);
+        return true;
       case isa::Opcode::QWait:
       case isa::Opcode::Pulse:
       case isa::Opcode::Mpg:
       case isa::Opcode::Md:
-        expanded = {inst};
-        break;
+        if (!fits(1))
+            return false;
+        buffer.push_back(inst);
+        return true;
       case isa::Opcode::QWaitReg:
         panic("QWaitReg must be resolved to Wait before dispatch");
       default:
         panic("tryDispatch called with classical instruction '",
               isa::toString(inst), "'");
     }
-    if (buffer.size() + expanded.size() > depth)
-        return false;
-    for (auto &mi : expanded)
-        buffer.push_back(std::move(mi));
-    return true;
 }
 
 bool

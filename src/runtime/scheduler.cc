@@ -138,19 +138,34 @@ JobScheduler::subscribeProgress(JobId id, ProgressCallback callback)
 {
     if (!callback)
         fatal("subscribeProgress needs a callback");
-    std::lock_guard<std::mutex> lock(mu);
-    auto it = entries.find(id);
-    // Best-effort by design: an id that aged out of retention, or a
-    // job that already finished, simply never notifies -- its
-    // completion push (or UnknownJob error) is the remaining signal.
-    if (it == entries.end())
-        return;
-    const Entry &e = it->second;
-    if (e.jobStatus == JobStatus::Done ||
-        e.jobStatus == JobStatus::Failed)
-        return;
-    progressSubs[id].push_back(std::move(callback));
-    progressSubCount.fetch_add(1, std::memory_order_relaxed);
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        auto it = entries.find(id);
+        // Best-effort by design: an id that aged out of retention, or
+        // a failed job, simply never notifies -- its completion push
+        // (or UnknownJob error) is the remaining signal.
+        if (it == entries.end())
+            return;
+        const Entry &e = it->second;
+        if (e.jobStatus == JobStatus::Failed)
+            return;
+        if (e.jobStatus != JobStatus::Done) {
+            progressSubs[id].push_back(std::move(callback));
+            progressSubCount.fetch_add(1, std::memory_order_relaxed);
+            return;
+        }
+        // Already done: the final done == total frame finishLocked
+        // pushed went to earlier subscribers, so queue this one its
+        // own copy. finishLocked left roundsDone at the spec's total.
+        Notification n;
+        n.id = id;
+        n.progress = std::move(callback);
+        n.roundsDone = e.roundsDone;
+        n.roundsTotal = e.roundsDone;
+        notifyQueue.push_back(std::move(n));
+        ++counters.progressNotifications;
+    }
+    cvNotify.notify_all();
 }
 
 void

@@ -334,11 +334,14 @@ class JobScheduler
      * round-structured job, rate-limited by
      * SchedulerConfig::progressInterval. Unlike subscribe() this is
      * BEST-EFFORT and not one-shot: callbacks fire zero or more
-     * times (an opaque or already-finished job never notifies; the
-     * completion push, not a 100% notification, is the terminal
-     * signal) and ride the same notifier thread in queue order --
-     * every progress notification for a job is delivered before its
-     * completion notification. Unknown ids are ignored rather than
+     * times (a failed job gets no final frame; the completion push,
+     * not a 100% notification, is the terminal signal) and ride the
+     * same notifier thread in queue order -- every progress
+     * notification for a job is delivered before its completion
+     * notification. Subscribing to a job that is already Done queues
+     * exactly one immediate (total, total) notification, so a
+     * subscriber that then subscribe()s for the result still sees
+     * done == total first. Unknown ids are ignored rather than
      * fatal: the serving layer subscribes in a race with bounded
      * retention. Subscriptions end with the job.
      */

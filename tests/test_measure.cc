@@ -1,16 +1,22 @@
 /**
  * @file
  * Unit tests for the measurement subsystem: MDU calibration and
- * discrimination, trigger/trace ordering, the digital output unit,
- * and the data collection unit.
+ * discrimination, trigger/shot ordering, the integrated-domain shot
+ * against the trace reference, the digital output unit, and the data
+ * collection unit.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <vector>
 
 #include "common/logging.hh"
 #include "measure/datacollector.hh"
 #include "measure/digitaloutput.hh"
 #include "measure/mdu.hh"
+#include "qsim/transmon.hh"
 
 namespace quma::measure {
 namespace {
@@ -69,7 +75,7 @@ TEST(Mdu, HighNoiseStillMostlyCorrect)
     EXPECT_GT(correct, shots * 90 / 100);
 }
 
-TEST(Mdu, TraceThenTriggerCompletesAfterLatency)
+TEST(Mdu, ShotThenTriggerCompletesAfterLatency)
 {
     auto rp = cleanReadout();
     Mdu mdu(calibrateMdu(rp, 1500), /*latency=*/100);
@@ -78,10 +84,11 @@ TEST(Mdu, TraceThenTriggerCompletesAfterLatency)
     mdu.setResultSink(
         [&](const MduResult &r) { results.push_back(r); });
 
-    auto t = qsim::simulateReadout(rp, true, 1500, 1e12, rng);
-    mdu.submitTrace(t.trace, /*td=*/1000, /*duration=*/300);
-    EXPECT_TRUE(mdu.hasPendingTrace());
+    auto shot = qsim::sampleReadoutShot(true, 1500, 1e12, rng);
+    mdu.submitShot(shot, /*td=*/1000, /*duration=*/300);
+    EXPECT_TRUE(mdu.hasPendingShot());
     mdu.discriminate(1000, 7, 0x1);
+    EXPECT_FALSE(mdu.hasPendingShot());
     ASSERT_TRUE(mdu.nextEventCycle().has_value());
     // Window [1000, 1300] plus 100 cycles of latency.
     EXPECT_EQ(*mdu.nextEventCycle(), 1400u);
@@ -94,7 +101,7 @@ TEST(Mdu, TraceThenTriggerCompletesAfterLatency)
     EXPECT_EQ(results[0].completionCycle, 1400u);
 }
 
-TEST(Mdu, TriggerBeforeTraceArms)
+TEST(Mdu, TriggerBeforeShotArms)
 {
     auto rp = cleanReadout();
     Mdu mdu(calibrateMdu(rp, 1500), 100);
@@ -105,9 +112,10 @@ TEST(Mdu, TriggerBeforeTraceArms)
 
     mdu.discriminate(1000, 5, 0x1);
     EXPECT_TRUE(mdu.armed());
-    auto t = qsim::simulateReadout(rp, false, 1500, 1e12, rng);
-    mdu.submitTrace(t.trace, 1018, 300);
+    auto shot = qsim::sampleReadoutShot(false, 1500, 1e12, rng);
+    mdu.submitShot(shot, 1018, 300);
     EXPECT_FALSE(mdu.armed());
+    EXPECT_FALSE(mdu.hasPendingShot());
     // Window ends at 1318, plus latency.
     EXPECT_EQ(*mdu.nextEventCycle(), 1418u);
     mdu.advanceTo(2000);
@@ -124,17 +132,165 @@ TEST(Mdu, DoubleTriggerIsFatal)
     setLogQuiet(false);
 }
 
-TEST(Mdu, DoubleTraceIsFatal)
+TEST(Mdu, DoubleShotIsFatal)
 {
     setLogQuiet(true);
     auto rp = cleanReadout();
     Mdu mdu(calibrateMdu(rp, 1500), 100);
     Rng rng(1);
-    auto t = qsim::simulateReadout(rp, false, 1500, 1e12, rng);
-    mdu.submitTrace(t.trace, 0, 300);
-    EXPECT_THROW(mdu.submitTrace(t.trace, 400, 300),
-                 quma::FatalError);
+    auto shot = qsim::sampleReadoutShot(false, 1500, 1e12, rng);
+    mdu.submitShot(shot, 0, 300);
+    EXPECT_THROW(mdu.submitShot(shot, 400, 300), quma::FatalError);
     setLogQuiet(false);
+}
+
+TEST(Mdu, ResetDropsPendingShotAndArmedTrigger)
+{
+    Mdu mdu(calibrateMdu(cleanReadout(), 1500), 100);
+    Rng rng(1);
+    mdu.submitShot(qsim::sampleReadoutShot(false, 1500, 1e12, rng), 0,
+                   300);
+    mdu.reset();
+    EXPECT_FALSE(mdu.hasPendingShot());
+    mdu.discriminate(0, 1, 0x1);
+    mdu.reset();
+    EXPECT_FALSE(mdu.armed());
+    EXPECT_FALSE(mdu.nextEventCycle().has_value());
+}
+
+// ------------------------------------------------- integrated-domain shots
+
+/**
+ * A sigma = 0 |1> trace that decays exactly at `at_ns`: its first draw
+ * is the decay uniform u, so T1 = at / -log(1 - u), nudged by ulps
+ * (and over seeds, where rounding steps past `at_ns`) to hit it.
+ */
+qsim::ReadoutTrace
+traceDecayingAt(const qsim::ReadoutParams &rp, TimeNs window, double at_ns)
+{
+    for (std::uint64_t seed = 1; seed < 64; ++seed) {
+        Rng probe(seed);
+        double tail = -std::log(1.0 - probe.uniform());
+        double t1 = at_ns / tail;
+        for (int i = 0; i < 4 && t1 * tail != at_ns; ++i)
+            t1 = std::nextafter(t1, t1 * tail < at_ns ? 2.0 * t1 : 0.0);
+        if (t1 * tail != at_ns)
+            continue;
+        Rng rng(seed);
+        return qsim::simulateReadout(rp, true, window, t1, rng);
+    }
+    ADD_FAILURE() << "no seed decays exactly at " << at_ns;
+    return {};
+}
+
+/** The shot a trace stands for (noise irrelevant at sigma = 0). */
+qsim::ReadoutShot
+shotOf(const qsim::ReadoutTrace &t, TimeNs duration_ns)
+{
+    qsim::ReadoutShot shot;
+    shot.initialOne = t.initialOne;
+    shot.finalOne = t.finalOne;
+    shot.decayAtNs = t.decayAtNs;
+    shot.durationNs = duration_ns;
+    return shot;
+}
+
+TEST(MduShot, NoiselessMeanMatchesTraceIntegral)
+{
+    // The prefix-sum mean against integrate() over the sigma = 0 trace
+    // the shot stands for: both states, decay at interior instants and
+    // exactly on sample-centre boundaries (k + 0.5) * 5 ns, and
+    // windows shorter than, equal to and longer than the calibration.
+    qsim::ReadoutParams skewed = cleanReadout();
+    skewed.c0 = {30.0, 12.0};
+    skewed.c1 = {-22.0, 7.5};
+    skewed.ifHz = 37.0e6;
+    const double boundaries[] = {2.5, 7.5, 502.5, 997.5, 1497.5};
+    const double interior[] = {0.1, 3.0, 499.99, 1000.01, 1499.9};
+    std::size_t compared = 0;
+    for (const qsim::ReadoutParams &rp : {cleanReadout(), skewed}) {
+        Mdu mdu(calibrateMdu(rp, 1500));
+        for (TimeNs window : {TimeNs{1000}, TimeNs{1500}, TimeNs{2000}}) {
+            auto check = [&](const qsim::ReadoutTrace &t) {
+                auto [want, wantBit] = mdu.integrate(t.trace);
+                auto [got, gotBit] = mdu.integrate(shotOf(t, window));
+                EXPECT_NEAR(got, want, 1e-12 * std::max(1.0, std::abs(want)))
+                    << "window " << window << " one " << t.initialOne
+                    << " decay " << t.decayAtNs;
+                EXPECT_EQ(gotBit, wantBit);
+                ++compared;
+            };
+            Rng rng(11);
+            check(qsim::simulateReadout(rp, false, window, 1e12, rng));
+            Rng never(12);
+            auto stays = qsim::simulateReadout(rp, true, window, 0.0, never);
+            EXPECT_LT(stays.decayAtNs, 0.0);
+            check(stays);
+            for (const double *set : {boundaries, interior}) {
+                for (int i = 0; i < 5; ++i) {
+                    double at = set[i];
+                    if (at >= static_cast<double>(window))
+                        continue;
+                    auto t = traceDecayingAt(rp, window, at);
+                    EXPECT_EQ(t.decayAtNs, at);
+                    check(t);
+                }
+            }
+        }
+    }
+    EXPECT_EQ(compared, 2u * (3 * 2 + 7 + 10 + 10));
+}
+
+/** Two-sample Kolmogorov-Smirnov statistic. */
+double
+ksStatistic(std::vector<double> a, std::vector<double> b)
+{
+    std::sort(a.begin(), a.end());
+    std::sort(b.begin(), b.end());
+    std::size_t i = 0, j = 0;
+    double d = 0.0;
+    while (i < a.size() && j < b.size()) {
+        double x = std::min(a[i], b[j]);
+        while (i < a.size() && a[i] == x)
+            ++i;
+        while (j < b.size() && b[j] == x)
+            ++j;
+        d = std::max(d, std::abs(static_cast<double>(i) / a.size() -
+                                 static_cast<double>(j) / b.size()));
+    }
+    return d;
+}
+
+TEST(MduShot, MatchesTraceThenIntegrateDistribution)
+{
+    // Trace-then-integrate vs the one-draw shot, per initial state,
+    // with T1 short enough that |1> usually decays inside the window
+    // (so the mixture of decay instants is exercised, not just the
+    // two pure tones).
+    auto rp = qsim::paperQubitParams().readout;
+    const TimeNs window = 1500;
+    const double t1 = 1000.0;
+    const std::size_t shots = 10000;
+    Mdu mdu(calibrateMdu(rp, window));
+    for (bool one : {false, true}) {
+        Rng traceRng(one ? 21 : 20), shotRng(one ? 31 : 30);
+        std::vector<double> viaTrace, viaShot;
+        std::size_t decayed = 0;
+        for (std::size_t s = 0; s < shots; ++s) {
+            auto t = qsim::simulateReadout(rp, one, window, t1, traceRng);
+            viaTrace.push_back(mdu.integrate(t.trace).first);
+            auto shot = qsim::sampleReadoutShot(one, window, t1, shotRng);
+            decayed += shot.initialOne && !shot.finalOne;
+            viaShot.push_back(mdu.integrate(shot).first);
+        }
+        if (one) {
+            EXPECT_GT(decayed, shots / 2);
+        }
+        // Critical value at alpha = 0.001: 1.949 * sqrt(2 / shots).
+        double critical = 1.949 * std::sqrt(2.0 / shots);
+        EXPECT_LT(ksStatistic(viaTrace, viaShot), critical)
+            << "initial |" << one << ">";
+    }
 }
 
 // --------------------------------------------------------- digital output

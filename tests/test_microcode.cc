@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <numbers>
 
 #include "common/logging.hh"
@@ -27,7 +28,8 @@ constexpr double kPi = std::numbers::pi;
 TEST(ControlStore, PrimitiveApplyIsPulsePlusWait)
 {
     auto cs = QControlStore::standard();
-    auto seq = cs.expandApply(u::X180, 0x4);
+    std::deque<isa::Instruction> seq;
+    cs.expandApply(u::X180, 0x4, seq);
     ASSERT_EQ(seq.size(), 2u);
     EXPECT_EQ(seq[0], isa::Instruction::pulse1(0x4, u::X180));
     EXPECT_EQ(seq[1], isa::Instruction::wait(4));
@@ -36,7 +38,8 @@ TEST(ControlStore, PrimitiveApplyIsPulsePlusWait)
 TEST(ControlStore, ApplyBindsMask)
 {
     auto cs = QControlStore::standard();
-    auto seq = cs.expandApply(u::Y90, 0x3);
+    std::deque<isa::Instruction> seq;
+    cs.expandApply(u::Y90, 0x3, seq);
     EXPECT_EQ(seq[0].slots[0].mask, 0x3u);
 }
 
@@ -46,7 +49,8 @@ TEST(ControlStore, CnotMatchesAlgorithm2)
     //   Pulse {qt}, Ym90 / Wait 4 / Pulse {qt, qc}, CZ / Wait 8 /
     //   Pulse {qt}, Y90 / Wait 4
     auto cs = QControlStore::standard();
-    auto seq = cs.expandCnot(/*qt=*/1, /*qc=*/2);
+    std::deque<isa::Instruction> seq;
+    cs.expandCnot(/*qt=*/1, /*qc=*/2, seq);
     ASSERT_EQ(seq.size(), 6u);
     EXPECT_EQ(seq[0], isa::Instruction::pulse1(0x2, u::Ym90));
     EXPECT_EQ(seq[1], isa::Instruction::wait(4));
@@ -59,7 +63,8 @@ TEST(ControlStore, CnotMatchesAlgorithm2)
 TEST(ControlStore, MeasureExpandsToMpgMd)
 {
     auto cs = QControlStore::standard(4, 300);
-    auto seq = cs.expandMeasure(0x4, 7);
+    std::deque<isa::Instruction> seq;
+    cs.expandMeasure(0x4, 7, seq);
     ASSERT_EQ(seq.size(), 2u);
     EXPECT_EQ(seq[0], isa::Instruction::mpg(0x4, 300));
     EXPECT_EQ(seq[1], isa::Instruction::md(0x4, 7));
@@ -68,14 +73,18 @@ TEST(ControlStore, MeasureExpandsToMpgMd)
 TEST(ControlStore, MeasurementDurationConfigurable)
 {
     auto cs = QControlStore::standard(4, 120);
-    EXPECT_EQ(cs.expandMeasure(0x1, 0)[0].imm, 120);
+    std::deque<isa::Instruction> seq;
+    cs.expandMeasure(0x1, 0, seq);
+    EXPECT_EQ(seq[0].imm, 120);
 }
 
 TEST(ControlStore, UnknownGateIsFatal)
 {
     setLogQuiet(true);
     auto cs = QControlStore::standard();
-    EXPECT_THROW(cs.expandApply(200, 0x1), quma::FatalError);
+    std::deque<isa::Instruction> seq;
+    EXPECT_THROW(cs.expandApply(200, 0x1, seq), quma::FatalError);
+    EXPECT_TRUE(seq.empty());
     setLogQuiet(false);
 }
 
@@ -91,7 +100,8 @@ TEST(ControlStore, CustomMicroprogramUpload)
     p.body.push_back(MicroStep::pulse(QubitRole::All, u::X180));
     p.body.push_back(MicroStep::wait(4));
     cs.define(u::H, std::move(p));
-    auto seq = cs.expandApply(u::H, 0x1);
+    std::deque<isa::Instruction> seq;
+    cs.expandApply(u::H, 0x1, seq);
     ASSERT_EQ(seq.size(), 4u);
     EXPECT_EQ(seq[0].slots[0].uop, u::Y90);
     EXPECT_EQ(seq[2].slots[0].uop, u::X180);
@@ -105,7 +115,8 @@ TEST(ControlStore, HorizontalMicroStep)
     p.body.push_back(MicroStep::pulseMulti(
         {{QubitRole::All, u::X180}, {QubitRole::All, u::Y90}}));
     cs.define(42, std::move(p));
-    auto seq = cs.expandApply(42, 0x5);
+    std::deque<isa::Instruction> seq;
+    cs.expandApply(42, 0x5, seq);
     ASSERT_EQ(seq.size(), 1u);
     ASSERT_EQ(seq[0].slots.size(), 2u);
     EXPECT_EQ(seq[0].slots[0].mask, 0x5u);

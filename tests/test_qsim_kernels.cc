@@ -587,5 +587,25 @@ TEST(Allocation, IdleEvolutionPathDoesNotAllocate)
     EXPECT_EQ(g_allocCount.load(), 0u);
 }
 
+TEST(Allocation, ReadoutShotPathDoesNotAllocate)
+{
+    // Measure + integrate in the integrated domain: no trace, so no
+    // per-readout Waveform or noise buffer.
+    TransmonParams p = paperQubitParams();
+    TransmonChip chip({p});
+    measure::Mdu mdu(measure::calibrateMdu(p.readout, 1500));
+    chip.newRound();
+    chip.state().apply1(0, gates::hadamard());
+
+    g_allocCount.store(0);
+    g_countAllocs.store(true);
+    double acc = 0.0;
+    for (TimeNs t0 = 0; t0 < 20 * 1500; t0 += 1500)
+        acc += mdu.integrate(chip.measure(0, t0, 1500)).first;
+    g_countAllocs.store(false);
+    EXPECT_EQ(g_allocCount.load(), 0u);
+    EXPECT_TRUE(std::isfinite(acc));
+}
+
 } // namespace
 } // namespace quma::qsim

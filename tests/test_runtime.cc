@@ -363,11 +363,11 @@ TEST(Sharding, StealingKeepsMergesBitIdentical)
  */
 TEST(Sharding, IdleWorkersStealFromASlowShard)
 {
-    // A 32-shot round body keeps each round busy long enough that
+    // A 96-shot round body keeps each round busy long enough that
     // the idle workers' wakeup is never the bottleneck.
     JobResult pinned = [] {
         ExperimentService svc({.workers = 1});
-        JobSpec job = shotJob(32, 0x5709);
+        JobSpec job = shotJob(96, 0x5709);
         job.rounds = 64;
         job.shards = 1;
         return svc.runSync(std::move(job));
@@ -378,7 +378,7 @@ TEST(Sharding, IdleWorkersStealFromASlowShard)
     sc.workers = 4;
     sc.minStealRounds = 2;
     ExperimentService svc(sc);
-    JobSpec job = shotJob(32, 0x5709);
+    JobSpec job = shotJob(96, 0x5709);
     job.rounds = 64;
     job.shards = 1; // everything lands on one worker...
     JobResult r = svc.runSync(std::move(job));
@@ -520,12 +520,17 @@ TEST(Admission, TrySubmitShedsLoadWhileSaturated)
     ASSERT_EQ(svc.scheduler().effectiveQueueCapacity(), 8u);
 
     // Flood: the effective bound (8) rejects well below the hard
-    // bound (32). The worker can drain at most a couple of jobs
-    // while this loop runs, so rejections are guaranteed.
+    // bound (32). The specs are built first so the submissions land
+    // back to back, and each job is long: the worker can drain at
+    // most a couple of jobs while this loop runs, so rejections are
+    // guaranteed.
+    std::vector<JobSpec> flood;
+    for (unsigned i = 0; i < 32; ++i)
+        flood.push_back(saturatingJob(64, 0x700 + i));
     std::vector<JobId> accepted;
     unsigned rejected = 0;
-    for (unsigned i = 0; i < 32; ++i) {
-        auto id = svc.trySubmit(saturatingJob(8, 0x700 + i));
+    for (JobSpec &spec : flood) {
+        auto id = svc.trySubmit(std::move(spec));
         if (id)
             accepted.push_back(*id);
         else
