@@ -4,7 +4,7 @@
  * batch is driven (a) directly against one QumaServer and (b)
  * through a QumaGateway over 1, 2, and 4 backends, all on TCP
  * loopback. The 1-backend ratio prices the extra hop -- one more
- * socket, the frame re-seal, the id rewrite -- with no routing win
+ * socket, a second spec and result codec pass -- with no routing win
  * to hide it; the 2- and 4-backend rows show what config-affinity
  * spreading buys back once the fleet can actually parallelise.
  *

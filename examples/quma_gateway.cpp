@@ -9,7 +9,6 @@
  *   $ ./example_quma_gateway --backend be-a=127.0.0.1:7001 \
  *                            --backend be-b=127.0.0.1:7002 \
  *                            [--port N] [--metrics-port N]
- *                            [--max-in-flight N]
  *                            [--health-interval MS] [--public]
  *
  * Each --backend is NAME=HOST:PORT (or just HOST:PORT, which names
@@ -120,7 +119,6 @@ statuszJson(const quma::net::QumaGateway &gateway)
     num("jobsShed", s.jobsShed, true);
     num("jobsResubmitted", s.jobsResubmitted, true);
     num("failovers", s.failovers, true);
-    num("inFlightHighWater", s.inFlightHighWater, true);
     num("jobsInFlight", s.jobsInFlight, false);
     json += "},\"backends\":[";
     for (std::size_t i = 0; i < s.backends.size(); ++i) {
@@ -161,8 +159,6 @@ main(int argc, char **argv)
     const char *metricsPortArg = argValue(argc, argv, "--metrics-port");
 
     net::GatewayConfig gc;
-    gc.maxInFlightPerClient = static_cast<std::size_t>(
-        argNum(argc, argv, "--max-in-flight", 256));
     gc.healthInterval = std::chrono::milliseconds(
         argNum(argc, argv, "--health-interval", 500));
 
@@ -184,7 +180,7 @@ main(int argc, char **argv)
         std::fprintf(
             stderr,
             "usage: %s --backend NAME=HOST:PORT [--backend ...] "
-            "[--port N] [--metrics-port N] [--max-in-flight N] "
+            "[--port N] [--metrics-port N] "
             "[--health-interval MS] [--public]\n",
             argv[0]);
         return 2;

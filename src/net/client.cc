@@ -1,7 +1,10 @@
 #include "net/client.hh"
 
 #include <algorithm>
+#include <condition_variable>
 #include <cstdio>
+#include <deque>
+#include <future>
 #include <random>
 
 #include "common/logging.hh"
@@ -10,6 +13,19 @@
 namespace quma::net {
 
 namespace {
+
+/** Run a reply callback on the reader thread: a throwing callback is
+ *  logged, never allowed to take the connection down. */
+template <typename Fn, typename Reply>
+void
+invokeReply(const Fn &fn, Reply reply)
+{
+    try {
+        fn(std::move(reply));
+    } catch (const std::exception &ex) {
+        warn("reply callback threw: ", ex.what());
+    }
+}
 
 /** A fresh non-zero trace id per client instance (0 = "no trace"
  *  on the wire, so it is never handed out). */
@@ -73,8 +89,7 @@ QumaClient::clientNowNanos() const
 }
 
 void
-QumaClient::noteSubmitSent(std::uint64_t rid, std::uint64_t span_id,
-                           std::uint64_t nanos)
+QumaClient::noteSubmitSent(std::uint64_t span_id, std::uint64_t nanos)
 {
     if (!spansEnabled.load(std::memory_order_relaxed))
         return;
@@ -82,16 +97,16 @@ QumaClient::noteSubmitSent(std::uint64_t rid, std::uint64_t span_id,
     ClientSpan span;
     span.spanId = span_id;
     span.submitNanos = nanos;
-    pendingSpans[rid] = span;
+    pendingSpans[span_id] = span;
 }
 
 void
-QumaClient::noteSubmitAcked(std::uint64_t rid, runtime::JobId id)
+QumaClient::noteSubmitAcked(std::uint64_t span_id, runtime::JobId id)
 {
     if (!spansEnabled.load(std::memory_order_relaxed))
         return;
     std::lock_guard<std::mutex> lock(spanMu);
-    auto it = pendingSpans.find(rid);
+    auto it = pendingSpans.find(span_id);
     if (it == pendingSpans.end())
         return;
     ClientSpan span = it->second;
@@ -120,23 +135,31 @@ QumaClient::spans() const
     out.reserve(ackedSpans.size() + pendingSpans.size());
     for (const auto &[id, span] : ackedSpans)
         out.push_back(span);
-    for (const auto &[rid, span] : pendingSpans)
+    for (const auto &[spanId, span] : pendingSpans)
         out.push_back(span);
     return out;
 }
 
-void
-QumaClient::failAllLocked(const std::string &why)
+bool
+QumaClient::connected() const
 {
-    readerDown = true;
-    readerFailure = why;
-    for (auto &[rid, slot] : slots) {
-        if (slot.ready)
-            continue; // a real reply already landed; let it be read
-        slot.ready = true;
-        slot.failure = why;
+    std::lock_guard<std::mutex> lock(mu);
+    return !readerDown;
+}
+
+void
+QumaClient::failAll(const std::string &why)
+{
+    std::unordered_map<std::uint64_t, Slot> pending;
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        readerDown = true;
+        readerFailure = why;
+        pending.swap(slots);
     }
-    cvSlots.notify_all();
+    // Outside mu: a callback may call back into this client.
+    for (auto &[rid, slot] : pending)
+        invokeReply(slot.onReply, Reply{MsgType::ErrorReply, {}, why});
 }
 
 void
@@ -153,20 +176,20 @@ QumaClient::readerLoop()
                 !stream->recvAll(body.data(), body.size()))
                 throw WireError("connection closed mid-frame");
 
-            if (fh.type == MsgType::ProgressFrame) {
+            if (frameKind(fh.type) == FrameKind::Push) {
                 // Server-push progress: routed by the await's
                 // requestId, BEFORE the unsolicited-reply check --
-                // a ProgressFrame answers no request 1:1, so one
-                // landing after its await finished (or for an
-                // await without a callback) just evaporates.
+                // a push answers no request, so one landing after
+                // its await finished (or for an await without a
+                // callback) just evaporates.
                 std::shared_ptr<const ProgressFn> handler;
                 {
                     std::lock_guard<std::mutex> lock(mu);
                     meter.record(sizeof(header) + body.size(),
                                  false);
-                    auto it = progressHandlers.find(fh.requestId);
-                    if (it != progressHandlers.end())
-                        handler = it->second;
+                    auto it = slots.find(fh.requestId);
+                    if (it != slots.end())
+                        handler = it->second.progress;
                 }
                 if (!handler)
                     continue;
@@ -182,70 +205,55 @@ QumaClient::readerLoop()
                 }
                 continue;
             }
+            if (frameKind(fh.type) != FrameKind::Reply)
+                throw WireError("request frame type " +
+                                std::to_string(static_cast<std::uint16_t>(
+                                    fh.type)) +
+                                " from the server");
 
-            std::lock_guard<std::mutex> lock(mu);
-            meter.record(sizeof(header) + body.size(), false);
-            ms.repliesReceived.inc();
-            if (fh.requestId == kConnectionRequestId) {
-                // A frame answering no request is the server talking
-                // about the CONNECTION (version mismatch and kin):
-                // nothing on it can be trusted further.
-                std::string why = "connection-level server error";
-                if (fh.type == MsgType::ErrorReply) {
-                    try {
-                        Reader r(body);
-                        ErrorFrame e = decodeErrorFrame(r);
-                        why = "server: " + e.message;
-                    } catch (const std::exception &) {
+            ReplyFn deliver;
+            {
+                std::lock_guard<std::mutex> lock(mu);
+                meter.record(sizeof(header) + body.size(), false);
+                ms.repliesReceived.inc();
+                if (fh.requestId == kConnectionRequestId) {
+                    // A frame answering no request is the server
+                    // talking about the CONNECTION (version mismatch
+                    // and kin): nothing on it can be trusted further.
+                    std::string why = "connection-level server error";
+                    if (fh.type == MsgType::ErrorReply) {
+                        try {
+                            Reader r(body);
+                            ErrorFrame e = decodeErrorFrame(r);
+                            why = "server: " + e.message;
+                        } catch (const std::exception &) {
+                        }
                     }
+                    throw WireError(why);
                 }
-                failAllLocked(why);
-                return;
-            }
-            auto it = slots.find(fh.requestId);
-            if (it == slots.end()) {
-                // A reply nobody asked for: the demux contract is
-                // broken, and with it every routing guarantee.
-                failAllLocked("unsolicited reply for request id " +
-                              std::to_string(fh.requestId));
-                return;
-            }
-            if (it->second.abandoned) {
-                // Its batch call unwound; the reply has no reader.
+                auto it = slots.find(fh.requestId);
+                if (it == slots.end())
+                    // A reply nobody asked for: the demux contract is
+                    // broken, and with it every routing guarantee.
+                    throw WireError("unsolicited reply for request id " +
+                                    std::to_string(fh.requestId));
+                // A reply ends its exchange: later pushes under this
+                // requestId are late by definition and drop.
+                deliver = std::move(it->second.onReply);
                 slots.erase(it);
-                continue;
             }
-            it->second.ready = true;
-            it->second.type = fh.type;
-            it->second.payload = std::move(body);
-            it->second.seq = ++arrivalSeq;
-            cvSlots.notify_all();
+            // Outside mu, like progress handlers.
+            invokeReply(deliver, Reply{fh.type, std::move(body), {}});
         }
     } catch (const std::exception &ex) {
-        std::lock_guard<std::mutex> lock(mu);
-        failAllLocked(ex.what());
-    }
-}
-
-void
-QumaClient::abandonSlots(const std::uint64_t *rids,
-                         std::size_t count) const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    for (std::size_t i = 0; i < count; ++i) {
-        auto it = slots.find(rids[i]);
-        if (it == slots.end())
-            continue;
-        if (it->second.ready)
-            slots.erase(it);
-        else
-            it->second.abandoned = true;
+        failAll(ex.what());
     }
 }
 
 std::uint64_t
 QumaClient::sendRequest(MsgType type, const Writer &payload,
-                        std::shared_ptr<const ProgressFn> progress) const
+                        std::shared_ptr<const ProgressFn> progress,
+                        ReplyFn on_reply) const
 {
     std::uint64_t rid;
     {
@@ -253,9 +261,7 @@ QumaClient::sendRequest(MsgType type, const Writer &payload,
         if (readerDown)
             throw WireError("connection is down: " + readerFailure);
         rid = nextRequestId++;
-        slots.emplace(rid, Slot{});
-        if (progress)
-            progressHandlers.emplace(rid, std::move(progress));
+        slots.emplace(rid, Slot{std::move(on_reply), std::move(progress)});
     }
     std::vector<std::uint8_t> frame = sealFrame(type, rid, payload);
     try {
@@ -263,10 +269,25 @@ QumaClient::sendRequest(MsgType type, const Writer &payload,
         // the byte write is serialized, never a round-trip.
         std::lock_guard<std::mutex> lock(sendMu);
         stream->sendAll(frame.data(), frame.size());
-    } catch (...) {
-        std::lock_guard<std::mutex> lock(mu);
-        slots.erase(rid);
-        progressHandlers.erase(rid);
+    } catch (const std::exception &ex) {
+        // A failed send leaves the stream mid-frame: the connection
+        // is dead for every request. Mark it down before the reader
+        // (possibly still blocked in recv) notices, so connected()
+        // already reads false, then wake the reader to fail the rest.
+        bool reported;
+        {
+            std::lock_guard<std::mutex> lock(mu);
+            if (!readerDown) {
+                readerDown = true;
+                readerFailure = ex.what();
+            }
+            // A request the dying reader already failed has reported
+            // its outcome: exactly one report per request.
+            reported = slots.erase(rid) == 0;
+        }
+        stream->close();
+        if (reported)
+            return rid;
         throw;
     }
     std::lock_guard<std::mutex> lock(mu);
@@ -307,18 +328,12 @@ QumaClient::bindMetrics(metrics::MetricsRegistry &registry)
 }
 
 std::vector<std::uint8_t>
-QumaClient::consumeSlotLocked(std::uint64_t request_id,
-                              MsgType expected_reply) const
+QumaClient::unwrapReply(Reply reply, MsgType expected_reply)
 {
-    auto it = slots.find(request_id);
-    quma_assert(it != slots.end() && it->second.ready,
-                "consuming an unfulfilled slot");
-    Slot slot = std::move(it->second);
-    slots.erase(it);
-    if (!slot.failure.empty())
-        throw WireError(slot.failure);
-    if (slot.type == MsgType::ErrorReply) {
-        Reader r(slot.payload);
+    if (!reply.failure.empty())
+        throw WireError(reply.failure);
+    if (reply.type == MsgType::ErrorReply) {
+        Reader r(reply.payload);
         ErrorFrame e = decodeErrorFrame(r);
         r.expectEnd();
         // Unknown ids mirror the local scheduler's fatal(); every
@@ -330,108 +345,143 @@ QumaClient::consumeSlotLocked(std::uint64_t request_id,
                             static_cast<std::uint16_t>(e.code)) +
                         ": " + e.message);
     }
-    if (slot.type != expected_reply)
+    if (reply.type != expected_reply)
         throw WireError("unexpected reply type " +
                         std::to_string(static_cast<std::uint16_t>(
-                            slot.type)));
-    return std::move(slot.payload);
+                            reply.type)));
+    return std::move(reply.payload);
 }
 
-std::vector<std::uint8_t>
-QumaClient::waitReply(std::uint64_t request_id,
-                      MsgType expected_reply) const
+QumaClient::ReplyFn
+QumaClient::replyInto(std::future<Reply> &future)
 {
-    std::unique_lock<std::mutex> lock(mu);
-    cvSlots.wait(lock, [&] {
-        auto it = slots.find(request_id);
-        return it != slots.end() && it->second.ready;
-    });
-    return consumeSlotLocked(request_id, expected_reply);
+    auto promise = std::make_shared<std::promise<Reply>>();
+    future = promise->get_future();
+    return [promise](Reply reply) { promise->set_value(std::move(reply)); };
+}
+
+runtime::JobResult
+QumaClient::takeResult(runtime::JobId id, Reply reply)
+{
+    std::vector<std::uint8_t> body =
+        unwrapReply(std::move(reply), MsgType::AwaitReply);
+    Reader r(body);
+    runtime::JobResult result = decodeJobResult(r);
+    r.expectEnd();
+    noteResultDecoded(id);
+    return result;
 }
 
 std::vector<std::uint8_t>
 QumaClient::roundTrip(MsgType request, const Writer &payload,
                       MsgType expected_reply) const
 {
-    return waitReply(sendRequest(request, payload), expected_reply);
+    std::future<Reply> reply;
+    sendRequest(request, payload, nullptr, replyInto(reply));
+    return unwrapReply(reply.get(), expected_reply);
 }
 
-runtime::JobId
-QumaClient::submit(runtime::JobSpec spec)
+void
+QumaClient::sendSubmit(MsgType type, const runtime::JobSpec &spec,
+                       std::uint64_t trace_id, std::uint64_t span_id,
+                       ReplyFn on_reply)
 {
     Writer w;
     encodeJobSpec(w, spec);
     // v4: the trace context rides AFTER the spec, so the spec codec
     // (shared with the server's journal) stays format-stable.
-    const std::uint64_t spanId = nextSpanId.fetch_add(1) + 1;
-    encodeTraceContext(w, TraceContext{traceIdValue, spanId});
-    const std::uint64_t t0 = clientNowNanos();
-    const std::uint64_t rid =
-        sendRequest(MsgType::SubmitRequest, w);
-    noteSubmitSent(rid, spanId, t0);
-    std::vector<std::uint8_t> body =
-        waitReply(rid, MsgType::SubmitReply);
-    Reader r(body);
-    runtime::JobId id = r.u64();
-    r.expectEnd();
-    noteSubmitAcked(rid, id);
-    return id;
+    encodeTraceContext(
+        w, TraceContext{trace_id ? trace_id : traceIdValue, span_id});
+    // Noted before sending: an async ack may land before the send
+    // returns.
+    noteSubmitSent(span_id, clientNowNanos());
+    try {
+        sendRequest(type, w, nullptr, std::move(on_reply));
+    } catch (...) {
+        std::lock_guard<std::mutex> lock(spanMu);
+        pendingSpans.erase(span_id);
+        throw;
+    }
+}
+
+std::optional<runtime::JobId>
+QumaClient::submitFor(const runtime::JobSpec &spec,
+                      std::chrono::milliseconds, std::uint64_t trace_id)
+{
+    return submitBatch({spec}, trace_id).front();
+}
+
+void
+QumaClient::submitAsync(
+    const runtime::JobSpec &spec, std::uint64_t trace_id,
+    std::function<void(std::optional<runtime::JobId>, std::string)>
+        acked)
+{
+    const std::uint64_t span = nextSpanId.fetch_add(1) + 1;
+    sendSubmit(
+        MsgType::SubmitRequest, spec, trace_id, span,
+        [this, span, acked = std::move(acked)](Reply reply) {
+            std::optional<runtime::JobId> id;
+            std::string why;
+            try {
+                std::vector<std::uint8_t> body =
+                    unwrapReply(std::move(reply), MsgType::SubmitReply);
+                Reader r(body);
+                id = r.u64();
+                r.expectEnd();
+                noteSubmitAcked(span, *id);
+            } catch (const std::exception &ex) {
+                why = ex.what();
+            }
+            acked(id, std::move(why));
+        });
 }
 
 std::vector<runtime::JobId>
 QumaClient::submitAll(std::vector<runtime::JobSpec> specs)
 {
-    // Phase 1: every spec leaves on the wire, no reads in between --
+    return submitBatch(specs, 0);
+}
+
+std::vector<runtime::JobId>
+QumaClient::submitBatch(const std::vector<runtime::JobSpec> &specs,
+                        std::uint64_t trace_id)
+{
+    // Every spec leaves on the wire before the first reply is read:
     // the whole sweep is in the server's reader before the first
-    // acknowledgement travels back.
-    std::vector<std::uint64_t> rids;
-    rids.reserve(specs.size());
-    for (const runtime::JobSpec &spec : specs) {
-        Writer w;
-        encodeJobSpec(w, spec);
-        const std::uint64_t spanId = nextSpanId.fetch_add(1) + 1;
-        encodeTraceContext(w, TraceContext{traceIdValue, spanId});
-        const std::uint64_t t0 = clientNowNanos();
-        const std::uint64_t rid =
-            sendRequest(MsgType::SubmitRequest, w);
-        noteSubmitSent(rid, spanId, t0);
-        rids.push_back(rid);
+    // acknowledgement travels back. Replies arrive in server order;
+    // each lands in its own future, so the order is irrelevant, and
+    // an early throw leaves the rest to fulfil futures nobody reads.
+    std::vector<std::future<Reply>> replies(specs.size());
+    std::vector<std::uint64_t> spans;
+    spans.reserve(specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        spans.push_back(nextSpanId.fetch_add(1) + 1);
+        sendSubmit(MsgType::SubmitRequest, specs[i], trace_id,
+                   spans.back(), replyInto(replies[i]));
     }
-    // Phase 2: collect the ids (replies arrive in server order,
-    // routing by requestId makes the order irrelevant). If one
-    // submit fails, the siblings' slots must not leak: abandon
-    // whatever was not collected yet before rethrowing.
     std::vector<runtime::JobId> ids;
-    ids.reserve(rids.size());
-    for (std::size_t i = 0; i < rids.size(); ++i) {
-        try {
-            std::vector<std::uint8_t> body =
-                waitReply(rids[i], MsgType::SubmitReply);
-            Reader r(body);
-            ids.push_back(r.u64());
-            r.expectEnd();
-            noteSubmitAcked(rids[i], ids.back());
-        } catch (...) {
-            abandonSlots(rids.data() + i + 1, rids.size() - i - 1);
-            throw;
-        }
+    ids.reserve(specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        std::vector<std::uint8_t> body =
+            unwrapReply(replies[i].get(), MsgType::SubmitReply);
+        Reader r(body);
+        ids.push_back(r.u64());
+        r.expectEnd();
+        noteSubmitAcked(spans[i], ids.back());
     }
     return ids;
 }
 
 std::optional<runtime::JobId>
-QumaClient::trySubmit(runtime::JobSpec spec)
+QumaClient::trySubmit(runtime::JobSpec spec, std::uint64_t trace_id)
 {
-    Writer w;
-    encodeJobSpec(w, spec);
-    const std::uint64_t spanId = nextSpanId.fetch_add(1) + 1;
-    encodeTraceContext(w, TraceContext{traceIdValue, spanId});
-    const std::uint64_t t0 = clientNowNanos();
-    const std::uint64_t rid =
-        sendRequest(MsgType::TrySubmitRequest, w);
-    noteSubmitSent(rid, spanId, t0);
+    std::future<Reply> reply;
+    const std::uint64_t span = nextSpanId.fetch_add(1) + 1;
+    sendSubmit(MsgType::TrySubmitRequest, spec, trace_id, span,
+               replyInto(reply));
     std::vector<std::uint8_t> body =
-        waitReply(rid, MsgType::TrySubmitReply);
+        unwrapReply(reply.get(), MsgType::TrySubmitReply);
     Reader r(body);
     bool accepted = r.boolean();
     runtime::JobId id = r.u64();
@@ -439,10 +489,10 @@ QumaClient::trySubmit(runtime::JobSpec spec)
     if (!accepted) {
         // Rejected: drop the half-open span, nothing ran.
         std::lock_guard<std::mutex> lock(spanMu);
-        pendingSpans.erase(rid);
+        pendingSpans.erase(span);
         return std::nullopt;
     }
-    noteSubmitAcked(rid, id);
+    noteSubmitAcked(span, id);
     return id;
 }
 
@@ -482,53 +532,85 @@ QumaClient::poll(runtime::JobId id) const
 runtime::JobResult
 QumaClient::await(runtime::JobId id)
 {
-    Writer w;
-    w.u64(id);
     // The reply is PUSHED by the server when the job completes; this
-    // call just parks on the promise slot (other callers' requests
-    // keep flowing on the connection meanwhile).
-    std::vector<std::uint8_t> body =
-        roundTrip(MsgType::AwaitRequest, w, MsgType::AwaitReply);
-    Reader r(body);
-    runtime::JobResult result = decodeJobResult(r);
-    r.expectEnd();
-    noteResultDecoded(id);
-    return result;
+    // call just parks on its future (other callers' requests keep
+    // flowing on the connection meanwhile).
+    return awaitAll({id}).front();
 }
 
 std::vector<runtime::JobResult>
 QumaClient::awaitAll(const std::vector<runtime::JobId> &ids)
 {
-    // All awaits go out up front; the server streams each result as
-    // its job finishes, and the slots buffer whatever completes
-    // before this loop reaches it. Waiting in argument order adds no
-    // wall-clock: the LAST job gates the total either way.
-    std::vector<std::uint64_t> rids;
-    rids.reserve(ids.size());
-    for (runtime::JobId id : ids) {
-        Writer w;
-        w.u64(id);
-        rids.push_back(sendRequest(MsgType::AwaitRequest, w));
-    }
-    std::vector<runtime::JobResult> out;
-    out.reserve(rids.size());
-    for (std::size_t i = 0; i < rids.size(); ++i) {
-        try {
-            std::vector<std::uint8_t> body =
-                waitReply(rids[i], MsgType::AwaitReply);
-            Reader r(body);
-            out.push_back(decodeJobResult(r));
-            r.expectEnd();
-            noteResultDecoded(ids[i]);
-        } catch (...) {
-            // One await failed (e.g. an aged-out id fataling):
-            // late pushes for the rest must not leak in the slot
-            // map for the client's lifetime.
-            abandonSlots(rids.data() + i + 1, rids.size() - i - 1);
-            throw;
+    // Streamed in completion order, placed in argument order: the
+    // LAST job gates the total either way.
+    std::unordered_map<runtime::JobId, std::vector<std::size_t>> slotsOf;
+    for (std::size_t i = ids.size(); i-- > 0;)
+        slotsOf[ids[i]].push_back(i);
+    std::vector<runtime::JobResult> out(ids.size());
+    awaitStreaming(ids, [&](runtime::JobId id, runtime::JobResult r) {
+        std::vector<std::size_t> &at = slotsOf[id];
+        out[at.back()] = std::move(r);
+        at.pop_back();
+    });
+    return out;
+}
+
+void
+QumaClient::awaitAsync(runtime::JobId id,
+                       std::shared_ptr<const ProgressFn> progress,
+                       ReplyFn on_reply) const
+{
+    Writer w;
+    w.u64(id);
+    sendRequest(MsgType::AwaitRequest, w, std::move(progress),
+                std::move(on_reply));
+}
+
+void
+QumaClient::subscribe(runtime::JobId id, CompletionCallback callback)
+{
+    std::vector<ProgressCallback> waiting;
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        if (auto it = progressByJob.find(id); it != progressByJob.end()) {
+            waiting = std::move(it->second);
+            progressByJob.erase(it);
         }
     }
-    return out;
+    std::shared_ptr<const ProgressFn> progress;
+    if (!waiting.empty())
+        progress = std::make_shared<const ProgressFn>(
+            [waiting](runtime::JobId job, std::uint64_t done,
+                      std::uint64_t total) {
+                for (const ProgressCallback &fn : waiting)
+                    fn(job, done, total);
+            });
+    awaitAsync(id, std::move(progress),
+               [this, id, callback = std::move(callback)](Reply reply) {
+                   auto result = std::make_shared<runtime::JobResult>();
+                   try {
+                       // Not unwrapReply's fatal(): an unknown id
+                       // fails this result, nothing else.
+                       if (reply.failure.empty() &&
+                           reply.type == MsgType::ErrorReply) {
+                           Reader r(reply.payload);
+                           throw WireError("remote: " +
+                                           decodeErrorFrame(r).message);
+                       }
+                       *result = takeResult(id, std::move(reply));
+                   } catch (const std::exception &ex) {
+                       result->error = ex.what();
+                   }
+                   callback(id, std::move(result));
+               });
+}
+
+void
+QumaClient::subscribeProgress(runtime::JobId id,
+                              ProgressCallback callback)
+{
+    std::lock_guard<std::mutex> lock(mu);
+    progressByJob[id].push_back(std::move(callback));
 }
 
 void
@@ -540,107 +622,56 @@ QumaClient::awaitStreaming(
 {
     if (!deliver)
         fatal("awaitStreaming needs a delivery callback");
+    // Replies land here, in ARRIVAL order -- the server pushes each
+    // result the moment its job completes, so this is completion
+    // order. Shared with the reply callbacks: if this call unwinds,
+    // late replies land in an orphaned inbox instead of a dead one.
+    struct Inbox
+    {
+        std::mutex mu;
+        std::condition_variable cv;
+        std::deque<std::pair<runtime::JobId, Reply>> arrived;
+        /** Cleared on return: late progress must not reach a caller
+         *  who is gone. */
+        std::atomic<bool> open{true};
+    };
+    auto inbox = std::make_shared<Inbox>();
+    struct CloseInbox
+    {
+        Inbox &box;
+        ~CloseInbox() { box.open.store(false); }
+    } closeGuard{*inbox};
     // One shared handler for the whole sweep; registered per await
-    // requestId so the reader can route ProgressFrames to it.
-    std::shared_ptr<const ProgressFn> progressShared =
-        progress ? std::make_shared<const ProgressFn>(progress)
-                 : nullptr;
-    // Arrival watermark taken BEFORE the requests leave: any reply
-    // to them bumps arrivalSeq past it. The wait predicate is then
-    // O(1) -- "has anything arrived since my last scan" -- instead
-    // of re-scanning every pending id on every reader wakeup (which
-    // would make a large sweep O(N^2) under the demux mutex).
-    std::uint64_t scannedThrough;
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        scannedThrough = arrivalSeq;
-    }
-    std::unordered_map<std::uint64_t, runtime::JobId> pending;
-    pending.reserve(ids.size());
-    for (runtime::JobId id : ids) {
-        Writer w;
-        w.u64(id);
-        // The handler is registered before the request leaves: a
-        // job that is already done is answered with its final
-        // progress frame at once, ahead of the reply.
-        const std::uint64_t rid =
-            sendRequest(MsgType::AwaitRequest, w, progressShared);
-        pending.emplace(rid, id);
-    }
-    // On any throw below (error reply, decode failure, a throwing
-    // deliver callback), the outstanding awaits must not leak.
-    struct AbandonPending
-    {
-        const QumaClient *client;
-        std::unordered_map<std::uint64_t, runtime::JobId> *pending;
-        ~AbandonPending()
-        {
-            if (pending->empty())
-                return;
-            std::vector<std::uint64_t> rids;
-            rids.reserve(pending->size());
-            for (const auto &[rid, id] : *pending)
-                rids.push_back(rid);
-            {
-                // Late ProgressFrames for the unwound awaits must
-                // not invoke a dead callback; without a handler the
-                // reader drops them silently.
-                std::lock_guard<std::mutex> lock(client->mu);
-                for (std::uint64_t rid : rids)
-                    client->progressHandlers.erase(rid);
-            }
-            client->abandonSlots(rids.data(), rids.size());
-        }
-    } abandonGuard{this, &pending};
-    while (!pending.empty()) {
-        // Collect every slot the reader has fulfilled, then deliver
-        // OUTSIDE the mutex (the callback may call back into this
-        // client -- poll another id, read stats -- without deadlock).
-        struct Arrived
-        {
-            std::uint64_t seq;
-            runtime::JobId id;
-            std::vector<std::uint8_t> body;
-        };
-        std::vector<Arrived> batch;
-        {
-            std::unique_lock<std::mutex> lock(mu);
-            // readerDown covers failure fulfilment, which marks
-            // slots ready without an arrival (failAllLocked).
-            cvSlots.wait(lock, [&] {
-                return arrivalSeq > scannedThrough || readerDown;
+    // requestId before the request leaves, so a job that is already
+    // done has its final progress frame routed ahead of the reply.
+    std::shared_ptr<const ProgressFn> progressShared;
+    if (progress)
+        progressShared = std::make_shared<const ProgressFn>(
+            [inbox, progress](runtime::JobId job, std::uint64_t done,
+                              std::uint64_t total) {
+                if (inbox->open.load())
+                    progress(job, done, total);
             });
-            scannedThrough = arrivalSeq;
-            for (auto it = pending.begin(); it != pending.end();) {
-                auto slot = slots.find(it->first);
-                if (slot == slots.end() || !slot->second.ready) {
-                    ++it;
-                    continue;
-                }
-                std::uint64_t seq = slot->second.seq;
-                batch.push_back(
-                    {seq, it->second,
-                     consumeSlotLocked(it->first,
-                                       MsgType::AwaitReply)});
-                // Terminal reply consumed: any later ProgressFrame
-                // under this rid is late by definition and drops.
-                progressHandlers.erase(it->first);
-                it = pending.erase(it);
+    for (runtime::JobId id : ids)
+        awaitAsync(id, progressShared, [inbox, id](Reply reply) {
+            {
+                std::lock_guard<std::mutex> lock(inbox->mu);
+                inbox->arrived.emplace_back(id, std::move(reply));
             }
+            inbox->cv.notify_one();
+        });
+    for (std::size_t n = 0; n < ids.size(); ++n) {
+        std::pair<runtime::JobId, Reply> next;
+        {
+            std::unique_lock<std::mutex> lock(inbox->mu);
+            inbox->cv.wait(lock, [&] { return !inbox->arrived.empty(); });
+            next = std::move(inbox->arrived.front());
+            inbox->arrived.pop_front();
         }
-        // Deliver in ARRIVAL order: the server pushes each result
-        // the moment its job completes, so this is completion order.
-        std::sort(batch.begin(), batch.end(),
-                  [](const Arrived &a, const Arrived &b) {
-                      return a.seq < b.seq;
-                  });
-        for (Arrived &a : batch) {
-            Reader r(a.body);
-            runtime::JobResult result = decodeJobResult(r);
-            r.expectEnd();
-            noteResultDecoded(a.id);
-            deliver(a.id, std::move(result));
-        }
+        // Decode and deliver OUTSIDE every lock: the callback may
+        // call back into this client (poll another id, read stats).
+        deliver(next.first,
+                takeResult(next.first, std::move(next.second)));
     }
 }
 
@@ -672,16 +703,40 @@ QumaClient::cancel(runtime::JobId id)
     return ok;
 }
 
-StatsFrame
-QumaClient::stats()
+runtime::ServiceStats
+QumaClient::stats() const
 {
     Writer w;
     std::vector<std::uint8_t> body =
         roundTrip(MsgType::StatsRequest, w, MsgType::StatsReply);
     Reader r(body);
-    StatsFrame stats = decodeStatsFrame(r);
+    runtime::ServiceStats stats = decodeStatsFrame(r);
     r.expectEnd();
     return stats;
+}
+
+runtime::TraceDump
+QumaClient::traceDump() const
+{
+    Writer w;
+    std::vector<std::uint8_t> body = roundTrip(
+        MsgType::TraceDumpRequest, w, MsgType::TraceDumpReply);
+    Reader r(body);
+    runtime::TraceDump dump = decodeTraceDumpFrame(r);
+    r.expectEnd();
+    return dump;
+}
+
+std::uint64_t
+QumaClient::traceNowNanos() const
+{
+    Writer w;
+    std::vector<std::uint8_t> body = roundTrip(
+        MsgType::ClockSyncRequest, w, MsgType::ClockSyncReply);
+    Reader r(body);
+    ClockSyncFrame f = decodeClockSyncFrame(r);
+    r.expectEnd();
+    return f.serverNanos;
 }
 
 std::int64_t
@@ -693,14 +748,9 @@ QumaClient::clockSync()
     // microseconds on loopback, and spans/events here are rendered
     // at microsecond granularity anyway.
     const std::uint64_t t0 = clientNowNanos();
-    Writer w;
-    std::vector<std::uint8_t> body = roundTrip(
-        MsgType::ClockSyncRequest, w, MsgType::ClockSyncReply);
+    const std::uint64_t server = traceNowNanos();
     const std::uint64_t t1 = clientNowNanos();
-    Reader r(body);
-    ClockSyncFrame f = decodeClockSyncFrame(r);
-    r.expectEnd();
-    return static_cast<std::int64_t>(f.serverNanos) -
+    return static_cast<std::int64_t>(server) -
            static_cast<std::int64_t>((t0 + t1) / 2);
 }
 
@@ -711,12 +761,7 @@ QumaClient::mergedChromeTrace()
     // events by -offset lands them on the CLIENT timebase the spans
     // below already use.
     const std::int64_t offset = clockSync();
-    Writer w;
-    std::vector<std::uint8_t> body = roundTrip(
-        MsgType::TraceDumpRequest, w, MsgType::TraceDumpReply);
-    Reader r(body);
-    TraceDumpFrame dump = decodeTraceDumpFrame(r);
-    r.expectEnd();
+    runtime::TraceDump dump = traceDump();
 
     std::unordered_map<runtime::JobId, std::uint64_t> serverIds(
         dump.traceIds.begin(), dump.traceIds.end());

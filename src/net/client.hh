@@ -24,7 +24,11 @@
  *    each AwaitReply the moment the job completes (scheduler
  *    completion subscription), and the reader fulfils the slot --
  *    results stream in completion order, which awaitMany() exposes
- *    directly and awaitAll() reorders to argument order.
+ *    directly and awaitAll() reorders to argument order;
+ *  - the serving half of IExperimentBackend is non-blocking too:
+ *    subscribe() and submitAsync() hand their reply to a callback on
+ *    the reader thread (awaitStreaming is built on the same path), so
+ *    a QumaServer can serve a remote backend -- FleetBackend does.
  *
  * OBSERVABILITY (wire v4). Every Submit carries this client's
  * trace context (a random per-client traceId plus a per-submit
@@ -46,8 +50,8 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <functional>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -109,14 +113,60 @@ class QumaClient final : public runtime::IExperimentBackend
 
     // IExperimentBackend surface, forwarded over the wire. The
     // const calls still talk on the wire: connection state is
-    // mutable, the observable backend state is not touched.
-    runtime::JobId submit(runtime::JobSpec spec) override;
+    // mutable, the observable backend state is not touched. A
+    // trace_id of 0 stamps this client's own traceId().
     std::optional<runtime::JobId>
-    trySubmit(runtime::JobSpec spec) override;
+    trySubmit(runtime::JobSpec spec,
+              std::uint64_t trace_id = 0) override;
+    /** A blocking submit: the request is on the wire, so it never
+     *  gives up -- the SERVER loops on its own bounded waits. */
+    std::optional<runtime::JobId>
+    submitFor(const runtime::JobSpec &spec,
+              std::chrono::milliseconds timeout,
+              std::uint64_t trace_id) override;
     runtime::JobStatus status(runtime::JobId id) const override;
     std::optional<runtime::JobResult>
     poll(runtime::JobId id) const override;
     runtime::JobResult await(runtime::JobId id) override;
+    /** Remote-side cancel of a still-queued job. */
+    bool cancel(runtime::JobId id) override;
+
+    /**
+     * Non-blocking await: the AwaitRequest leaves now and `callback`
+     * runs on the reader thread with the result -- a failed one when
+     * the server refused the await or the connection died (see
+     * connected()). Throws WireError when the connection is already
+     * down (no callback then).
+     */
+    void subscribe(runtime::JobId id,
+                   CompletionCallback callback) override;
+    /** Progress rides the job's NEXT subscribe(): call this first. */
+    void subscribeProgress(runtime::JobId id,
+                           ProgressCallback callback) override;
+
+    /** Snapshot of the serving runtime's scheduler/pool stats. */
+    runtime::ServiceStats stats() const override;
+    /** The server's trace dump, in ITS trace clock. */
+    runtime::TraceDump traceDump() const override;
+    /** The server's trace clock, sampled by one ClockSync round
+     *  trip (see clockSync() for the alignment recipe). */
+    std::uint64_t traceNowNanos() const override;
+
+    /**
+     * Non-blocking submit: the Submit frame is on the wire when this
+     * returns (it blocks only on transport backpressure), and `acked`
+     * runs on the reader thread with the server's job id -- or with
+     * nullopt and the reason when the server refused the job or the
+     * connection died (see connected()). Throws WireError when the
+     * connection is already down (no callback then).
+     */
+    void submitAsync(
+        const runtime::JobSpec &spec, std::uint64_t trace_id,
+        std::function<void(std::optional<runtime::JobId>, std::string)>
+            acked);
+
+    /** False once the connection died (every request now fails). */
+    bool connected() const;
 
     /** Pipelined batch submit: all specs are on the wire before the
      *  first reply is read. Ids in argument order. */
@@ -142,12 +192,6 @@ class QumaClient final : public runtime::IExperimentBackend
         const std::function<void(runtime::JobId,
                                  runtime::JobResult)> &deliver,
         const ProgressFn &progress = {});
-
-    /** Remote-side cancel of a still-queued job. */
-    bool cancel(runtime::JobId id);
-
-    /** Snapshot of the serving runtime's scheduler/pool stats. */
-    StatsFrame stats();
 
     /**
      * The trace id this client stamps into every v4 Submit (random
@@ -194,89 +238,95 @@ class QumaClient final : public runtime::IExperimentBackend
     void disconnect();
 
   private:
-    /** One in-flight request's parking spot. */
-    struct Slot
+    /** One request's outcome, as the reader saw it. */
+    struct Reply
     {
-        bool ready = false;
         MsgType type = MsgType::ErrorReply;
         std::vector<std::uint8_t> payload;
         /** Connection-level failure message (empty = none). */
         std::string failure;
-        /** Arrival rank (awaitStreaming delivers in this order). */
-        std::uint64_t seq = 0;
-        /**
-         * Nobody will ever consume this slot (its batch call threw
-         * mid-collection): the reader erases it on arrival instead
-         * of treating the reply as unsolicited or leaking it.
-         */
-        bool abandoned = false;
+    };
+    /** Runs on the reader thread (outside mu) with the reply. */
+    using ReplyFn = std::function<void(Reply)>;
+    /** One request awaiting its reply. */
+    struct Slot
+    {
+        ReplyFn onReply;
+        /** Fed the ProgressFrame pushes under its requestId. */
+        std::shared_ptr<const ProgressFn> progress;
     };
 
     /**
-     * Register a slot and put the request on the wire; returns the
-     * requestId to wait on. Thread-safe; concurrent senders are
-     * serialized per frame (sendMu), never per round-trip. A given
-     * `progress` handler is registered with the slot, before the
-     * request leaves, so no push under its requestId can outrun it.
+     * Register `on_reply` and put the request on the wire; returns
+     * its requestId. Thread-safe; concurrent senders are serialized
+     * per frame (sendMu), never per round-trip. `progress` and
+     * `on_reply` are registered before the request leaves, so no
+     * frame under its requestId can outrun them. Throws WireError
+     * when the connection is down (then `on_reply` never runs); a
+     * failed send takes the whole connection down first.
      */
     std::uint64_t
     sendRequest(MsgType type, const Writer &payload,
-                std::shared_ptr<const ProgressFn> progress = nullptr) const;
-    /** Park until the reader fulfils the slot; decode error replies
-     *  (UnknownJob -> fatal, others -> WireError), check the type. */
-    std::vector<std::uint8_t> waitReply(std::uint64_t request_id,
-                                        MsgType expected_reply) const;
-    /** sendRequest + waitReply, the strict-sequential convenience. */
+                std::shared_ptr<const ProgressFn> progress,
+                ReplyFn on_reply) const;
+    /** A ReplyFn fulfilling `future`: the blocking calls' way in. */
+    static ReplyFn replyInto(std::future<Reply> &future);
+    /** Encode spec + trace context (trace 0 = traceId()), record the
+     *  client span and send it as a Submit/TrySubmit. */
+    void sendSubmit(MsgType type, const runtime::JobSpec &spec,
+                    std::uint64_t trace_id, std::uint64_t span_id,
+                    ReplyFn on_reply);
+    /** submitAll under an explicit trace id. */
+    std::vector<runtime::JobId>
+    submitBatch(const std::vector<runtime::JobSpec> &specs,
+                std::uint64_t trace_id);
+    /** sendRequest of an AwaitRequest whose reply goes to on_reply. */
+    void awaitAsync(runtime::JobId id,
+                    std::shared_ptr<const ProgressFn> progress,
+                    ReplyFn on_reply) const;
+    /** The shared error mapping (UnknownJob -> fatal, other errors
+     *  and connection failures -> WireError, wrong type ->
+     *  WireError). */
+    static std::vector<std::uint8_t> unwrapReply(Reply reply,
+                                                 MsgType expected_reply);
+    /** Job `id`'s result from its AwaitReply (unwrapReply's error
+     *  mapping). */
+    runtime::JobResult takeResult(runtime::JobId id, Reply reply);
+    /** A blocking request/reply exchange. */
     std::vector<std::uint8_t> roundTrip(MsgType request,
                                         const Writer &payload,
                                         MsgType expected_reply) const;
     void readerLoop();
-    /** Fail every slot and all future calls (reader died). */
-    void failAllLocked(const std::string &why);
-    /**
-     * A batch call is unwinding with replies still outstanding:
-     * erase what already arrived, flag the rest so the reader
-     * erases them on arrival (late pushes must neither leak in the
-     * slot map nor read as unsolicited frames).
-     */
-    void abandonSlots(const std::uint64_t *rids,
-                      std::size_t count) const;
-    /** Slot -> payload with the shared error mapping applied. */
-    std::vector<std::uint8_t> consumeSlotLocked(
-        std::uint64_t request_id, MsgType expected_reply) const;
+    /** Fail every pending request and all future calls (reader
+     *  died). */
+    void failAll(const std::string &why);
     /** Nanos on this client's span clock (steady, epoch = ctor). */
     std::uint64_t clientNowNanos() const;
     /** Span bookkeeping (no-ops while spans are disabled). */
-    void noteSubmitSent(std::uint64_t rid, std::uint64_t span_id,
-                        std::uint64_t nanos);
-    void noteSubmitAcked(std::uint64_t rid, runtime::JobId id);
+    void noteSubmitSent(std::uint64_t span_id, std::uint64_t nanos);
+    void noteSubmitAcked(std::uint64_t span_id, runtime::JobId id);
     void noteResultDecoded(runtime::JobId id);
 
     /** Guards slots, nextRequestId, meter, readerDown. */
     mutable std::mutex mu;
-    /** Broadcast whenever the reader fulfils any slot. */
-    mutable std::condition_variable cvSlots;
     /** Serializes frame writes (frames must not interleave). */
     mutable std::mutex sendMu;
     std::unique_ptr<ByteStream> stream;
+    /**
+     * Requests awaiting their reply, by requestId (the reader invokes
+     * callbacks OUTSIDE mu). A push whose request is gone -- late, or
+     * for a progress-less await -- simply evaporates: it answers no
+     * request, so it can never trip the unsolicited-reply teardown.
+     */
     mutable std::unordered_map<std::uint64_t, Slot> slots;
     mutable std::uint64_t nextRequestId = 1;
-    /** Monotone arrival counter stamped onto fulfilled slots. */
-    mutable std::uint64_t arrivalSeq = 0;
     mutable bool readerDown = false;
     mutable std::string readerFailure;
     mutable core::LinkMeter meter;
-    /**
-     * ProgressFrame routing, by the awaiting requestId (guarded by
-     * mu; handlers invoked OUTSIDE it on the reader thread, hence
-     * the shared_ptr copy). A push with no handler -- late, or for
-     * a progress-less await -- simply evaporates: unlike a result
-     * reply, a ProgressFrame answers no request 1:1, so it can
-     * never trip the unsolicited-reply teardown.
-     */
-    mutable std::unordered_map<std::uint64_t,
-                               std::shared_ptr<const ProgressFn>>
-        progressHandlers;
+    /** subscribeProgress() callbacks waiting for their job's next
+     *  subscribe() (guarded by mu). */
+    std::unordered_map<runtime::JobId, std::vector<ProgressCallback>>
+        progressByJob;
 
     /** Trace identity + span clock (see traceId()/spans()). */
     const std::uint64_t traceIdValue;
@@ -286,7 +336,7 @@ class QumaClient final : public runtime::IExperimentBackend
     std::atomic<std::uint64_t> nextSpanId{0};
     /** Guards the two span maps (never nested with mu). */
     mutable std::mutex spanMu;
-    /** Submit sent, reply not yet decoded: keyed by requestId. */
+    /** Submit sent, reply not yet decoded: keyed by span id. */
     std::unordered_map<std::uint64_t, ClientSpan> pendingSpans;
     /** Acked (job id known): keyed by job. */
     std::unordered_map<runtime::JobId, ClientSpan> ackedSpans;

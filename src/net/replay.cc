@@ -107,9 +107,9 @@ replayCapture(const CaptureFile &capture, const ReplayOptions &options)
         std::optional<SplitFrame> sf = splitFrame(f.frame);
         if (!sf)
             continue; // torn/foreign outbound record: not comparable
-        // Progress pushes ride the await's requestId ahead of its
-        // reply; they are not the reply.
-        if (sf->header.type == MsgType::ProgressFrame)
+        // Pushes ride the await's requestId ahead of its reply;
+        // they are not the reply.
+        if (frameKind(sf->header.type) != FrameKind::Reply)
             continue;
         const std::uint64_t rid = sf->header.requestId;
         if (sf->header.type == MsgType::SubmitReply &&
@@ -159,7 +159,7 @@ replayCapture(const CaptureFile &capture, const ReplayOptions &options)
                 if (fh.length > 0 &&
                     !stream->recvAll(payload.data(), payload.size()))
                     break;
-                if (fh.type == MsgType::ProgressFrame)
+                if (frameKind(fh.type) != FrameKind::Reply)
                     continue; // a push, not the request's reply
                 {
                     std::lock_guard<std::mutex> lock(router.mu);

@@ -140,10 +140,10 @@ QumaServer::ConnState::closeStream()
 
 // --- QumaServer -------------------------------------------------------------
 
-QumaServer::QumaServer(runtime::ExperimentService &service_,
+QumaServer::QumaServer(runtime::IExperimentBackend &backend_,
                        std::unique_ptr<Listener> listener_,
                        ServerConfig config)
-    : service(service_), listener(std::move(listener_)), cfg(config),
+    : backend(backend_), listener(std::move(listener_)), cfg(config),
       meter(cfg.linkBytesPerSecond)
 {
     if (!listener)
@@ -492,7 +492,7 @@ QumaServer::serveConnection(Connection &conn)
     // result was already streamed is no longer in the set.
     std::size_t cancelled = 0;
     for (runtime::JobId id : state.takeSubmitted())
-        if (service.scheduler().cancel(id))
+        if (backend.cancel(id))
             ++cancelled;
 
     std::lock_guard<std::mutex> lock(mu);
@@ -623,24 +623,31 @@ QumaServer::dispatchRequest(ByteStream &stream,
     const std::uint64_t rid = header.requestId;
 
     switch (header.type) {
-    case MsgType::SubmitRequest: {
+    case MsgType::SubmitRequest:
+    case MsgType::TrySubmitRequest: {
+        const bool blocking = header.type == MsgType::SubmitRequest;
         runtime::JobSpec spec = decodeJobSpec(r);
         // v4 appends the client's trace context AFTER the spec, so
         // decodeJobSpec (and with it the journal record format)
-        // stays byte-identical to v3.
+        // stays byte-identical to v3. The submit ties the job's
+        // lifecycle events to that trace, so one merged dump shows
+        // both sides (no-op while tracing is off).
         TraceContext tc;
         if (state->peerVersion.load(std::memory_order_relaxed) >= 4)
             tc = decodeTraceContext(r);
         r.expectEnd();
         try {
             std::optional<runtime::JobId> id;
+            if (!blocking)
+                id = backend.trySubmit(std::move(spec), tc.traceId);
             // Interruptible submit: a queue that stays at the hard
             // bound must not wedge stop() -- or a vanished client's
             // disconnect handling -- behind this thread. This is the
             // one deliberately blocking request: backpressure from a
             // full queue is supposed to slow the pipelining client
             // down.
-            while (!(id = service.submitFor(spec, kStopCheck))) {
+            while (blocking &&
+                   !(id = backend.submitFor(spec, kStopCheck, tc.traceId))) {
                 if (stopping()) {
                     queueError(*state, rid, WireErrorCode::Shutdown,
                                "server stopping");
@@ -649,41 +656,18 @@ QumaServer::dispatchRequest(ByteStream &stream,
                 if (!stream.peerAlive())
                     throw ConnectionLost{};
             }
-            state->noteSubmitted(*id);
-            // Tie the server-side lifecycle events to the client's
-            // trace, so one merged dump shows both sides. No-op
-            // while tracing is off.
-            if (tc.traceId != 0)
-                service.trace().setTraceId(*id, tc.traceId);
+            if (id)
+                state->noteSubmitted(*id);
             Writer w;
-            w.u64(*id);
-            queueFrame(*state, MsgType::SubmitReply, rid, w);
+            if (!blocking)
+                w.boolean(id.has_value());
+            w.u64(id.value_or(0));
+            queueFrame(*state,
+                       blocking ? MsgType::SubmitReply
+                                : MsgType::TrySubmitReply,
+                       rid, w);
             // (ConnectionLost is not a std::exception by design: it
             // flies past the handler below to the disconnect path.)
-        } catch (const std::exception &ex) {
-            queueError(*state, rid, WireErrorCode::Internal,
-                       ex.what());
-        }
-        return true;
-    }
-    case MsgType::TrySubmitRequest: {
-        runtime::JobSpec spec = decodeJobSpec(r);
-        TraceContext tc;
-        if (state->peerVersion.load(std::memory_order_relaxed) >= 4)
-            tc = decodeTraceContext(r);
-        r.expectEnd();
-        try {
-            std::optional<runtime::JobId> id =
-                service.trySubmit(std::move(spec));
-            if (id) {
-                state->noteSubmitted(*id);
-                if (tc.traceId != 0)
-                    service.trace().setTraceId(*id, tc.traceId);
-            }
-            Writer w;
-            w.boolean(id.has_value());
-            w.u64(id.value_or(0));
-            queueFrame(*state, MsgType::TrySubmitReply, rid, w);
         } catch (const std::exception &ex) {
             queueError(*state, rid, WireErrorCode::Internal,
                        ex.what());
@@ -694,7 +678,7 @@ QumaServer::dispatchRequest(ByteStream &stream,
         runtime::JobId id = r.u64();
         r.expectEnd();
         try {
-            runtime::JobStatus st = service.status(id);
+            runtime::JobStatus st = backend.status(id);
             Writer w;
             w.u8(static_cast<std::uint8_t>(st));
             queueFrame(*state, MsgType::StatusReply, rid, w);
@@ -709,7 +693,7 @@ QumaServer::dispatchRequest(ByteStream &stream,
         r.expectEnd();
         try {
             std::optional<runtime::JobResult> result =
-                service.poll(id);
+                backend.poll(id);
             Writer w;
             w.boolean(result.has_value());
             if (result)
@@ -749,7 +733,7 @@ QumaServer::dispatchRequest(ByteStream &stream,
                 // -- because a progress payload is three u64s:
                 // encoding on the notifier thread is cheaper than a
                 // writer-side deferral round trip.
-                service.scheduler().subscribeProgress(
+                backend.subscribeProgress(
                     id, [weak, rid](runtime::JobId job,
                                     std::size_t done,
                                     std::size_t total) {
@@ -774,7 +758,7 @@ QumaServer::dispatchRequest(ByteStream &stream,
                             st->closeStream();
                     });
             }
-            service.scheduler().subscribe(
+            backend.subscribe(
                 id,
                 [weak, rid, id](
                     runtime::JobId,
@@ -817,8 +801,7 @@ QumaServer::dispatchRequest(ByteStream &stream,
         // onto the midpoint (docs/observability.md). Answered inline
         // on the reader, so queueing delay stays out of the sample.
         Writer w;
-        encodeClockSyncFrame(
-            w, ClockSyncFrame{service.trace().nowNanos()});
+        encodeClockSyncFrame(w, ClockSyncFrame{backend.traceNowNanos()});
         queueFrame(*state, MsgType::ClockSyncReply, rid, w);
         return true;
     }
@@ -828,25 +811,15 @@ QumaServer::dispatchRequest(ByteStream &stream,
         // job->traceId associations, and the drop count. Raw rather
         // than rendered JSON so the client can clock-shift and merge
         // with its own spans.
-        TraceDumpFrame dump;
-        dump.events = service.trace().events();
-        dump.traceIds = service.trace().traceIdPairs();
-        dump.dropped = service.trace().dropped();
         Writer w;
-        encodeTraceDumpFrame(w, dump);
+        encodeTraceDumpFrame(w, backend.traceDump());
         queueFrame(*state, MsgType::TraceDumpReply, rid, w);
         return true;
     }
     case MsgType::StatsRequest: {
         r.expectEnd();
-        StatsFrame stats;
-        stats.scheduler = service.scheduler().stats();
-        stats.pool = service.pool().stats();
-        stats.cache = service.cache().stats();
-        stats.effectiveQueueCapacity =
-            service.scheduler().effectiveQueueCapacity();
         Writer w;
-        encodeStatsFrame(w, stats);
+        encodeStatsFrame(w, backend.stats());
         queueFrame(*state, MsgType::StatsReply, rid, w);
         return true;
     }
@@ -857,7 +830,7 @@ QumaServer::dispatchRequest(ByteStream &stream,
         // submitted itself -- ids are a guessable global sequence,
         // and cancelling another client's queued work would corrupt
         // that client's awaits.
-        bool ok = state->owns(id) && service.scheduler().cancel(id);
+        bool ok = state->owns(id) && backend.cancel(id);
         if (ok)
             state->noteDelivered(id);
         Writer w;

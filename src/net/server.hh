@@ -1,9 +1,11 @@
 /**
  * @file
- * QumaServer: the experiment runtime behind a socket, multiplexed.
+ * QumaServer: an experiment backend behind a socket, multiplexed.
  *
- * One server wraps one shared runtime::ExperimentService and serves
- * the wire protocol (wire.hh) over any transport Listener -- TCP for
+ * One server wraps one shared runtime::IExperimentBackend -- an
+ * in-process ExperimentService for quma_serve, a FleetBackend for
+ * the gateway (net/gateway.hh) -- and serves the wire protocol
+ * (wire.hh) over any transport Listener -- TCP for
  * real remote clients, the in-process loopback for deterministic
  * tests. Each accepted connection gets a READER thread that decodes
  * request frames and a WRITER thread that drains the connection's
@@ -11,14 +13,15 @@
  * connection carries any number of requests in flight at once.
  *
  * STREAMING. An AwaitRequest no longer parks the connection: the
- * reader registers a JobScheduler completion subscription and moves
- * on to the next frame. When the job finishes, the scheduler's
- * notifier thread drops the shared result into the connection's
+ * reader registers a backend completion subscription and moves on to
+ * the next frame. When the job finishes, the backend's notifying
+ * thread (the scheduler's notifier, or a fleet link reader) drops the
+ * shared result into the connection's
  * outbox and the writer encodes and pushes it immediately (encoding
  * on the per-connection writer keeps the single notifier thread
  * cheap and lets concurrent connections encode in parallel) --
  * results stream back in completion order, interleaved with other
- * replies, with no awaitFor polling loop anywhere. The only request
+ * replies, with no polling loop anywhere. The only request
  * that can still block the reader is a Submit against a full queue
  * (deliberate backpressure: the client should not be able to buffer
  * unbounded work).
@@ -31,7 +34,7 @@
  *
  * DISCONNECT. When a connection dies (EOF or a wire error), jobs it
  * submitted whose results were not yet delivered and that are still
- * fully queued are cancelled (JobScheduler::cancel) -- nobody is
+ * fully queued are cancelled (IExperimentBackend::cancel) -- nobody is
  * left to read their results. Work already running is never
  * interrupted. Pending completion subscriptions hold only a weak
  * reference to the connection's shared state; late pushes find the
@@ -53,7 +56,7 @@
  * client fails with a diagnosis instead of hanging.
  *
  * PROGRESS STREAMING (v4). An AwaitRequest from a v4 peer also
- * registers a JobScheduler progress subscription: rate-limited
+ * registers a backend progress subscription: rate-limited
  * ProgressFrame pushes (rounds completed / total) ride the same
  * outbox under the await's requestId, always ahead of the terminal
  * AwaitReply (the scheduler queues the forced 100% notification
@@ -85,7 +88,7 @@
 #include "net/transport.hh"
 #include "net/wire.hh"
 #include "quma/hostlink.hh"
-#include "runtime/service.hh"
+#include "runtime/backend.hh"
 
 namespace quma::net {
 
@@ -143,10 +146,10 @@ class QumaServer
      * Start serving immediately: the accept loop runs on its own
      * thread until stop() (or destruction).
      *
-     * @param service the shared runtime every connection drives
+     * @param backend the shared runtime every connection drives
      * @param listener transport accept side (TCP or loopback)
      */
-    QumaServer(runtime::ExperimentService &service,
+    QumaServer(runtime::IExperimentBackend &backend,
                std::unique_ptr<Listener> listener,
                ServerConfig config = {});
     ~QumaServer();
@@ -157,7 +160,7 @@ class QumaServer
     /**
      * Stop accepting, close every live connection and join all
      * serving threads (idempotent). Jobs already submitted to the
-     * service keep running; only their queued-but-undelivered work is
+     * backend keep running; only their queued-but-undelivered work is
      * cancelled by the per-connection disconnect handling.
      */
     void stop();
@@ -316,7 +319,7 @@ class QumaServer
     /** Reply frames queued across live connections' outboxes. */
     std::size_t queuedReplyFrames() const;
 
-    runtime::ExperimentService &service;
+    runtime::IExperimentBackend &backend;
     std::unique_ptr<Listener> listener;
     const ServerConfig cfg;
 

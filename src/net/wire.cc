@@ -202,12 +202,10 @@ sealFrame(MsgType type, std::uint64_t request_id,
     return frame;
 }
 
-namespace {
-
-bool
-knownMsgType(std::uint16_t t)
+FrameKind
+frameKind(MsgType type)
 {
-    switch (static_cast<MsgType>(t)) {
+    switch (type) {
     case MsgType::SubmitRequest:
     case MsgType::TrySubmitRequest:
     case MsgType::StatusRequest:
@@ -217,6 +215,7 @@ knownMsgType(std::uint16_t t)
     case MsgType::CancelRequest:
     case MsgType::ClockSyncRequest:
     case MsgType::TraceDumpRequest:
+        return FrameKind::Request;
     case MsgType::SubmitReply:
     case MsgType::TrySubmitReply:
     case MsgType::StatusReply:
@@ -226,14 +225,22 @@ knownMsgType(std::uint16_t t)
     case MsgType::CancelReply:
     case MsgType::ClockSyncReply:
     case MsgType::TraceDumpReply:
-    case MsgType::ProgressFrame:
     case MsgType::ErrorReply:
-        return true;
+        return FrameKind::Reply;
+    case MsgType::ProgressFrame:
+        return FrameKind::Push;
     }
-    return false;
+    return FrameKind::Unknown;
 }
 
-} // namespace
+std::optional<MsgType>
+replyTypeFor(MsgType request)
+{
+    if (frameKind(request) != FrameKind::Request)
+        return std::nullopt;
+    // Requests occupy [1, 63]; a reply is its request's type + 64.
+    return static_cast<MsgType>(static_cast<std::uint16_t>(request) + 64);
+}
 
 namespace {
 
@@ -284,7 +291,7 @@ decodeFrameHeaderUnchecked(const std::uint8_t *header)
 {
     Reader r(header + 6, kFrameHeaderBytes - 6);
     std::uint16_t type = r.u16();
-    if (!knownMsgType(type))
+    if (frameKind(static_cast<MsgType>(type)) == FrameKind::Unknown)
         throw WireError("unknown frame type " + std::to_string(type));
     std::uint32_t length = r.u32();
     if (length > kMaxPayloadBytes)

@@ -49,9 +49,8 @@
 #include <string>
 #include <vector>
 
+#include "runtime/backend.hh"
 #include "runtime/job.hh"
-#include "runtime/machine_pool.hh"
-#include "runtime/scheduler.hh"
 #include "runtime/trace.hh"
 
 namespace quma::net {
@@ -176,6 +175,29 @@ enum class MsgType : std::uint16_t
 
     ErrorReply = 127,
 };
+
+/** What a frame type is to the requestId demultiplexer. */
+enum class FrameKind
+{
+    /** Not a MsgType of this protocol. */
+    Unknown,
+    /** Client-to-server: opens an exchange under a fresh requestId. */
+    Request,
+    /** Server-to-client: ENDS its request's exchange (ErrorReply
+     *  included). Exactly one per request. */
+    Reply,
+    /** Server-to-client under a live request's id that does NOT end
+     *  it (ProgressFrame): route it, never retire the request on it. */
+    Push,
+};
+
+/** The one rule every reply router (client reader, capture replay)
+ *  applies to tell a request's reply from a push. */
+FrameKind frameKind(MsgType type);
+
+/** The reply type that ends `request`'s exchange (an ErrorReply may
+ *  end any request instead); nullopt for a non-request type. */
+std::optional<MsgType> replyTypeFor(MsgType request);
 
 /** Error codes carried by an ErrorReply frame. */
 enum class WireErrorCode : std::uint16_t
@@ -315,15 +337,8 @@ struct ErrorFrame
     std::string message;
 };
 
-/** Stats reply payload: one snapshot of the serving runtime. */
-struct StatsFrame
-{
-    runtime::JobScheduler::Stats scheduler;
-    runtime::MachinePool::Stats pool;
-    /** Program/LUT cache counters (v3). */
-    runtime::ProgramCache::Stats cache;
-    std::size_t effectiveQueueCapacity = 0;
-};
+/** Stats reply payload: the serving backend's runtime::stats(). */
+using StatsFrame = runtime::ServiceStats;
 
 /**
  * Trace context a v4 client appends to every Submit/TrySubmit
@@ -364,19 +379,9 @@ struct ClockSyncFrame
     std::uint64_t serverNanos = 0;
 };
 
-/**
- * Trace-dump reply payload (v4): the server's buffered lifecycle
- * events plus the job -> traceId associations, in the server's
- * timebase. Raw events rather than rendered JSON so the client can
- * clock-shift and merge without parsing.
- */
-struct TraceDumpFrame
-{
-    std::vector<runtime::TraceEvent> events;
-    std::vector<std::pair<runtime::JobId, std::uint64_t>> traceIds;
-    /** Events lost to the bounded server buffer. */
-    std::uint64_t dropped = 0;
-};
+/** Trace-dump reply payload (v4): the serving backend's traceDump(),
+ *  in its traceNowNanos() timebase. */
+using TraceDumpFrame = runtime::TraceDump;
 
 // --- message payload codecs -------------------------------------------------
 //

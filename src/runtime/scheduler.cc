@@ -414,27 +414,6 @@ JobScheduler::await(JobId id)
     return it->second.result;
 }
 
-std::optional<JobResult>
-JobScheduler::awaitFor(JobId id, std::chrono::milliseconds timeout)
-{
-    std::unique_lock<std::mutex> lock(mu);
-    if (entries.find(id) == entries.end())
-        fatal("unknown job id ", id);
-    bool finished = cvDone.wait_for(lock, timeout, [&] {
-        auto it = entries.find(id);
-        return it == entries.end() ||
-               it->second.jobStatus == JobStatus::Done ||
-               it->second.jobStatus == JobStatus::Failed;
-    });
-    if (!finished)
-        return std::nullopt;
-    auto it = entries.find(id);
-    if (it == entries.end())
-        fatal("job ", id, " finished but its result aged out of the ",
-              "bounded retention before awaitFor could read it");
-    return it->second.result;
-}
-
 void
 JobScheduler::drain()
 {

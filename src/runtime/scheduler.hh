@@ -29,7 +29,7 @@
  * order, outside the scheduler mutex. This is the push primitive the
  * network serving layer streams results with: a finished job's
  * JobResult frame leaves the server the moment the merge completes,
- * with no awaitFor polling loop holding a thread per pending job.
+ * with no polling loop holding a thread per pending job.
  *
  * WORK STEALING. A slow shard would otherwise gate its job's merge
  * while other workers idle. With workSteal enabled, the executing
@@ -267,14 +267,6 @@ class JobScheduler
     std::optional<JobResult> poll(JobId id) const;
     /** Block until the job finishes and return its result. */
     JobResult await(JobId id);
-    /**
-     * await() with a deadline: nullopt while the job is still in
-     * flight after `timeout`. Unknown ids fatal like await(). The
-     * serving layer loops on this so a shutdown can interrupt a
-     * connection thread parked on a slow job.
-     */
-    std::optional<JobResult>
-    awaitFor(JobId id, std::chrono::milliseconds timeout);
     /** Block until every submitted job has finished. */
     void drain();
 
@@ -303,7 +295,7 @@ class JobScheduler
     /**
      * Register `callback` to fire on the job's completion -- the
      * push-notification primitive the serving layer builds result
-     * streaming on, replacing awaitFor polling loops.
+     * streaming on, with no polling loop.
      *
      * Threading contract: callbacks run on the scheduler's dedicated
      * notifier thread, one at a time, in completion order (for an

@@ -144,7 +144,8 @@ ExperimentService::submit(JobSpec spec)
 
 std::optional<JobId>
 ExperimentService::submitFor(const JobSpec &spec,
-                             std::chrono::milliseconds timeout)
+                             std::chrono::milliseconds timeout,
+                             std::uint64_t trace_id)
 {
     std::optional<JobId> id = sched.submitFor(spec, timeout);
     if (id && journalStore) {
@@ -153,20 +154,26 @@ ExperimentService::submitFor(const JobSpec &spec,
             subscribeJournal(*id);
         }
     }
+    // Tie the lifecycle events to the caller's distributed trace
+    // (no-op while tracing is off).
+    if (id && trace_id != 0)
+        traceStore.setTraceId(*id, trace_id);
     return id;
 }
 
 std::optional<JobId>
-ExperimentService::trySubmit(JobSpec spec)
+ExperimentService::trySubmit(JobSpec spec, std::uint64_t trace_id)
 {
-    if (!journalStore)
-        return sched.trySubmit(std::move(spec));
-    auto encoded = JobJournal::encodeSpec(spec);
+    std::optional<JobJournal::EncodedSpec> encoded;
+    if (journalStore)
+        encoded = JobJournal::encodeSpec(spec);
     std::optional<JobId> id = sched.trySubmit(std::move(spec));
     if (id && encoded) {
         journalStore->appendSubmitted(*id, *encoded);
         subscribeJournal(*id);
     }
+    if (id && trace_id != 0)
+        traceStore.setTraceId(*id, trace_id);
     return id;
 }
 
@@ -242,16 +249,6 @@ ExperimentService::bindMetrics(metrics::MetricsRegistry &registry)
                                    recoveredIdsStore.size());
                            });
     }
-}
-
-std::vector<JobResult>
-ExperimentService::awaitAll(const std::vector<JobId> &ids)
-{
-    std::vector<JobResult> out;
-    out.reserve(ids.size());
-    for (JobId id : ids)
-        out.push_back(await(id));
-    return out;
 }
 
 } // namespace quma::runtime

@@ -90,15 +90,6 @@ struct ServiceConfig
     std::string instanceName = {};
 };
 
-/** One-call snapshot across all three runtime layers. */
-struct ServiceStats
-{
-    JobScheduler::Stats scheduler;
-    MachinePool::Stats pool;
-    ProgramCache::Stats cache;
-    std::size_t effectiveQueueCapacity = 0;
-};
-
 /**
  * The in-process IExperimentBackend: jobs run on this address
  * space's machine pool. net::QumaClient is the remote counterpart,
@@ -113,14 +104,16 @@ class ExperimentService : public IExperimentBackend
     ~ExperimentService() override;
 
     JobId submit(JobSpec spec) override;
-    std::optional<JobId> trySubmit(JobSpec spec) override;
+    std::optional<JobId> trySubmit(JobSpec spec,
+                                   std::uint64_t trace_id = 0) override;
     /**
      * JobScheduler::submitFor with journaling: the serving layer's
      * interruptible submit must journal exactly like submit() does,
      * or remote work would not survive a crash.
      */
     std::optional<JobId> submitFor(const JobSpec &spec,
-                                   std::chrono::milliseconds timeout);
+                                   std::chrono::milliseconds timeout,
+                                   std::uint64_t trace_id = 0) override;
 
     JobStatus
     status(JobId id) const override
@@ -133,10 +126,23 @@ class ExperimentService : public IExperimentBackend
         return sched.poll(id);
     }
     JobResult await(JobId id) override { return sched.await(id); }
-
-    /** Await many jobs, results in argument order. */
-    std::vector<JobResult>
-    awaitAll(const std::vector<JobId> &ids) override;
+    bool cancel(JobId id) override { return sched.cancel(id); }
+    void
+    subscribe(JobId id, CompletionCallback callback) override
+    {
+        sched.subscribe(id, std::move(callback));
+    }
+    void
+    subscribeProgress(JobId id, ProgressCallback callback) override
+    {
+        sched.subscribeProgress(id, std::move(callback));
+    }
+    TraceDump traceDump() const override { return traceStore.dump(); }
+    std::uint64_t
+    traceNowNanos() const override
+    {
+        return traceStore.nowNanos();
+    }
 
     void start() { sched.start(); }
     void drain() { sched.drain(); }
@@ -177,7 +183,7 @@ class ExperimentService : public IExperimentBackend
     }
 
     /** Snapshot of all three layers (what StatsFrame serializes). */
-    ServiceStats stats() const;
+    ServiceStats stats() const override;
 
     /**
      * Register every layer's series with `registry`. The service

@@ -114,6 +114,13 @@ JobTraceRecorder::dropped() const
     return droppedCount;
 }
 
+TraceDump
+JobTraceRecorder::dump() const
+{
+    std::lock_guard<std::mutex> lock(mu);
+    return {buf, {traceIds.begin(), traceIds.end()}, droppedCount};
+}
+
 void
 JobTraceRecorder::clear()
 {

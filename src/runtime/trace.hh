@@ -80,6 +80,20 @@ struct TraceEvent
     std::uint64_t nanos = 0;
 };
 
+/**
+ * A recorder's capture in one piece: the buffered events, the
+ * job -> traceId associations, and the drop count. Raw events rather
+ * than rendered JSON so a consumer can clock-shift, re-key and merge
+ * dumps (the payload of a wire TraceDumpReply).
+ */
+struct TraceDump
+{
+    std::vector<TraceEvent> events;
+    std::vector<std::pair<JobId, std::uint64_t>> traceIds;
+    /** Events lost to the bounded buffer. */
+    std::uint64_t dropped = 0;
+};
+
 class JobTraceRecorder
 {
   public:
@@ -125,6 +139,8 @@ class JobTraceRecorder
     std::size_t eventCount() const;
     /** Events lost to the capacity bound since the last clear(). */
     std::size_t dropped() const;
+    /** events(), traceIdPairs() and dropped() under one lock. */
+    TraceDump dump() const;
     void clear();
 
     /**

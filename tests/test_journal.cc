@@ -1043,5 +1043,39 @@ TEST(CaptureReplay, GoldenAllxySessionReplaysBitIdentical)
     EXPECT_EQ(report.matchedResults, 2u);
 }
 
+/**
+ * The JobResult codec is CANONICAL: decoding a captured AwaitReply
+ * and encoding the result again gives back the exact bytes. A
+ * gateway decodes backend results and re-encodes them for its
+ * clients, so its byte-identity guarantee rests on this.
+ */
+TEST(CaptureReplay, GoldenResultsReencodeByteIdentical)
+{
+    CaptureFile capture = readCapture(std::string(QUMA_TEST_DATA_DIR) +
+                                      "/allxy_session.qcap");
+    ASSERT_TRUE(capture.valid);
+    std::size_t results = 0;
+    for (const CapturedFrame &f : capture.frames) {
+        if (f.inbound)
+            continue;
+        ASSERT_GE(f.frame.size(), kFrameHeaderBytes);
+        checkFramePrefixCompat(f.frame.data());
+        FrameHeader fh = decodeFrameHeaderUnchecked(f.frame.data());
+        if (fh.type != MsgType::AwaitReply)
+            continue;
+        const std::vector<std::uint8_t> payload(
+            f.frame.begin() + kFrameHeaderBytes, f.frame.end());
+        Reader r(payload);
+        runtime::JobResult result = decodeJobResult(r);
+        r.expectEnd();
+        Writer w;
+        encodeJobResult(w, result);
+        EXPECT_EQ(w.bytes(), payload)
+            << "AwaitReply " << fh.requestId << " re-encoded differently";
+        ++results;
+    }
+    EXPECT_EQ(results, 2u);
+}
+
 } // namespace
 } // namespace quma::net

@@ -416,6 +416,54 @@ TEST(Wire, StatsFrameRoundTrip)
     EXPECT_EQ(back.effectiveQueueCapacity, 16u);
 }
 
+TEST(Wire, EveryRequestHasOneReplyAndProgressIsTheOnlyPush)
+{
+    // Walk the whole type space: the routing rule every reply router
+    // shares (frameKind) must give each request exactly one reply
+    // type of its own, and ProgressFrame must be the only push.
+    std::map<MsgType, MsgType> requestOfReply;
+    std::size_t requests = 0;
+    std::size_t pushes = 0;
+    for (std::uint32_t t = 0; t <= 0xFFFF; ++t) {
+        const auto type = static_cast<MsgType>(t);
+        switch (frameKind(type)) {
+        case FrameKind::Request: {
+            ++requests;
+            std::optional<MsgType> reply = replyTypeFor(type);
+            ASSERT_TRUE(reply.has_value()) << "request " << t;
+            EXPECT_EQ(frameKind(*reply), FrameKind::Reply)
+                << "request " << t;
+            EXPECT_NE(*reply, MsgType::ErrorReply);
+            EXPECT_TRUE(requestOfReply.emplace(*reply, type).second)
+                << "reply " << static_cast<std::uint16_t>(*reply)
+                << " answers two requests";
+            break;
+        }
+        case FrameKind::Push:
+            ++pushes;
+            EXPECT_EQ(type, MsgType::ProgressFrame);
+            EXPECT_FALSE(replyTypeFor(type).has_value());
+            break;
+        case FrameKind::Reply:
+            EXPECT_FALSE(replyTypeFor(type).has_value());
+            break;
+        case FrameKind::Unknown:
+            EXPECT_FALSE(replyTypeFor(type).has_value());
+            break;
+        }
+    }
+    EXPECT_EQ(requests, 9u);
+    EXPECT_EQ(pushes, 1u);
+    // Every reply but ErrorReply answers exactly one request.
+    for (std::uint32_t t = 0; t <= 0xFFFF; ++t) {
+        const auto type = static_cast<MsgType>(t);
+        if (frameKind(type) == FrameKind::Reply &&
+            type != MsgType::ErrorReply) {
+            EXPECT_EQ(requestOfReply.count(type), 1u) << "reply " << t;
+        }
+    }
+}
+
 TEST(Wire, ErrorFrameRoundTrip)
 {
     ErrorFrame e{WireErrorCode::UnknownJob, "job 7 is unknown"};
