@@ -1,127 +1,41 @@
 /**
  * @file
- * Micro-benchmarks of the PR 7 event-engine hot paths: the
- * hierarchical timing wheel's pop/re-register cycle against the
- * poll-every-component scan it replaced, at 1/4/8/16 registered
- * sources. Prints a fixed-width table and, with `--json <path>`,
- * writes machine-readable metrics per docs/benchmarks.md.
+ * Per-layer bench of the machine's event loop: QumaMachine::run on a
+ * warm machine (built, calibrated and run once) executing the AllXY
+ * job of the repository benchmark's sweep (16 rounds, one looping
+ * program). Reports the host cost per visited cycle, the cycles the
+ * loop visits per job, and the heap allocations run() makes per job.
+ * Prints a summary and, with `--json <path>`, writes machine-readable
+ * metrics per docs/benchmarks.md.
  *
- * `--smoke` runs every case exactly once (no timing claims): the
- * perf_smoke ctest label uses it to catch bit-rot in Debug builds.
+ * `--smoke` runs one job (no timing claims): the perf_smoke ctest
+ * label uses it to catch bit-rot in Debug builds.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "bench/report.hh"
-#include "timing/wheel.hh"
+#include "common/alloc_count.hh"
+#include "common/logging.hh"
+#include "common/rng.hh"
+#include "experiments/allxy.hh"
+#include "isa/assembler.hh"
+#include "quma/machine.hh"
+#include "runtime/keys.hh"
 
 using namespace quma;
 
 namespace {
 
-bool g_smoke = false;
-volatile double benchmarkSink = 0.0;
-
-/** Mean ns/op over enough iterations to fill a small time budget. */
-template <class F>
 double
-timeNs(F &&body, std::size_t iters)
+median(std::vector<double> v)
 {
-    if (g_smoke)
-        iters = 1;
-    auto t0 = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < iters; ++i)
-        body();
-    auto t1 = std::chrono::steady_clock::now();
-    return std::chrono::duration<double, std::nano>(t1 - t0).count() /
-           static_cast<double>(iters);
-}
-
-/**
- * Steady-state wheel traffic: `sources` registered sources with
- * staggered periods; each pop re-registers every fired source one
- * period later, exactly the QumaMachine run-loop's access pattern.
- * Reported per dispatched event.
- */
-double
-wheelDispatchNs(unsigned sources, std::size_t events)
-{
-    timing::EventWheel w(sources);
-    std::vector<Cycle> period(sources);
-    for (unsigned s = 0; s < sources; ++s) {
-        // Mixed cadences spanning level-0 and level-1 placement.
-        period[s] = 4 + 37 * (s % 7) + (s % 3) * 4000;
-        w.schedule(s, period[s]);
-    }
-    std::size_t fired = 0;
-    auto t0 = std::chrono::steady_clock::now();
-    while (fired < events) {
-        auto p = w.popEarliest();
-        std::uint64_t m = p->sources;
-        Cycle now = p->cycle;
-        while (m != 0) {
-            auto s = static_cast<unsigned>(std::countr_zero(m));
-            m &= m - 1;
-            w.schedule(s, now + period[s]);
-            ++fired;
-        }
-    }
-    auto t1 = std::chrono::steady_clock::now();
-    benchmarkSink = static_cast<double>(w.cursor());
-    return std::chrono::duration<double, std::nano>(t1 - t0).count() /
-           static_cast<double>(fired);
-}
-
-/**
- * The replaced scheme for reference: a linear scan over every
- * source's next-due cycle per step, O(sources) per dispatch.
- */
-double
-pollScanNs(unsigned sources, std::size_t events)
-{
-    std::vector<Cycle> due(sources), period(sources);
-    for (unsigned s = 0; s < sources; ++s) {
-        period[s] = 4 + 37 * (s % 7) + (s % 3) * 4000;
-        due[s] = period[s];
-    }
-    std::size_t fired = 0;
-    auto t0 = std::chrono::steady_clock::now();
-    while (fired < events) {
-        Cycle best = due[0];
-        for (unsigned s = 1; s < sources; ++s)
-            best = std::min(best, due[s]);
-        for (unsigned s = 0; s < sources; ++s)
-            if (due[s] == best) {
-                due[s] = best + period[s];
-                ++fired;
-            }
-    }
-    auto t1 = std::chrono::steady_clock::now();
-    benchmarkSink = static_cast<double>(due[0]);
-    return std::chrono::duration<double, std::nano>(t1 - t0).count() /
-           static_cast<double>(fired);
-}
-
-void
-benchDispatch(bench::JsonReport &json)
-{
-    bench::banner("next-event dispatch (wheel vs poll scan)");
-    std::size_t events = g_smoke ? 64 : 4'000'000;
-    for (unsigned sources : {1u, 4u, 8u, 16u}) {
-        double wheel = wheelDispatchNs(sources, events);
-        double poll = pollScanNs(sources, events);
-        std::printf("dispatch %2u sources: wheel %7.1f ns/event "
-                    "(%8.2f Mev/s)   poll %7.1f ns/event\n",
-                    sources, wheel, 1e3 / wheel, poll);
-        std::string tag = std::to_string(sources) + "_sources";
-        json.metric("wheel_dispatch_" + tag, wheel, "ns/event");
-        json.metric("wheel_dispatch_rate_" + tag, 1e9 / wheel,
-                    "events/s");
-        json.metric("poll_dispatch_" + tag, poll, "ns/event");
-    }
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
 }
 
 } // namespace
@@ -129,16 +43,62 @@ benchDispatch(bench::JsonReport &json)
 int
 main(int argc, char **argv)
 {
-    g_smoke = bench::argFlag(argc, argv, "--smoke");
+    bool smoke = bench::argFlag(argc, argv, "--smoke");
     std::string jsonPath = bench::argValue(argc, argv, "--json");
 
     bench::JsonReport json("event_engine");
-    if (g_smoke)
-        std::printf("(smoke mode: single iteration, timings "
-                    "meaningless)\n");
+    if (smoke)
+        std::printf("(smoke mode: one job, timings meaningless)\n");
 
-    benchDispatch(json);
+    experiments::AllxyConfig cfg;
+    cfg.rounds = 16;
+    cfg.shards = 1;
+    runtime::JobSpec job = experiments::allxyJob(cfg);
+    isa::Program program = isa::Assembler().assemble(job.assembly);
+
+    core::QumaMachine machine(job.machine);
+    machine.uploadStandardCalibration();
+
+    std::size_t jobs = smoke ? 1 : 200;
+    std::vector<double> nsPerCycle, usPerJob, visited, allocs;
+    // Job 0 warms the machine's reusable buffers and is not reported.
+    for (std::size_t i = 0; i <= jobs; ++i) {
+        std::uint64_t seed = job.seed + i;
+        machine.reset(Rng::derive(seed, runtime::kChipStream),
+                      Rng::derive(seed, runtime::kExecStream));
+        machine.configureDataCollection(job.bins);
+        machine.loadProgram(program);
+        std::size_t a0 = allocations();
+        auto t0 = std::chrono::steady_clock::now();
+        core::RunResult r = machine.run(job.maxCycles);
+        auto t1 = std::chrono::steady_clock::now();
+        std::size_t made = allocations() - a0;
+        if (!r.halted || !r.violations.clean())
+            fatal("AllXY job ", i, " did not run cleanly");
+        if (i == 0)
+            continue;
+        double ns = std::chrono::duration<double, std::nano>(t1 - t0)
+                        .count();
+        auto cycles = static_cast<double>(machine.stats().cyclesVisited);
+        nsPerCycle.push_back(ns / cycles);
+        usPerJob.push_back(ns / 1e3);
+        visited.push_back(cycles);
+        allocs.push_back(static_cast<double>(made));
+    }
+
+    bench::banner("machine event loop (warm AllXY job, 16 rounds)");
+    std::printf("jobs timed                 %zu\n", jobs);
+    std::printf("run() per job              %10.1f us (median)\n",
+                median(usPerJob));
+    std::printf("host cost per visited cycle%10.1f ns (median)\n",
+                median(nsPerCycle));
+    std::printf("visited cycles per job     %10.0f\n", median(visited));
+    std::printf("heap allocations per job   %10.0f\n", median(allocs));
     bench::rule();
 
+    json.metric("run_ns_per_visited_cycle", median(nsPerCycle), "ns");
+    json.metric("run_us_per_job", median(usPerJob), "us");
+    json.metric("visited_cycles_per_job", median(visited), "count");
+    json.metric("heap_allocs_per_job", median(allocs), "count");
     return json.writeTo(jsonPath) ? 0 : 1;
 }

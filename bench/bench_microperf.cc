@@ -9,8 +9,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <deque>
-
 #include "experiments/allxy.hh"
 #include "isa/assembler.hh"
 #include "isa/encoding.hh"
@@ -75,7 +73,7 @@ void
 BM_ControlStoreExpandCnot(benchmark::State &state)
 {
     auto cs = microcode::QControlStore::standard();
-    std::deque<isa::Instruction> out;
+    RingBuffer<isa::Instruction> out(16);
     for (auto _ : state) {
         out.clear();
         cs.expandCnot(0, 1, out);

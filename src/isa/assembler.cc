@@ -298,6 +298,8 @@ Assembler::assemble(const std::string &source) const
                         asmError(where, "unknown micro-operation '" +
                                             parts[1] + "'");
                     s.uop = *id;
+                    if (inst.slots.full())
+                        asmError(where, "too many Pulse slots");
                     inst.slots.push_back(s);
                 }
             } else {
@@ -312,8 +314,6 @@ Assembler::assemble(const std::string &source) const
                 s.uop = *id;
                 inst.slots.push_back(s);
             }
-            if (inst.slots.size() > kMaxPulseSlots)
-                asmError(where, "too many Pulse slots");
             break;
           }
           case Opcode::Mpg:

@@ -70,7 +70,7 @@ encode(const Instruction &inst)
         w = insertBits(w, 52, 48, inst.rs);
         break;
       case Opcode::Pulse: {
-        if (inst.slots.empty() || inst.slots.size() > kMaxPulseSlots)
+        if (inst.slots.empty())
             fatal("Pulse must carry 1..", kMaxPulseSlots, " slots");
         w = insertBits(w, 57, 56, inst.slots.size());
         for (std::size_t i = 0; i < inst.slots.size(); ++i) {

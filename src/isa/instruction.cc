@@ -128,14 +128,22 @@ Instruction::waitReg(RegIndex rs)
     return i;
 }
 
-Instruction
-Instruction::pulse(std::vector<PulseSlot> slots)
+void
+PulseSlots::push_back(const PulseSlot &s)
 {
-    quma_assert(!slots.empty() && slots.size() <= kMaxPulseSlots,
-                "Pulse supports 1..", kMaxPulseSlots, " slots");
+    quma_assert(!full(), "Pulse supports at most ", kMaxPulseSlots,
+                " slots");
+    items[n++] = s;
+}
+
+Instruction
+Instruction::pulse(PulseSlots slots)
+{
+    quma_assert(!slots.empty(), "Pulse supports 1..", kMaxPulseSlots,
+                " slots");
     Instruction i;
     i.op = Opcode::Pulse;
-    i.slots = std::move(slots);
+    i.slots = slots;
     return i;
 }
 

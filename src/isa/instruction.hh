@@ -7,9 +7,11 @@
 #ifndef QUMA_ISA_INSTRUCTION_HH
 #define QUMA_ISA_INSTRUCTION_HH
 
+#include <algorithm>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
-#include <vector>
+#include <type_traits>
 
 #include "common/types.hh"
 #include "isa/opcodes.hh"
@@ -27,6 +29,44 @@ struct PulseSlot
 
 /** Maximum (mask, uop) pairs encodable in one Pulse instruction. */
 inline constexpr unsigned kMaxPulseSlots = 3;
+
+/**
+ * The slots of one Pulse, stored inline: at most kMaxPulseSlots (the
+ * 2-bit count field of the encoding caps it there), so an Instruction
+ * stays trivially copyable and moving one through the microcode unit
+ * and the QMB never touches the heap.
+ */
+class PulseSlots
+{
+  public:
+    PulseSlots() = default;
+    PulseSlots(std::initializer_list<PulseSlot> init)
+    {
+        for (const PulseSlot &s : init)
+            push_back(s);
+    }
+
+    std::size_t size() const { return n; }
+    bool empty() const { return n == 0; }
+    bool full() const { return n == kMaxPulseSlots; }
+
+    /** Append a slot; the list must not be full. */
+    void push_back(const PulseSlot &s);
+
+    const PulseSlot &operator[](std::size_t i) const { return items[i]; }
+    const PulseSlot *begin() const { return items; }
+    const PulseSlot *end() const { return items + n; }
+
+    bool
+    operator==(const PulseSlots &o) const
+    {
+        return std::equal(begin(), end(), o.begin(), o.end());
+    }
+
+  private:
+    PulseSlot items[kMaxPulseSlots] = {};
+    std::uint8_t n = 0;
+};
 
 /**
  * A decoded instruction. Fields are used according to the opcode's
@@ -49,7 +89,7 @@ struct Instruction
     /** Gate identifier for Apply (index into the Q control store). */
     std::uint8_t gate = 0;
     /** Slots for Pulse. */
-    std::vector<PulseSlot> slots;
+    PulseSlots slots;
 
     bool operator==(const Instruction &) const = default;
 
@@ -66,7 +106,7 @@ struct Instruction
     static Instruction br(std::int64_t target);
     static Instruction wait(std::int64_t cycles);
     static Instruction waitReg(RegIndex rs);
-    static Instruction pulse(std::vector<PulseSlot> slots);
+    static Instruction pulse(PulseSlots slots);
     static Instruction pulse1(QubitMask mask, std::uint8_t uop);
     static Instruction mpg(QubitMask mask, std::int64_t duration_cycles);
     static Instruction md(QubitMask mask, RegIndex rd);
@@ -74,6 +114,9 @@ struct Instruction
     static Instruction measure(QubitMask mask, RegIndex rd);
     static Instruction cnot(RegIndex qt, RegIndex qc);
 };
+
+static_assert(std::is_trivially_copyable_v<Instruction>,
+              "instructions are copied through the QMB by value");
 
 /**
  * Render an instruction in assembly syntax. Micro-operation and gate

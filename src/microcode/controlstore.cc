@@ -58,7 +58,7 @@ QControlStore::programFor(std::uint8_t gate) const
 void
 QControlStore::expand(const Microprogram &prog, QubitMask all,
                       QubitMask target, QubitMask control,
-                      std::deque<isa::Instruction> &out) const
+                      RingBuffer<isa::Instruction> &out) const
 {
     for (const auto &step : prog.body) {
         if (step.kind == MicroStep::Kind::Wait) {
@@ -66,7 +66,7 @@ QControlStore::expand(const Microprogram &prog, QubitMask all,
                 static_cast<std::int64_t>(step.cycles)));
             continue;
         }
-        std::vector<isa::PulseSlot> slots;
+        isa::PulseSlots slots;
         for (const auto &[role, uop] : step.slots) {
             QubitMask mask = 0;
             switch (role) {
@@ -88,20 +88,20 @@ QControlStore::expand(const Microprogram &prog, QubitMask all,
                       "' references an unbound qubit role");
             slots.push_back({mask, uop});
         }
-        out.push_back(isa::Instruction::pulse(std::move(slots)));
+        out.push_back(isa::Instruction::pulse(slots));
     }
 }
 
 void
 QControlStore::expandApply(std::uint8_t gate, QubitMask mask,
-                           std::deque<isa::Instruction> &out) const
+                           RingBuffer<isa::Instruction> &out) const
 {
     expand(programFor(gate), mask, 0, 0, out);
 }
 
 void
 QControlStore::expandCnot(unsigned qt, unsigned qc,
-                          std::deque<isa::Instruction> &out) const
+                          RingBuffer<isa::Instruction> &out) const
 {
     QubitMask t = QubitMask{1} << qt;
     QubitMask c = QubitMask{1} << qc;
@@ -110,7 +110,7 @@ QControlStore::expandCnot(unsigned qt, unsigned qc,
 
 void
 QControlStore::expandMeasure(QubitMask mask, RegIndex rd,
-                             std::deque<isa::Instruction> &out) const
+                             RingBuffer<isa::Instruction> &out) const
 {
     out.push_back(
         isa::Instruction::mpg(mask, static_cast<std::int64_t>(msmtCycles)));

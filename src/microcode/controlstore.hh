@@ -9,9 +9,9 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <optional>
 
+#include "common/ring.hh"
 #include "common/types.hh"
 #include "isa/instruction.hh"
 #include "microcode/microprogram.hh"
@@ -40,7 +40,7 @@ class QControlStore
      * programFor(gate).body.size() microinstructions.
      */
     void expandApply(std::uint8_t gate, QubitMask mask,
-                     std::deque<isa::Instruction> &out) const;
+                     RingBuffer<isa::Instruction> &out) const;
 
     /**
      * Append the expansion of `CNOT qt, qc`, using the microprogram
@@ -48,7 +48,7 @@ class QControlStore
      * Algorithm 2).
      */
     void expandCnot(unsigned qt, unsigned qc,
-                    std::deque<isa::Instruction> &out) const;
+                    RingBuffer<isa::Instruction> &out) const;
 
     /** Microinstructions expandMeasure appends (MPG + MD). */
     static constexpr std::size_t kMeasureLength = 2;
@@ -58,7 +58,7 @@ class QControlStore
      * configured measurement pulse duration.
      */
     void expandMeasure(QubitMask mask, RegIndex rd,
-                       std::deque<isa::Instruction> &out) const;
+                       RingBuffer<isa::Instruction> &out) const;
 
     /** Measurement pulse duration used by expandMeasure (cycles). */
     Cycle measurementCycles() const { return msmtCycles; }
@@ -81,7 +81,7 @@ class QControlStore
   private:
     void expand(const Microprogram &prog, QubitMask all, QubitMask target,
                 QubitMask control,
-                std::deque<isa::Instruction> &out) const;
+                RingBuffer<isa::Instruction> &out) const;
 
     /** Indexed by gate id: one slot per possible 8-bit id. */
     std::array<std::optional<Microprogram>, 256> store;

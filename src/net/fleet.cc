@@ -76,7 +76,6 @@ mergeStats(runtime::ServiceStats &acc, const runtime::ServiceStats &s)
     a.shardsStolen += x.shardsStolen;
     a.roundsStolen += x.roundsStolen;
     a.eventsDispatched += x.eventsDispatched;
-    a.wheelHighWater = std::max(a.wheelHighWater, x.wheelHighWater);
     a.staleEventDrops += x.staleEventDrops;
     a.admissionSoftRejects += x.admissionSoftRejects;
     a.progressNotifications += x.progressNotifications;

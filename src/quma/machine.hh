@@ -30,7 +30,6 @@
 #include "quma/execcontroller.hh"
 #include "quma/qmb.hh"
 #include "quma/trace.hh"
-#include "timing/wheel.hh"
 
 namespace quma::core {
 
@@ -123,8 +122,8 @@ struct MachineStats
     timing::TimingUnitStats queues;
     ExecStats exec;
     std::size_t microInstsIssued = 0;
-    /** Event-wheel counters of the most recent run. */
-    timing::EventWheelStats wheel;
+    /** Cycles the most recent run's event loop visited. */
+    std::size_t cyclesVisited = 0;
 };
 
 class QumaMachine
@@ -157,7 +156,8 @@ class QumaMachine
 
     /**
      * Run until the program halts and all queues/pipelines drain,
-     * or until max_cycles elapses.
+     * or until max_cycles elapses. A run cut off by max_cycles
+     * reports halted = false and cyclesRun = max_cycles.
      */
     RunResult run(Cycle max_cycles = 2'000'000'000ULL);
 
@@ -210,8 +210,9 @@ class QumaMachine
 
     [[noreturn]] void reportWedge(Cycle now) const;
 
-    // --- event-wheel source ids (bit positions in the due/woken
-    //     masks; fixed processing order = fixed dispatch order) ---
+    // --- event source ids (indices into nextDue, bit positions in
+    //     the due/woken masks; fixed processing order = fixed
+    //     dispatch order) ---
     static constexpr unsigned kSrcTcu = 0;
     unsigned srcAwg(unsigned a) const { return 1 + a; }
     unsigned srcDigOut() const { return 1 + cfg.numAwgs; }
@@ -242,11 +243,14 @@ class QumaMachine
     /** Resolved measurement path delay (cycles). */
     Cycle msmtDelay = 0;
 
-    /** Next-event index over all sources; cleared per run. */
-    timing::EventWheel wheel;
+    /** Cached next due cycle per event source (kIdle when none);
+     *  run() refreshes only the sources it touched each cycle. */
+    std::vector<Cycle> nextDue;
     /** Sources poked by a cross-component sink this cycle; their
-     *  advanceTo must run even if the wheel had them idle. */
+     *  advanceTo must run even if their cached due is later. */
     std::uint64_t wokenMask = 0;
+    /** Cycles visited by the most recent run's event loop. */
+    std::size_t cyclesVisited = 0;
 
     bool calibrated = false;
     bool ran = false;

@@ -21,6 +21,20 @@ QubitRouting::mduFor(unsigned qubit) const
     return mdu[qubit];
 }
 
+namespace {
+
+/** The buffer depth, once it and the drain rate are checked. */
+std::size_t
+checkedDepth(std::size_t depth, unsigned drain_rate)
+{
+    if (depth == 0 || drain_rate == 0)
+        fatal("QuantumPipeline needs positive buffer depth and drain "
+              "rate");
+    return depth;
+}
+
+} // namespace
+
 QuantumPipeline::QuantumPipeline(microcode::QControlStore store,
                                  QubitRouting routing,
                                  timing::TimingController &timing,
@@ -28,11 +42,16 @@ QuantumPipeline::QuantumPipeline(microcode::QControlStore store,
                                  std::size_t buffer_depth,
                                  unsigned drain_rate)
     : cs(std::move(store)), route(std::move(routing)), tcu(timing),
-      recorder(trace), depth(buffer_depth), drainRate(drain_rate)
+      recorder(trace),
+      buffer(checkedDepth(buffer_depth, drain_rate)),
+      drainRate(drain_rate)
 {
-    if (buffer_depth == 0 || drain_rate == 0)
-        fatal("QuantumPipeline needs positive buffer depth and drain "
-              "rate");
+    for (unsigned q = 0; q < route.driveAwg.size(); ++q) {
+        unsigned awg = route.driveAwg[q];
+        if (awg >= awgQubits.size())
+            awgQubits.resize(awg + 1, 0);
+        awgQubits[awg] |= QubitMask{1} << q;
+    }
 }
 
 bool
@@ -41,7 +60,7 @@ QuantumPipeline::tryDispatch(const isa::Instruction &inst)
     // Size the expansion from the microprogram before building it: a
     // backpressured dispatch is retried, and must cost no expansion.
     auto fits = [&](std::size_t length) {
-        return buffer.size() + length <= depth;
+        return buffer.size() + length <= buffer.capacity();
     };
     switch (inst.op) {
       case isa::Opcode::Apply:
@@ -76,6 +95,42 @@ QuantumPipeline::tryDispatch(const isa::Instruction &inst)
     }
 }
 
+/**
+ * Call f(awg, event) for each pulse-queue push of a Pulse, in slot
+ * order and, within a slot, in AWG order: one event per (slot, AWG)
+ * pair carrying the slot's qubits that AWG drives. Stops and returns
+ * false as soon as f does.
+ */
+template <typename F>
+bool
+QuantumPipeline::forEachPulse(const isa::Instruction &inst, F &&f) const
+{
+    for (const auto &slot : inst.slots) {
+        // A CZ micro-operation is one flux pulse spanning both
+        // qubits: route it whole (via the first qubit's unit)
+        // instead of splitting it per drive AWG.
+        if (slot.uop == isa::uops::Cz) {
+            quma_assert(slot.mask != 0, "CZ with empty mask");
+            unsigned first = static_cast<unsigned>(
+                std::countr_zero(slot.mask));
+            if (!f(route.awgFor(first),
+                   timing::PulseEvent{label, slot.mask, slot.uop}))
+                return false;
+            continue;
+        }
+        QubitMask covered = 0;
+        for (unsigned awg = 0; awg < awgQubits.size(); ++awg) {
+            QubitMask mask = slot.mask & awgQubits[awg];
+            covered |= mask;
+            if (mask != 0 &&
+                !f(awg, timing::PulseEvent{label, mask, slot.uop}))
+                return false;
+        }
+        quma_assert(covered == slot.mask, "qubit has no drive AWG");
+    }
+    return true;
+}
+
 bool
 QuantumPipeline::pushOne(const isa::Instruction &inst)
 {
@@ -92,46 +147,17 @@ QuantumPipeline::pushOne(const isa::Instruction &inst)
       case isa::Opcode::Pulse: {
         // All-or-nothing: verify capacity across the addressed
         // queues first. One event is pushed per (AWG, slot).
-        std::vector<std::pair<unsigned, timing::PulseEvent>> pushes;
-        for (const auto &slot : inst.slots) {
-            // A CZ micro-operation is one flux pulse spanning both
-            // qubits: route it whole (via the first qubit's unit)
-            // instead of splitting it per drive AWG.
-            if (slot.uop == isa::uops::Cz) {
-                unsigned first = 0;
-                while (first < 32 &&
-                       !(slot.mask & (QubitMask{1} << first)))
-                    ++first;
-                quma_assert(first < 32, "CZ with empty mask");
-                pushes.emplace_back(
-                    route.awgFor(first),
-                    timing::PulseEvent{label, slot.mask, slot.uop});
-                continue;
-            }
-            // Group the slot's qubits by drive AWG.
-            std::vector<QubitMask> byAwg(route.driveAwg.size(), 0);
-            for (unsigned q = 0; q < 32; ++q) {
-                if (!(slot.mask & (QubitMask{1} << q)))
-                    continue;
-                unsigned awg = route.awgFor(q);
-                if (awg >= byAwg.size())
-                    byAwg.resize(awg + 1, 0);
-                byAwg[awg] |= QubitMask{1} << q;
-            }
-            for (unsigned awg = 0;
-                 awg < static_cast<unsigned>(byAwg.size()); ++awg) {
-                if (byAwg[awg] == 0)
-                    continue;
-                pushes.emplace_back(
-                    awg, timing::PulseEvent{label, byAwg[awg],
-                                            slot.uop});
-            }
-        }
-        for (const auto &[awg, ev] : pushes)
-            if (tcu.pulseQueueFull(awg))
-                return false;
-        for (const auto &[awg, ev] : pushes)
-            tcu.pushPulse(awg, ev);
+        bool room = forEachPulse(
+            inst, [this](unsigned awg, const timing::PulseEvent &) {
+                return !tcu.pulseQueueFull(awg);
+            });
+        if (!room)
+            return false;
+        forEachPulse(inst,
+                     [this](unsigned awg, const timing::PulseEvent &ev) {
+                         tcu.pushPulse(awg, ev);
+                         return true;
+                     });
         return true;
       }
       case isa::Opcode::Mpg: {
@@ -141,24 +167,22 @@ QuantumPipeline::pushOne(const isa::Instruction &inst)
             label, inst.qmask, static_cast<Cycle>(inst.imm)});
       }
       case isa::Opcode::Md: {
-        bool single =
-            std::popcount(static_cast<std::uint32_t>(inst.qmask)) == 1;
-        std::vector<std::pair<unsigned, timing::MdEvent>> pushes;
-        for (unsigned q = 0; q < 32; ++q) {
-            if (!(inst.qmask & (QubitMask{1} << q)))
-                continue;
-            pushes.emplace_back(
-                route.mduFor(q),
-                timing::MdEvent{label, QubitMask{1} << q, inst.rd,
-                                single, q});
-        }
-        if (pushes.empty())
+        // One event per addressed qubit, into that qubit's MD queue;
+        // all-or-nothing like Pulse.
+        if (inst.qmask == 0)
             fatal("MD with empty qubit mask");
-        for (const auto &[mdu, ev] : pushes)
-            if (tcu.mdQueueFull(mdu))
+        bool single = std::popcount(inst.qmask) == 1;
+        for (QubitMask m = inst.qmask; m != 0; m &= m - 1) {
+            auto q = static_cast<unsigned>(std::countr_zero(m));
+            if (tcu.mdQueueFull(route.mduFor(q)))
                 return false;
-        for (const auto &[mdu, ev] : pushes)
-            tcu.pushMd(mdu, ev);
+        }
+        for (QubitMask m = inst.qmask; m != 0; m &= m - 1) {
+            auto q = static_cast<unsigned>(std::countr_zero(m));
+            tcu.pushMd(route.mduFor(q),
+                       timing::MdEvent{label, QubitMask{1} << q, inst.rd,
+                                       single, q});
+        }
         return true;
       }
       default:

@@ -25,10 +25,10 @@
 #ifndef QUMA_QUMA_QMB_HH
 #define QUMA_QUMA_QMB_HH
 
-#include <deque>
 #include <optional>
 #include <vector>
 
+#include "common/ring.hh"
 #include "microcode/controlstore.hh"
 #include "quma/trace.hh"
 #include "timing/controller.hh"
@@ -88,13 +88,17 @@ class QuantumPipeline
 
   private:
     bool pushOne(const isa::Instruction &inst);
+    template <typename F>
+    bool forEachPulse(const isa::Instruction &inst, F &&f) const;
 
     microcode::QControlStore cs;
     QubitRouting route;
+    /** Qubits driven by each pulse queue (AWG), from the routing. */
+    std::vector<QubitMask> awgQubits;
     timing::TimingController &tcu;
     TraceRecorder &recorder;
-    std::deque<isa::Instruction> buffer;
-    std::size_t depth;
+    /** The microinstruction buffer: a ring of the configured depth. */
+    RingBuffer<isa::Instruction> buffer;
     unsigned drainRate;
     TimingLabel label = 0;
     Cycle lastDrainCycle = 0;

@@ -491,8 +491,8 @@ JobScheduler::bindMetrics(metrics::MetricsRegistry &registry)
         "quma_rounds_stolen_total",
         "Rounds moved between workers by shard stealing.");
     ms.eventsDispatched = registry.counter(
-        "quma_wheel_events_dispatched_total",
-        "Event-wheel pops performed by machines running jobs.");
+        "quma_machine_cycles_visited_total",
+        "Cycles visited by the event loops of machines running jobs.");
     static constexpr const char *kClassNames[3] = {"batch", "normal",
                                                    "high"};
     for (std::size_t cls = 0; cls < ms.latency.size(); ++cls)
@@ -533,14 +533,6 @@ JobScheduler::bindMetrics(metrics::MetricsRegistry &registry)
                      {}, [this] {
                          std::lock_guard<std::mutex> lock(mu);
                          return poolWaitEwma;
-                     });
-    registry.gaugeFn("quma_wheel_occupancy_high_water",
-                     "Largest number of simultaneously registered "
-                     "event sources seen in any machine run.",
-                     {}, [this] {
-                         std::lock_guard<std::mutex> lock(mu);
-                         return static_cast<double>(
-                             counters.wheelHighWater);
                      });
 }
 
@@ -1094,8 +1086,6 @@ JobScheduler::noteRunLocked(const RunSample &sample)
 {
     noteSaturationLocked(sample.saturated);
     counters.eventsDispatched += sample.eventsDispatched;
-    counters.wheelHighWater =
-        std::max(counters.wheelHighWater, sample.wheelHighWater);
     counters.staleEventDrops += sample.staleDrops;
     ms.eventsDispatched.inc(
         static_cast<double>(sample.eventsDispatched));

@@ -217,10 +217,8 @@ class JobScheduler
         std::size_t shardsStolen = 0;
         /** Rounds handed to thieves by those steals. */
         std::size_t roundsStolen = 0;
-        /** Event-wheel dispatches summed over executed runs. */
+        /** Machine cycles visited, summed over executed runs. */
         std::size_t eventsDispatched = 0;
-        /** Highest event-wheel occupancy any run reached. */
-        std::size_t wheelHighWater = 0;
         /** Stale timing-queue drops summed over executed runs. */
         std::size_t staleEventDrops = 0;
         /** trySubmit rejections below the hard bound (admission). */
@@ -463,15 +461,13 @@ class JobScheduler
     {
         bool saturated = false;
         std::size_t eventsDispatched = 0;
-        std::size_t wheelHighWater = 0;
         std::size_t staleDrops = 0;
 
         void
         absorb(const core::MachineStats &s, bool machine_saturated)
         {
             saturated = saturated || machine_saturated;
-            eventsDispatched += s.wheel.dispatched;
-            wheelHighWater = std::max(wheelHighWater, s.wheel.highWater);
+            eventsDispatched += s.cyclesVisited;
             staleDrops += s.queues.totalStaleDropped();
         }
     };

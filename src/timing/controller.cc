@@ -129,10 +129,9 @@ TimingController::advanceTo(Cycle now)
         TimingLabel label = timingQueue.front().label;
         // Remove before firing so snapshots inside sinks see the
         // post-fire state (paper Tables 2-4 convention).
-        std::vector<TimePoint> fired;
-        std::size_t stale = 0;
-        timingQueue.popMatching(label, fired, stale);
-        quma_assert(stale == 0 && fired.size() == 1,
+        timingQueue.pop();
+        quma_assert(timingQueue.empty() ||
+                        timingQueue.front().label != label,
                     "timing queue labels must be unique and ordered");
         fire(due, label);
     }
@@ -146,25 +145,25 @@ TimingController::fire(Cycle due, TimingLabel label)
     if (fireObserver)
         fireObserver(due, label);
 
+    // Every queue is popped before its sinks run, into scratch
+    // vectors whose capacity is kept from fire to fire.
     std::size_t stale = 0;
     for (unsigned qi = 0; qi < pulseQueues.size(); ++qi) {
-        std::vector<PulseEvent> fired;
-        pulseQueues[qi].popMatching(label, fired, stale);
-        for (const auto &ev : fired)
+        firedPulses.clear();
+        pulseQueues[qi].popMatching(label, firedPulses, stale);
+        for (const auto &ev : firedPulses)
             if (pulseSink)
                 pulseSink(qi, due, ev);
     }
-    {
-        std::vector<MpgEvent> fired;
-        mpgQueue.popMatching(label, fired, stale);
-        for (const auto &ev : fired)
-            if (mpgSink)
-                mpgSink(due, ev);
-    }
+    firedMpgs.clear();
+    mpgQueue.popMatching(label, firedMpgs, stale);
+    for (const auto &ev : firedMpgs)
+        if (mpgSink)
+            mpgSink(due, ev);
     for (unsigned qi = 0; qi < mdQueues.size(); ++qi) {
-        std::vector<MdEvent> fired;
-        mdQueues[qi].popMatching(label, fired, stale);
-        for (const auto &ev : fired)
+        firedMds.clear();
+        mdQueues[qi].popMatching(label, firedMds, stale);
+        for (const auto &ev : firedMds)
             if (mdSink)
                 mdSink(qi, due, ev);
     }

@@ -194,6 +194,11 @@ class TimingController
     TimingLabel lastLabel = 0;
     Cycle nowCycle = 0;
     TimingViolations viol;
+
+    /** fire()'s per-queue scratch: the events matching the label. */
+    std::vector<PulseEvent> firedPulses;
+    std::vector<MpgEvent> firedMpgs;
+    std::vector<MdEvent> firedMds;
 };
 
 } // namespace quma::timing

@@ -6,31 +6,27 @@
 #ifndef QUMA_TIMING_QUEUES_HH
 #define QUMA_TIMING_QUEUES_HH
 
-#include <deque>
 #include <vector>
 
-#include "common/logging.hh"
+#include "common/ring.hh"
 #include "common/types.hh"
 
 namespace quma::timing {
 
 /**
- * A bounded FIFO of labelled events. The stored type T must expose a
- * `label` member.
+ * A bounded FIFO of labelled events, held in a ring of its capacity.
+ * The stored type T must expose a `label` member.
  */
 template <typename T>
 class EventQueue
 {
   public:
-    explicit EventQueue(std::size_t capacity = 64) : cap(capacity)
-    {
-        quma_assert(capacity > 0, "queue capacity must be positive");
-    }
+    explicit EventQueue(std::size_t capacity = 64) : q(capacity) {}
 
-    std::size_t capacity() const { return cap; }
+    std::size_t capacity() const { return q.capacity(); }
     std::size_t size() const { return q.size(); }
     bool empty() const { return q.empty(); }
-    bool full() const { return q.size() >= cap; }
+    bool full() const { return q.full(); }
 
     /** Rejected pushes since the last clearStats() (backpressure). */
     std::size_t pushFailed() const { return pushFailedCount; }
@@ -56,12 +52,10 @@ class EventQueue
     }
 
     /** Front element; queue must not be empty. */
-    const T &
-    front() const
-    {
-        quma_assert(!q.empty(), "front() on empty event queue");
-        return q.front();
-    }
+    const T &front() const { return q.front(); }
+
+    /** Drop the front entry; queue must not be empty. */
+    void pop() { q.pop_front(); }
 
     /**
      * Pop every front entry whose label matches `label` into `fired`.
@@ -87,7 +81,11 @@ class EventQueue
     std::vector<T>
     snapshot() const
     {
-        return std::vector<T>(q.begin(), q.end());
+        std::vector<T> out;
+        out.reserve(q.size());
+        for (std::size_t i = 0; i < q.size(); ++i)
+            out.push_back(q[i]);
+        return out;
     }
 
     void clear() { q.clear(); }
@@ -102,8 +100,7 @@ class EventQueue
     }
 
   private:
-    std::deque<T> q;
-    std::size_t cap;
+    RingBuffer<T> q;
     std::size_t pushFailedCount = 0;
     std::size_t highWater = 0;
     std::size_t staleDroppedCount = 0;

@@ -231,6 +231,24 @@ TEST(Assembler, NumericBranchTarget)
     EXPECT_EQ(p.at(0), Instruction::br(0));
 }
 
+TEST(Assembler, RejectsAFourthPulseSlot)
+{
+    setLogQuiet(true);
+    Assembler as;
+    EXPECT_NO_THROW(
+        as.assemble("Pulse ({q0}, X180), ({q1}, Y90), ({q2}, I)"));
+    try {
+        as.assemble("Pulse ({q0}, X180), ({q1}, Y90), ({q2}, I), "
+                    "({q3}, X90)");
+        ADD_FAILURE() << "a 4-slot Pulse assembled";
+    } catch (const quma::FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("too many Pulse slots"),
+                  std::string::npos)
+            << e.what();
+    }
+    setLogQuiet(false);
+}
+
 struct BadSource
 {
     const char *name;

@@ -214,13 +214,13 @@ randomInstruction(Rng &rng)
         return isa::Instruction::wait(
             static_cast<std::int64_t>(rng.uniformInt(1, 100000)));
       case 5: {
-        std::vector<isa::PulseSlot> slots;
+        isa::PulseSlots slots;
         auto n = rng.uniformInt(1, isa::kMaxPulseSlots);
         for (std::uint64_t i = 0; i < n; ++i)
             slots.push_back(
                 {static_cast<QubitMask>(rng.uniformInt(1, 255)),
                  static_cast<std::uint8_t>(rng.uniformInt(0, 12))});
-        return isa::Instruction::pulse(std::move(slots));
+        return isa::Instruction::pulse(slots);
       }
       case 6:
         return isa::Instruction::mpg(

@@ -8,10 +8,10 @@
 
 #include <gtest/gtest.h>
 
-#include <deque>
 #include <numbers>
 
 #include "common/logging.hh"
+#include "common/ring.hh"
 #include "isa/nametable.hh"
 #include "microcode/controlstore.hh"
 #include "microcode/seqtable.hh"
@@ -28,7 +28,7 @@ constexpr double kPi = std::numbers::pi;
 TEST(ControlStore, PrimitiveApplyIsPulsePlusWait)
 {
     auto cs = QControlStore::standard();
-    std::deque<isa::Instruction> seq;
+    RingBuffer<isa::Instruction> seq(16);
     cs.expandApply(u::X180, 0x4, seq);
     ASSERT_EQ(seq.size(), 2u);
     EXPECT_EQ(seq[0], isa::Instruction::pulse1(0x4, u::X180));
@@ -38,7 +38,7 @@ TEST(ControlStore, PrimitiveApplyIsPulsePlusWait)
 TEST(ControlStore, ApplyBindsMask)
 {
     auto cs = QControlStore::standard();
-    std::deque<isa::Instruction> seq;
+    RingBuffer<isa::Instruction> seq(16);
     cs.expandApply(u::Y90, 0x3, seq);
     EXPECT_EQ(seq[0].slots[0].mask, 0x3u);
 }
@@ -49,7 +49,7 @@ TEST(ControlStore, CnotMatchesAlgorithm2)
     //   Pulse {qt}, Ym90 / Wait 4 / Pulse {qt, qc}, CZ / Wait 8 /
     //   Pulse {qt}, Y90 / Wait 4
     auto cs = QControlStore::standard();
-    std::deque<isa::Instruction> seq;
+    RingBuffer<isa::Instruction> seq(16);
     cs.expandCnot(/*qt=*/1, /*qc=*/2, seq);
     ASSERT_EQ(seq.size(), 6u);
     EXPECT_EQ(seq[0], isa::Instruction::pulse1(0x2, u::Ym90));
@@ -63,7 +63,7 @@ TEST(ControlStore, CnotMatchesAlgorithm2)
 TEST(ControlStore, MeasureExpandsToMpgMd)
 {
     auto cs = QControlStore::standard(4, 300);
-    std::deque<isa::Instruction> seq;
+    RingBuffer<isa::Instruction> seq(16);
     cs.expandMeasure(0x4, 7, seq);
     ASSERT_EQ(seq.size(), 2u);
     EXPECT_EQ(seq[0], isa::Instruction::mpg(0x4, 300));
@@ -73,7 +73,7 @@ TEST(ControlStore, MeasureExpandsToMpgMd)
 TEST(ControlStore, MeasurementDurationConfigurable)
 {
     auto cs = QControlStore::standard(4, 120);
-    std::deque<isa::Instruction> seq;
+    RingBuffer<isa::Instruction> seq(16);
     cs.expandMeasure(0x1, 0, seq);
     EXPECT_EQ(seq[0].imm, 120);
 }
@@ -82,7 +82,7 @@ TEST(ControlStore, UnknownGateIsFatal)
 {
     setLogQuiet(true);
     auto cs = QControlStore::standard();
-    std::deque<isa::Instruction> seq;
+    RingBuffer<isa::Instruction> seq(16);
     EXPECT_THROW(cs.expandApply(200, 0x1, seq), quma::FatalError);
     EXPECT_TRUE(seq.empty());
     setLogQuiet(false);
@@ -100,7 +100,7 @@ TEST(ControlStore, CustomMicroprogramUpload)
     p.body.push_back(MicroStep::pulse(QubitRole::All, u::X180));
     p.body.push_back(MicroStep::wait(4));
     cs.define(u::H, std::move(p));
-    std::deque<isa::Instruction> seq;
+    RingBuffer<isa::Instruction> seq(16);
     cs.expandApply(u::H, 0x1, seq);
     ASSERT_EQ(seq.size(), 4u);
     EXPECT_EQ(seq[0].slots[0].uop, u::Y90);
@@ -115,7 +115,7 @@ TEST(ControlStore, HorizontalMicroStep)
     p.body.push_back(MicroStep::pulseMulti(
         {{QubitRole::All, u::X180}, {QubitRole::All, u::Y90}}));
     cs.define(42, std::move(p));
-    std::deque<isa::Instruction> seq;
+    RingBuffer<isa::Instruction> seq(16);
     cs.expandApply(42, 0x5, seq);
     ASSERT_EQ(seq.size(), 1u);
     ASSERT_EQ(seq[0].slots.size(), 2u);

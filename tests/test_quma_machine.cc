@@ -296,6 +296,34 @@ TEST(Machine, RunIsOneShot)
     setLogQuiet(false);
 }
 
+TEST(Machine, RunCutOffByMaxCyclesReportsTheCut)
+{
+    // The Measure can fire only after the 40 000-cycle QNopReg, far
+    // past a 1 000-cycle budget: the run stops at the budget without
+    // claiming to have halted.
+    const char *src = R"(
+        mov r15, 40000
+        QNopReg r15
+        Measure q0, r7
+        halt
+    )";
+    MachineConfig cfg;
+    QumaMachine m(cfg);
+    m.loadAssembly(src);
+    auto cut = m.run(1000);
+    EXPECT_FALSE(cut.halted);
+    EXPECT_EQ(cut.cyclesRun, 1000u);
+    EXPECT_EQ(m.dataCollector().sampleCount(), 0u);
+
+    // With room to finish, the same program halts after its Measure.
+    m.reset();
+    m.loadAssembly(src);
+    auto full = m.run(2'000'000);
+    EXPECT_TRUE(full.halted);
+    EXPECT_GT(full.cyclesRun, 40'000u);
+    EXPECT_EQ(m.dataCollector().sampleCount(), 1u);
+}
+
 /**
  * The pooled-machine contract: run -> reset -> run must reproduce the
  * fresh machine's results bit for bit, including the stochastic

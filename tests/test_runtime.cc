@@ -389,9 +389,8 @@ TEST(Sharding, IdleWorkersStealFromASlowShard)
     EXPECT_GT(s.shardsStolen, 0u);
     EXPECT_GT(s.roundsStolen, 0u);
     EXPECT_GE(s.shardsExecuted, 1u + s.shardsStolen);
-    // The wheel counters flow through the per-run samples.
+    // The visited-cycle counts flow through the per-run samples.
     EXPECT_GT(s.eventsDispatched, 0u);
-    EXPECT_GT(s.wheelHighWater, 0u);
 }
 
 TEST(Sharding, ShardsRunInParallelAndCountersTrackThem)

@@ -7,13 +7,8 @@
 
 #include <gtest/gtest.h>
 
-#include <limits>
-#include <map>
-#include <random>
-
 #include "common/logging.hh"
 #include "timing/controller.hh"
-#include "timing/wheel.hh"
 
 namespace quma::timing {
 namespace {
@@ -354,173 +349,6 @@ TEST(TimingController, QueueFullBackpressure)
     tcu.advanceTo(5);
     EXPECT_FALSE(tcu.timingQueueFull());
     EXPECT_TRUE(tcu.pushTimePoint(5, 3));
-}
-
-// -------------------------------------------------------------- EventWheel
-
-TEST(EventWheel, PopsInCycleOrder)
-{
-    EventWheel w(4);
-    w.schedule(0, 500);
-    w.schedule(1, 3);
-    w.schedule(2, 70000);
-    w.schedule(3, 3000);
-    std::vector<Cycle> cycles;
-    while (auto p = w.popEarliest())
-        cycles.push_back(p->cycle);
-    EXPECT_EQ(cycles, (std::vector<Cycle>{3, 500, 3000, 70000}));
-    EXPECT_TRUE(w.empty());
-    EXPECT_EQ(w.stats().pops, 4u);
-    EXPECT_EQ(w.stats().dispatched, 4u);
-}
-
-TEST(EventWheel, SameCycleSourcesFireAsOneMask)
-{
-    EventWheel w(8);
-    w.schedule(1, 4096);
-    w.schedule(3, 4096);
-    w.schedule(6, 4096);
-    w.schedule(0, 9999);
-    auto p = w.popEarliest();
-    ASSERT_TRUE(p);
-    EXPECT_EQ(p->cycle, 4096u);
-    EXPECT_EQ(p->sources, (1ull << 1) | (1ull << 3) | (1ull << 6));
-    EXPECT_EQ(w.size(), 1u);
-    auto q = w.popEarliest();
-    ASSERT_TRUE(q);
-    EXPECT_EQ(q->cycle, 9999u);
-    EXPECT_EQ(q->sources, 1ull);
-}
-
-TEST(EventWheel, ReregistrationMovesTheDueCycle)
-{
-    EventWheel w(2);
-    w.schedule(0, 100);
-    EXPECT_EQ(w.dueCycle(0), 100u);
-    // Later...
-    w.schedule(0, 5000);
-    EXPECT_EQ(w.dueCycle(0), 5000u);
-    EXPECT_EQ(w.size(), 1u);
-    // ...and earlier, across a level boundary.
-    w.schedule(0, 7);
-    EXPECT_EQ(w.dueCycle(0), 7u);
-    auto p = w.popEarliest();
-    ASSERT_TRUE(p);
-    EXPECT_EQ(p->cycle, 7u);
-    EXPECT_TRUE(w.empty());
-}
-
-TEST(EventWheel, PastDuesClampToTheCursor)
-{
-    EventWheel w(2);
-    w.schedule(0, 1000);
-    ASSERT_TRUE(w.popEarliest());
-    EXPECT_EQ(w.cursor(), 1000u);
-    w.schedule(1, 5); // already in the past: fires immediately
-    auto p = w.popEarliest();
-    ASSERT_TRUE(p);
-    EXPECT_EQ(p->cycle, 1000u);
-    EXPECT_EQ(p->sources, 1ull << 1);
-}
-
-TEST(EventWheel, CancelIsIdempotentAndUnregisters)
-{
-    EventWheel w(3);
-    w.schedule(0, 10);
-    w.schedule(1, 20);
-    w.cancel(0);
-    w.cancel(0);
-    EXPECT_FALSE(w.registered(0));
-    EXPECT_EQ(w.size(), 1u);
-    auto p = w.popEarliest();
-    ASSERT_TRUE(p);
-    EXPECT_EQ(p->cycle, 20u);
-    EXPECT_FALSE(w.popEarliest());
-}
-
-TEST(EventWheel, OverflowBeyondTheHorizonStillOrders)
-{
-    // Dues past 64^4 cycles from the cursor park in the overflow set
-    // and must still pop in global order, including ties resolved
-    // against in-wheel sources.
-    EventWheel w(4);
-    Cycle far = EventWheel::kHorizon * 3 + 12345;
-    Cycle farther = EventWheel::kHorizon * 90 + 7;
-    w.schedule(0, farther);
-    w.schedule(1, far);
-    w.schedule(2, 40);
-    using Pop = std::pair<Cycle, std::uint64_t>;
-    std::vector<Pop> popped;
-    while (auto p = w.popEarliest())
-        popped.emplace_back(p->cycle, p->sources);
-    ASSERT_EQ(popped.size(), 3u);
-    EXPECT_EQ(popped[0], (Pop{40, 1ull << 2}));
-    EXPECT_EQ(popped[1], (Pop{far, 1ull << 1}));
-    EXPECT_EQ(popped[2], (Pop{farther, 1ull}));
-}
-
-TEST(EventWheel, AgreesWithASortedModelOnRandomTraffic)
-{
-    // Randomized cross-check against a trivially correct model: the
-    // wheel must always pop the minimum registered due.
-    std::mt19937_64 gen(0x5eed);
-    EventWheel w(16);
-    std::map<unsigned, Cycle> model; // src -> due
-    Cycle now = 0;
-    for (int step = 0; step < 2000; ++step) {
-        unsigned op = static_cast<unsigned>(gen() % 3);
-        if (op != 0 || model.empty()) {
-            auto src = static_cast<unsigned>(gen() % 16);
-            // Mix of near, mid, far and past-horizon dues.
-            static constexpr Cycle spans[] = {
-                60, 4000, 200000, EventWheel::kHorizon * 2};
-            Cycle when = now + gen() % spans[gen() % 4];
-            w.schedule(src, when);
-            model[src] = std::max(when, now);
-        } else {
-            std::optional<EventWheel::Popped> p = w.popEarliest();
-            if (model.empty()) {
-                EXPECT_FALSE(p);
-                continue;
-            }
-            Cycle best = std::numeric_limits<Cycle>::max();
-            for (auto &[src, duec] : model)
-                best = std::min(best, duec);
-            std::uint64_t mask = 0;
-            for (auto it = model.begin(); it != model.end();)
-                if (it->second == best) {
-                    mask |= std::uint64_t{1} << it->first;
-                    it = model.erase(it);
-                } else {
-                    ++it;
-                }
-            ASSERT_TRUE(p);
-            EXPECT_EQ(p->cycle, best);
-            EXPECT_EQ(p->sources, mask);
-            now = best;
-        }
-    }
-}
-
-TEST(EventWheel, StatsTrackOccupancyAndClear)
-{
-    EventWheel w(4);
-    w.schedule(0, 10);
-    w.schedule(1, 10);
-    w.schedule(2, 90000);
-    EXPECT_EQ(w.stats().occupancy, 3u);
-    EXPECT_EQ(w.stats().highWater, 3u);
-    ASSERT_TRUE(w.popEarliest());
-    EXPECT_EQ(w.stats().occupancy, 1u);
-    EXPECT_EQ(w.stats().highWater, 3u);
-    EXPECT_EQ(w.stats().dispatched, 2u);
-    w.clearStats();
-    EXPECT_EQ(w.stats().highWater, 1u);
-    EXPECT_EQ(w.stats().dispatched, 0u);
-    w.clear();
-    EXPECT_TRUE(w.empty());
-    EXPECT_FALSE(w.popEarliest());
-    EXPECT_EQ(w.cursor(), 0u);
 }
 
 /**
