@@ -140,7 +140,8 @@ QumaGateway::bindMetrics(metrics::MetricsRegistry &registry)
             "Jobs failed across all live backends.",
             fleetView([](const StatsFrame &s) { return s.scheduler.failed; }));
     counter("quma_fleet_shards_executed_total",
-            "Shard tasks executed across all live backends.",
+            "Tasks executed across all live backends: every shard, "
+            "opaque jobs included.",
             fleetView([](const StatsFrame &s) {
                 return s.scheduler.shardsExecuted;
             }));

@@ -6,9 +6,8 @@
  *
  * Clients connect exactly as they would to a single server: the
  * gateway's network edge IS net::QumaServer (accept loop, per-
- * connection reader/writer, wire v3/v4 handling, result streaming),
- * and everything fleet-shaped -- config-affinity
- * routing, health and drain, trySubmit shedding, fleet-minted job
+ * connection reader/writer, wire version check, result streaming),
+ * and everything fleet-shaped -- config-affinity routing, health and drain, trySubmit shedding, fleet-minted job
  * ids, failover resubmission, merged stats and merged trace dumps --
  * lives in the backend it serves (net/fleet.hh). Results travel as
  * decoded JobResults and are re-encoded by the gateway's writer; the

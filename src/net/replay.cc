@@ -31,11 +31,7 @@ splitFrame(const std::vector<std::uint8_t> &frame)
         return std::nullopt;
     try {
         SplitFrame out;
-        // Captures recorded by an older (v3) server must stay
-        // replayable: accept every compatible version, exactly like
-        // the live server's reader.
-        checkFramePrefixCompat(frame.data());
-        out.header = decodeFrameHeaderUnchecked(frame.data());
+        out.header = decodeFrameHeader(frame.data());
         if (frame.size() != kFrameHeaderBytes + out.header.length)
             return std::nullopt;
         out.payload.assign(frame.begin() + kFrameHeaderBytes,
@@ -150,11 +146,7 @@ replayCapture(const CaptureFile &capture, const ReplayOptions &options)
                 std::uint8_t header[kFrameHeaderBytes];
                 if (!stream->recvAll(header, kFrameHeaderBytes))
                     break;
-                // Replies mirror the replayed frames' version (the
-                // server answers a v3 request in v3), so the reader
-                // accepts every compatible version too.
-                checkFramePrefixCompat(header);
-                FrameHeader fh = decodeFrameHeaderUnchecked(header);
+                FrameHeader fh = decodeFrameHeader(header);
                 std::vector<std::uint8_t> payload(fh.length);
                 if (fh.length > 0 &&
                     !stream->recvAll(payload.data(), payload.size()))

@@ -416,10 +416,8 @@ QumaServer::writerLoop(ByteStream &stream, ConnState &state)
                 // connection's wire encoding behind one core.
                 Writer w;
                 encodeJobResult(w, *entry->result);
-                entry->frame = sealFrame(
-                    MsgType::AwaitReply, entry->requestId, w,
-                    state.peerVersion.load(
-                        std::memory_order_relaxed));
+                entry->frame =
+                    sealFrame(MsgType::AwaitReply, entry->requestId, w);
                 entry->result.reset();
             }
             stream.sendAll(entry->frame.data(),
@@ -513,10 +511,7 @@ QumaServer::queueFrame(ConnState &state, MsgType type,
                        std::uint64_t request_id, const Writer &payload)
 {
     if (!state.outbox.push(
-            {sealFrame(type, request_id, payload,
-                       state.peerVersion.load(
-                           std::memory_order_relaxed)),
-             nullptr, 0})) {
+            {sealFrame(type, request_id, payload), nullptr, 0})) {
         // Closed -- normal teardown, or a slow-consumer overflow
         // that just closed it. Closing the stream (idempotent)
         // guarantees the wedged writer and the reader both unblock
@@ -550,13 +545,7 @@ QumaServer::serveRequest(ByteStream &stream,
     if (!stream.recvAll(header, kFrameHeaderPrefixBytes))
         return false; // clean EOF between frames
     try {
-        // v3 and v4 share the byte-identical header layout, so one
-        // compat check both validates the prefix and tells this
-        // connection which dialect to speak back (replies are sealed
-        // at the peer's version; v4-only extras are withheld from v3
-        // peers).
-        state->peerVersion.store(checkFramePrefixCompat(header),
-                                 std::memory_order_relaxed);
+        checkFramePrefix(header);
     } catch (const WireVersionError &ex) {
         // A legacy (or future) peer: its framing is foreign -- v1
         // frames have no requestId at all -- so this connection
@@ -568,7 +557,7 @@ QumaServer::serveRequest(ByteStream &stream,
                    WireErrorCode::VersionMismatch, ex.what());
         return false;
     }
-    // A compatible version: the rest of the header is on the way.
+    // Our version: the rest of the header is on the way.
     if (!stream.recvAll(header + kFrameHeaderPrefixBytes,
                         kFrameHeaderBytes - kFrameHeaderPrefixBytes))
         throw WireError("connection closed mid-header");
@@ -627,14 +616,12 @@ QumaServer::dispatchRequest(ByteStream &stream,
     case MsgType::TrySubmitRequest: {
         const bool blocking = header.type == MsgType::SubmitRequest;
         runtime::JobSpec spec = decodeJobSpec(r);
-        // v4 appends the client's trace context AFTER the spec, so
+        // The client's trace context follows the spec, so
         // decodeJobSpec (and with it the journal record format)
-        // stays byte-identical to v3. The submit ties the job's
+        // stays independent of it. The submit ties the job's
         // lifecycle events to that trace, so one merged dump shows
         // both sides (no-op while tracing is off).
-        TraceContext tc;
-        if (state->peerVersion.load(std::memory_order_relaxed) >= 4)
-            tc = decodeTraceContext(r);
+        TraceContext tc = decodeTraceContext(r);
         r.expectEnd();
         try {
             std::optional<runtime::JobId> id;
@@ -724,40 +711,32 @@ QumaServer::dispatchRequest(ByteStream &stream,
             // push finds a closed outbox (or nothing at all) and
             // evaporates without touching the server.
             std::weak_ptr<ConnState> weak = state;
-            if (state->peerVersion.load(std::memory_order_relaxed) >=
-                4) {
-                // v4 peers also get rate-limited progress pushes
-                // under the await's requestId. Best-effort by
-                // contract (an already-finished job simply gets
-                // none), and sealed frames -- not deferred entries
-                // -- because a progress payload is three u64s:
-                // encoding on the notifier thread is cheaper than a
-                // writer-side deferral round trip.
-                backend.subscribeProgress(
-                    id, [weak, rid](runtime::JobId job,
-                                    std::size_t done,
-                                    std::size_t total) {
-                        std::shared_ptr<ConnState> st = weak.lock();
-                        if (!st)
-                            return;
-                        Writer w;
-                        encodeProgressFrame(
-                            w, ProgressFrameData{job, done, total});
-                        if (st->outbox.push(
-                                {sealFrame(
-                                     MsgType::ProgressFrame, rid, w,
-                                     st->peerVersion.load(
-                                         std::memory_order_relaxed)),
-                                 nullptr, 0}))
-                            st->progressPushed.fetch_add(
-                                1, std::memory_order_relaxed);
-                        else
-                            // Dead or overflowed connection: the
-                            // push evaporated; unwedge its threads
-                            // (idempotent).
-                            st->closeStream();
-                    });
-            }
+            // Rate-limited progress pushes ride the await's
+            // requestId. Best-effort by contract (an already-finished
+            // job simply gets none), and sealed frames -- not
+            // deferred entries -- because a progress payload is three
+            // u64s: encoding on the notifier thread is cheaper than a
+            // writer-side deferral round trip.
+            backend.subscribeProgress(
+                id, [weak, rid](runtime::JobId job, std::size_t done,
+                                std::size_t total) {
+                    std::shared_ptr<ConnState> st = weak.lock();
+                    if (!st)
+                        return;
+                    Writer w;
+                    encodeProgressFrame(
+                        w, ProgressFrameData{job, done, total});
+                    if (st->outbox.push(
+                            {sealFrame(MsgType::ProgressFrame, rid, w),
+                             nullptr, 0}))
+                        st->progressPushed.fetch_add(
+                            1, std::memory_order_relaxed);
+                    else
+                        // Dead or overflowed connection: the push
+                        // evaporated; unwedge its threads
+                        // (idempotent).
+                        st->closeStream();
+                });
             backend.subscribe(
                 id,
                 [weak, rid, id](

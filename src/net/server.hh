@@ -46,14 +46,11 @@
  * teardown is deterministic -- no detached thread ever touches a
  * dead server (the pre-v2 detached design could).
  *
- * VERSIONING. Frames stamped v3 or v4 are both served: the reader
- * remembers the peer's version per connection, seals every reply at
- * that version, and withholds the v4-only extras (Submit trace
- * context, ProgressFrame pushes) from v3 peers. A frame claiming any
- * other wire version is answered with an
- * ErrorReply{VersionMismatch} carrying requestId 0 (the
- * connection-level id) and the connection is closed: a legacy v1
- * client fails with a diagnosis instead of hanging.
+ * VERSIONING. The server speaks v4 only. A frame claiming any other
+ * wire version is answered with an ErrorReply{VersionMismatch}
+ * carrying requestId 0 (the connection-level id) and the connection
+ * is closed: a legacy client fails with a diagnosis instead of
+ * hanging.
  *
  * PROGRESS STREAMING (v4). An AwaitRequest from a v4 peer also
  * registers a backend progress subscription: rate-limited
@@ -251,17 +248,6 @@ class QumaServer
         /** ProgressFrame pushes accepted by this connection's
          *  outbox (same accounting pattern as `streamed`). */
         std::atomic<std::size_t> progressPushed{0};
-        /**
-         * The peer's negotiated wire version: stamped from the first
-         * byte-compatible frame prefix the reader accepts (v3 or
-         * v4). Every reply on this connection is sealed at THIS
-         * version, and v4-only extras (trace context in Submit
-         * payloads, ProgressFrame pushes) are gated on >= 4, so a v3
-         * client sees exactly the v3 protocol. Atomic because the
-         * writer thread and scheduler-notifier pushers read it while
-         * the reader updates it.
-         */
-        std::atomic<std::uint16_t> peerVersion{kWireVersion};
         /**
          * Teardown hook for pushers: set by the reader while the
          * connection lives (guarded by mu, cleared before the

@@ -186,14 +186,14 @@ Reader::expectEnd() const
 
 std::vector<std::uint8_t>
 sealFrame(MsgType type, std::uint64_t request_id,
-          const Writer &payload, std::uint16_t version)
+          const Writer &payload)
 {
     const std::vector<std::uint8_t> &body = payload.bytes();
     if (body.size() > kMaxPayloadBytes)
         throw WireError("payload exceeds the frame size cap");
     Writer header;
     header.u32(kWireMagic);
-    header.u16(version);
+    header.u16(kWireVersion);
     header.u16(static_cast<std::uint16_t>(type));
     header.u32(static_cast<std::uint32_t>(body.size()));
     header.u64(request_id);
@@ -242,48 +242,19 @@ replyTypeFor(MsgType request)
     return static_cast<MsgType>(static_cast<std::uint16_t>(request) + 64);
 }
 
-namespace {
-
-[[noreturn]] void
-throwVersionError(std::uint16_t version)
-{
-    throw WireVersionError(
-        "unsupported wire version " + std::to_string(version) +
-            " (speaking " + std::to_string(kWireVersion) +
-            (version < kWireVersion
-                 ? "; v2 frames carry a requestId the peer does "
-                   "not send)"
-                 : ")"),
-        version);
-}
-
-std::uint16_t
-readPrefixVersion(const std::uint8_t *prefix)
-{
-    Reader r(prefix, kFrameHeaderPrefixBytes);
-    std::uint32_t magic = r.u32();
-    if (magic != kWireMagic)
-        throw WireError("bad frame magic");
-    return r.u16();
-}
-
-} // namespace
-
 void
 checkFramePrefix(const std::uint8_t *prefix)
 {
-    std::uint16_t version = readPrefixVersion(prefix);
+    Reader r(prefix, kFrameHeaderPrefixBytes);
+    if (r.u32() != kWireMagic)
+        throw WireError("bad frame magic");
+    std::uint16_t version = r.u16();
     if (version != kWireVersion)
-        throwVersionError(version);
-}
-
-std::uint16_t
-checkFramePrefixCompat(const std::uint8_t *prefix)
-{
-    std::uint16_t version = readPrefixVersion(prefix);
-    if (version < kMinCompatWireVersion || version > kWireVersion)
-        throwVersionError(version);
-    return version;
+        throw WireVersionError("unsupported wire version " +
+                                   std::to_string(version) +
+                                   " (speaking " +
+                                   std::to_string(kWireVersion) + ")",
+                               version);
 }
 
 FrameHeader

@@ -95,17 +95,10 @@ inline constexpr std::uint32_t kWireMagic = 0x414D7551u;
  * v4: Submit/TrySubmit payloads append a trace context
  *     (traceId + spanId), new ClockSync and TraceDump exchanges,
  *     and server-pushed ProgressFrames on awaited jobs (header
- *     layout unchanged from v2). Servers still serve v3 peers --
- *     see kMinCompatWireVersion.
+ *     layout unchanged from v2). A server speaks v4 only: any other
+ *     version gets a VersionMismatch error frame and a close.
  */
 inline constexpr std::uint16_t kWireVersion = 4;
-/**
- * Oldest peer version a server still serves (per connection): a v3
- * client gets v3-stamped replies, no trace context is read from its
- * Submit frames, and no progress frames are pushed at it. Anything
- * older gets the usual VersionMismatch error frame.
- */
-inline constexpr std::uint16_t kMinCompatWireVersion = 3;
 /** Hard per-frame payload cap; larger lengths are rejected. */
 inline constexpr std::uint32_t kMaxPayloadBytes = 64u << 20;
 /** Serialized frame header size in bytes (v2+: requestId included). */
@@ -286,17 +279,10 @@ struct FrameHeader
     std::uint64_t requestId = kConnectionRequestId;
 };
 
-/**
- * Serialize a complete frame (header + payload). `version` is the
- * version stamped into the header: a server answering a v3 peer
- * seals its replies at the peer's version (the v3 client's strict
- * header check would reject a v4 stamp). The header LAYOUT is
- * identical for every version >= 2, so only the stamp varies.
- */
+/** Serialize a complete frame (header + payload), stamped v4. */
 std::vector<std::uint8_t> sealFrame(MsgType type,
                                     std::uint64_t request_id,
-                                    const Writer &payload,
-                                    std::uint16_t version = kWireVersion);
+                                    const Writer &payload);
 
 /**
  * Validate the version-independent prefix (kFrameHeaderPrefixBytes):
@@ -305,14 +291,6 @@ std::vector<std::uint8_t> sealFrame(MsgType type,
  * frame shorter than the v2 header still gets a clean diagnosis.
  */
 void checkFramePrefix(const std::uint8_t *prefix);
-
-/**
- * The serving side's prefix check: accepts any version in
- * [kMinCompatWireVersion, kWireVersion] and RETURNS the peer's
- * version so the connection can adapt (reply stamps, optional v4
- * fields). Throws like checkFramePrefix outside that window.
- */
-std::uint16_t checkFramePrefixCompat(const std::uint8_t *prefix);
 
 /**
  * Validate and decode the kFrameHeaderBytes header bytes; throws
@@ -324,9 +302,8 @@ FrameHeader decodeFrameHeader(const std::uint8_t *header);
 
 /**
  * Decode type/length/requestId from a header whose prefix was
- * already validated by checkFramePrefixCompat -- the serving path
- * for connections that may legitimately speak an older (compatible)
- * version than kWireVersion.
+ * already validated by checkFramePrefix -- the serving path, which
+ * reads and checks the prefix before the rest of the header.
  */
 FrameHeader decodeFrameHeaderUnchecked(const std::uint8_t *header);
 

@@ -1,5 +1,6 @@
 #include "quma/qmb.hh"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/logging.hh"
@@ -33,6 +34,23 @@ checkedDepth(std::size_t depth, unsigned drain_rate)
     return depth;
 }
 
+/**
+ * Room check of one queue for an instruction that sends `demand` of
+ * its events there: they fit when the queue has that many entries
+ * free. A queue too shallow to ever hold them would stall the
+ * pipeline forever, so that is a configuration error.
+ */
+bool
+roomFor(std::size_t demand, std::size_t free, std::size_t capacity,
+        const char *queue, const isa::Instruction &inst)
+{
+    if (demand > capacity)
+        fatal("'", isa::toString(inst), "' sends ", demand,
+              " events into one ", queue, " queue of depth ", capacity,
+              "; it can never issue");
+    return demand <= free;
+}
+
 } // namespace
 
 QuantumPipeline::QuantumPipeline(microcode::QControlStore store,
@@ -52,6 +70,9 @@ QuantumPipeline::QuantumPipeline(microcode::QControlStore store,
             awgQubits.resize(awg + 1, 0);
         awgQubits[awg] |= QubitMask{1} << q;
     }
+    pulseDemand.resize(awgQubits.size());
+    for (unsigned mdu : route.mdu)
+        mdDemand.resize(std::max<std::size_t>(mdDemand.size(), mdu + 1));
 }
 
 bool
@@ -145,11 +166,16 @@ QuantumPipeline::pushOne(const isa::Instruction &inst)
         return true;
       }
       case isa::Opcode::Pulse: {
-        // All-or-nothing: verify capacity across the addressed
-        // queues first. One event is pushed per (AWG, slot).
+        // All-or-nothing: one event is pushed per (AWG, slot), and
+        // slots may share an AWG, so each queue's events are counted
+        // against its free entries before any is pushed.
+        std::fill(pulseDemand.begin(), pulseDemand.end(), 0);
         bool room = forEachPulse(
-            inst, [this](unsigned awg, const timing::PulseEvent &) {
-                return !tcu.pulseQueueFull(awg);
+            inst, [&](unsigned awg, const timing::PulseEvent &) {
+                return roomFor(++pulseDemand[awg],
+                               tcu.pulseQueueFree(awg),
+                               tcu.config().pulseQueueCapacity, "pulse",
+                               inst);
             });
         if (!room)
             return false;
@@ -168,13 +194,16 @@ QuantumPipeline::pushOne(const isa::Instruction &inst)
       }
       case isa::Opcode::Md: {
         // One event per addressed qubit, into that qubit's MD queue;
-        // all-or-nothing like Pulse.
+        // all-or-nothing like Pulse, and qubits may share an MDU.
         if (inst.qmask == 0)
             fatal("MD with empty qubit mask");
         bool single = std::popcount(inst.qmask) == 1;
+        std::fill(mdDemand.begin(), mdDemand.end(), 0);
         for (QubitMask m = inst.qmask; m != 0; m &= m - 1) {
-            auto q = static_cast<unsigned>(std::countr_zero(m));
-            if (tcu.mdQueueFull(route.mduFor(q)))
+            unsigned mdu =
+                route.mduFor(static_cast<unsigned>(std::countr_zero(m)));
+            if (!roomFor(++mdDemand[mdu], tcu.mdQueueFree(mdu),
+                         tcu.config().mdQueueCapacity, "MD", inst))
                 return false;
         }
         for (QubitMask m = inst.qmask; m != 0; m &= m - 1) {

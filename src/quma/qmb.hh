@@ -95,6 +95,10 @@ class QuantumPipeline
     QubitRouting route;
     /** Qubits driven by each pulse queue (AWG), from the routing. */
     std::vector<QubitMask> awgQubits;
+    /** pushOne's per-queue event counts of the instruction at hand
+     *  (pulse queues by AWG, MD queues by MDU). */
+    std::vector<std::size_t> pulseDemand;
+    std::vector<std::size_t> mdDemand;
     timing::TimingController &tcu;
     TraceRecorder &recorder;
     /** The microinstruction buffer: a ring of the configured depth. */

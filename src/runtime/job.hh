@@ -53,7 +53,7 @@ inline constexpr std::size_t kShardableRounds = 16;
 /**
  * The experiments' shared eligibility rule for round-structured
  * execution: an explicit shard request (>= 2) always opts in; auto
- * (0) opts in for large sweeps; 1 forces the legacy opaque mode.
+ * (0) opts in for large sweeps; 1 keeps the opaque looping program.
  */
 inline constexpr bool
 wantsRoundStructured(std::size_t shards_requested, std::size_t rounds)
@@ -111,13 +111,15 @@ struct JobSpec
 
     /**
      * Averaging rounds N. 0 = OPAQUE job: the program (which may
-     * contain its own averaging loop) runs once, on one machine, with
-     * one pair of job-level RNG streams. When N > 0 the job is
+     * contain its own averaging loop) runs as one shard of one round,
+     * on one machine, with the job-level RNG streams kChipStream /
+     * kExecStream (runtime/keys.hh). When N > 0 the job is
      * ROUND-STRUCTURED: assembly/program must be the one-round body
      * (QuantumProgram repetitions = 1), and the runtime executes it N
      * times, deriving each round's RNG streams from (seed, round) --
      * see runtime/keys.hh -- and merging the per-round collector sums
-     * in round order. Only round-structured jobs can be sharded.
+     * in round order. Only round-structured jobs split into more
+     * than one shard.
      */
     std::size_t rounds = 0;
 

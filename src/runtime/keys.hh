@@ -9,21 +9,22 @@
  *
  * RNG streams: a job seed fans out into independent generator seeds
  * via Rng::derive(seed, stream). The stream indices are fixed here so
- * every layer (scheduler, tests, benches) derives the same streams:
+ * every layer (scheduler, tests, benches) derives the same streams,
+ * and roundStreams(rounds, r) is the ONE rule that picks the chip-noise
+ * and stall-injection pair a round runs on:
  *
- *  - kChipStream / kExecStream seed the chip-noise and the
- *    stall-injection RNGs of an OPAQUE job (JobSpec::rounds == 0),
- *    which runs its whole program on one machine with one pair of
- *    streams, exactly as in a single-machine session.
+ *  - an OPAQUE job (JobSpec::rounds == 0) runs as a single round on
+ *    kChipStream / kExecStream, exactly as in a single-machine
+ *    session of its whole program;
  *
- *  - Round-structured jobs (JobSpec::rounds > 0) derive one stream
- *    PAIR PER ROUND: round r uses chipStreamOf(r) / execStreamOf(r).
- *    Because every round's randomness is a pure function of
- *    (job seed, round index) -- never of which machine ran it, or of
- *    which rounds preceded it on that machine -- any contiguous
- *    partition of the rounds across pooled machines replays the exact
- *    same per-round draws, which is what makes shard merges
- *    bit-identical (see runtime/README.md, "Determinism contract").
+ *  - round r of a ROUND-STRUCTURED job (JobSpec::rounds > 0) runs on
+ *    chipStreamOf(r) / execStreamOf(r). Because every round's
+ *    randomness is a pure function of (job seed, round index) --
+ *    never of which machine ran it, or of which rounds preceded it on
+ *    that machine -- any contiguous partition of the rounds across
+ *    pooled machines replays the exact same per-round draws, which is
+ *    what makes shard merges bit-identical (see runtime/README.md,
+ *    "Determinism contract").
  */
 
 #ifndef QUMA_RUNTIME_KEYS_HH
@@ -54,6 +55,22 @@ inline constexpr std::uint64_t
 execStreamOf(std::uint64_t round)
 {
     return kRoundStreamBase + 2 * round + 1;
+}
+
+/** The chip-noise and stall-injection stream pair of one round. */
+struct RoundStreams
+{
+    std::uint64_t chip;
+    std::uint64_t exec;
+};
+
+/** Streams of round `round` of a job with `rounds` rounds (see above). */
+inline constexpr RoundStreams
+roundStreams(std::uint64_t rounds, std::uint64_t round)
+{
+    if (rounds == 0)
+        return {kChipStream, kExecStream};
+    return {chipStreamOf(round), execStreamOf(round)};
 }
 
 namespace keys {

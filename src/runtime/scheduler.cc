@@ -13,6 +13,12 @@ namespace {
 
 /** Completions per priority class kept for percentile estimation. */
 constexpr std::size_t kLatencySampleWindow = 512;
+/** Max same-config tasks executed on one pool lease. */
+constexpr std::size_t kLeaseBatchLimit = 8;
+/** Saturation EWMA above this tightens trySubmit's bound. */
+constexpr double kSaturationThreshold = 0.5;
+/** EWMA smoothing of the per-acquisition pool-wait samples. */
+constexpr double kPoolWaitAlpha = 0.25;
 
 bool
 queueSaturated(const timing::QueueSaturation &q)
@@ -151,7 +157,6 @@ JobScheduler::subscribeProgress(JobId id, ProgressCallback callback)
             return;
         if (e.jobStatus != JobStatus::Done) {
             progressSubs[id].push_back(std::move(callback));
-            progressSubCount.fetch_add(1, std::memory_order_relaxed);
             return;
         }
         // Already done: the final done == total frame finishLocked
@@ -173,7 +178,7 @@ JobScheduler::noteRoundsDoneLocked(JobId id, Entry &entry,
                                    std::size_t rounds)
 {
     entry.roundsDone += rounds;
-    if (progressSubCount.load(std::memory_order_relaxed) > 0)
+    if (!progressSubs.empty())
         queueProgressLocked(id, entry, /*force=*/false);
 }
 
@@ -279,28 +284,24 @@ JobScheduler::enqueueLocked(JobSpec &&spec)
     e.priority = spec.priority;
     e.seq = counters.submitted;
     e.submittedAt = std::chrono::steady_clock::now();
-    if (spec.rounds > 0) {
-        // Round-structured job: one task per shard. shards == 0 asks
-        // for the widest useful split, one shard per worker.
-        std::size_t shards = spec.shards ? spec.shards : cfg.workers;
-        e.shardRanges =
-            partitionRounds(spec.rounds, shards, spec.minRoundsPerShard);
-        e.partials.resize(e.shardRanges.size());
-        e.progress.resize(e.shardRanges.size());
-        for (std::size_t s = 0; s < e.shardRanges.size(); ++s)
-            e.progress[s] = {e.shardRanges[s].begin,
-                             e.shardRanges[s].end, false};
-        e.shardsRemaining = e.shardRanges.size();
-        if (e.shardRanges.size() > 1) {
-            ++counters.shardedJobs;
-            ms.shardedJobs.inc();
-        }
+    // One task per shard; an opaque job is one shard of one round.
+    // shards == 0 asks for the widest useful split, one per worker.
+    std::size_t shards = spec.shards ? spec.shards : cfg.workers;
+    e.shardRanges = partitionRounds(std::max<std::size_t>(spec.rounds, 1),
+                                    shards, spec.minRoundsPerShard);
+    e.partials.resize(e.shardRanges.size());
+    e.progress.reserve(e.shardRanges.size());
+    for (const RoundRange &range : e.shardRanges)
+        e.progress.push_back({range.begin, range.end, false});
+    e.shardsRemaining = e.shardRanges.size();
+    if (e.shardRanges.size() > 1) {
+        ++counters.shardedJobs;
+        ms.shardedJobs.inc();
     }
-    std::size_t tasks = e.shardRanges.empty() ? 1 : e.shardRanges.size();
     e.spec = std::make_shared<const JobSpec>(std::move(spec));
-    entries.emplace(id, std::move(e));
-    for (std::size_t s = 0; s < tasks; ++s)
+    for (std::size_t s = 0; s < e.shardRanges.size(); ++s)
         queue.push_back({id, static_cast<std::uint32_t>(s)});
+    entries.emplace(id, std::move(e));
     counters.queueHighWater =
         std::max(counters.queueHighWater, queue.size());
     ++counters.submitted;
@@ -479,7 +480,7 @@ JobScheduler::bindMetrics(metrics::MetricsRegistry &registry)
         "Jobs split into more than one shard.");
     ms.shardsExecuted = registry.counter(
         "quma_shards_executed_total",
-        "Shard tasks executed (single-shard round jobs included).");
+        "Tasks executed: every shard, opaque jobs included.");
     ms.saturatedRuns = registry.counter(
         "quma_saturated_runs_total",
         "Runs whose machine reported timing-queue backpressure.");
@@ -576,10 +577,9 @@ JobScheduler::effectiveCapacityLocked() const
     // machines running their timing queues into backpressure, and
     // workers blocking on the pool for a machine. Either means more
     // queue depth would buy latency, not throughput.
-    bool congested =
-        saturationEwma > cfg.saturationThreshold ||
-        poolWaitEwma > cfg.poolWaitThresholdSeconds;
-    if (!cfg.adaptiveAdmission || !congested)
+    bool congested = saturationEwma > kSaturationThreshold ||
+                     poolWaitEwma > cfg.poolWaitThresholdSeconds;
+    if (!congested)
         return cfg.queueCapacity;
     auto tightened = static_cast<std::size_t>(
         static_cast<double>(cfg.queueCapacity) *
@@ -602,8 +602,8 @@ JobScheduler::noteSaturationLocked(bool saturated)
 void
 JobScheduler::notePoolWaitLocked(double seconds)
 {
-    poolWaitEwma = (1.0 - cfg.poolWaitAlpha) * poolWaitEwma +
-                   cfg.poolWaitAlpha * seconds;
+    poolWaitEwma =
+        (1.0 - kPoolWaitAlpha) * poolWaitEwma + kPoolWaitAlpha * seconds;
 }
 
 void
@@ -696,8 +696,8 @@ JobScheduler::finishLocked(JobId id, JobResult &&result,
     bool failed = result.failed();
     // Final progress push, unthrottled and ahead of the completion
     // notification in the FIFO notifier queue: subscribers always see
-    // done == total before the result lands. A non-sharded job (one
-    // machine run, no per-round loop) reports exactly this one frame.
+    // done == total before the result lands. An opaque job (its one
+    // round is not counted) reports exactly this one frame, (0, 0).
     if (!failed && e.spec) {
         e.roundsDone = e.spec->rounds;
         queueProgressLocked(id, e, /*force=*/true);
@@ -721,12 +721,7 @@ JobScheduler::finishLocked(JobId id, JobResult &&result,
     // A finished job's progress subscriptions end here; the queued
     // progress notifications (including the forced 100% one) are
     // already ahead of the completion push in the notifier queue.
-    auto ps = progressSubs.find(id);
-    if (ps != progressSubs.end()) {
-        progressSubCount.fetch_sub(ps->second.size(),
-                                   std::memory_order_relaxed);
-        progressSubs.erase(ps);
-    }
+    progressSubs.erase(id);
     // Push the result to completion subscribers (the notifier thread
     // delivers outside the mutex). Before the retention loop below:
     // it may evict this very entry.
@@ -778,7 +773,9 @@ JobScheduler::deliverShardLocked(JobId id, std::uint32_t shard,
  * happen in exactly the sequence round 0, 1, ..., N-1 -- the SAME
  * sequence for every partition, which is what makes the merged sums
  * (and hence the averages) bit-identical across 1-way, 2-way and
- * 4-way splits, with stealing on or off, at any worker count.
+ * 4-way splits, however stealing rebalanced them, at any worker
+ * count. An opaque job's single partial merges to itself: 0.0 + x is
+ * x, and the first RunResult fold copies.
  */
 void
 JobScheduler::mergeShardsLocked(JobId id)
@@ -854,35 +851,6 @@ JobScheduler::mergeShardsLocked(JobId id)
     finishLocked(id, std::move(merged));
 }
 
-JobResult
-JobScheduler::runJob(const JobSpec &spec, core::QumaMachine &machine,
-                     RunSample &sample)
-{
-    JobResult r;
-    try {
-        machine.reset(Rng::derive(spec.seed, kChipStream),
-                      Rng::derive(spec.seed, kExecStream));
-        // Always (re)configure collection: a pooled machine may carry
-        // the previous job's bin count, and determinism requires the
-        // collector state to depend on this spec alone.
-        machine.configureDataCollection(spec.bins ? spec.bins : 1);
-        if (spec.program)
-            machine.loadProgram(*spec.program);
-        else
-            machine.loadProgram(*cache.assemble(spec.assembly));
-        r.run = machine.run(spec.maxCycles);
-        r.averages = machine.dataCollector().averages();
-        r.bitAverages = machine.dataCollector().bitAverages();
-        r.sampleCount = machine.dataCollector().sampleCount();
-        auto st = machine.stats();
-        sample.absorb(st, machineSaturated(st));
-    } catch (const std::exception &ex) {
-        r = JobResult{};
-        r.error = ex.what();
-    }
-    return r;
-}
-
 JobScheduler::ShardPartial
 JobScheduler::runShard(const JobSpec &spec, core::QumaMachine &machine,
                        JobId id, std::uint32_t shard, RoundRange range,
@@ -890,8 +858,8 @@ JobScheduler::runShard(const JobSpec &spec, core::QumaMachine &machine,
 {
     ShardPartial p;
     // The claimed range grows round by round; claims are contiguous
-    // from range.begin in both modes, so [range.begin, p.range.end)
-    // is always exactly the rounds this partial holds.
+    // from range.begin, so [range.begin, p.range.end) is always
+    // exactly the rounds this partial holds.
     p.range = {range.begin, range.begin};
     std::size_t bins = spec.bins ? spec.bins : 1;
     p.binCounts.assign(bins, 0);
@@ -914,15 +882,11 @@ JobScheduler::runShard(const JobSpec &spec, core::QumaMachine &machine,
         // The previous iteration's round is counted as DONE under
         // the next claim's mutex hold (the loop re-enters it even to
         // discover the shard is exhausted), so the progress counter
-        // rides the lock the stealing mode already takes. The
-        // non-stealing loop is lock-free per round: it accumulates
-        // locally and only takes the mutex while subscribers exist
-        // (or once at the end, to reconcile the job counter).
+        // rides the lock the claim already takes.
         bool countPrev = false;
-        std::size_t uncountedRounds = 0;
         for (;;) {
             std::size_t r;
-            if (cfg.workSteal) {
+            {
                 // Claim the next round under the scheduler mutex:
                 // the shard's window may have shrunk (a thief took
                 // the tail) or vanished (the job failed at
@@ -943,10 +907,6 @@ JobScheduler::runShard(const JobSpec &spec, core::QumaMachine &machine,
                 if (pr.cursor >= pr.end)
                     break;
                 r = pr.cursor++;
-            } else {
-                if (p.range.end >= range.end)
-                    break;
-                r = p.range.end;
             }
             // Every round is a full session with its OWN RNG streams
             // derived from (seed, round): the draws a round sees
@@ -954,8 +914,9 @@ JobScheduler::runShard(const JobSpec &spec, core::QumaMachine &machine,
             // rounds preceded it there, so any partition of the
             // rounds -- including one rebalanced by stealing --
             // replays them exactly.
-            machine.reset(Rng::derive(spec.seed, chipStreamOf(r)),
-                          Rng::derive(spec.seed, execStreamOf(r)));
+            const RoundStreams streams = roundStreams(spec.rounds, r);
+            machine.reset(Rng::derive(spec.seed, streams.chip),
+                          Rng::derive(spec.seed, streams.exec));
             machine.configureDataCollection(bins);
             machine.loadProgram(*program);
             core::RunResult rr = machine.run(spec.maxCycles);
@@ -981,29 +942,9 @@ JobScheduler::runShard(const JobSpec &spec, core::QumaMachine &machine,
             auto st = machine.stats();
             sample.absorb(st, machineSaturated(st));
             p.range.end = r + 1;
-            if (cfg.workSteal) {
-                countPrev = true;
-            } else {
-                ++uncountedRounds;
-                if (progressSubCount.load(
-                        std::memory_order_relaxed) > 0) {
-                    std::lock_guard<std::mutex> note(mu);
-                    auto it = entries.find(id);
-                    if (it != entries.end()) {
-                        noteRoundsDoneLocked(id, it->second,
-                                             uncountedRounds);
-                        uncountedRounds = 0;
-                    }
-                }
-            }
-        }
-        if (uncountedRounds > 0) {
-            // Rounds completed while nobody listened still count:
-            // the final forced push at finish reports the truth.
-            std::lock_guard<std::mutex> note(mu);
-            auto it = entries.find(id);
-            if (it != entries.end())
-                it->second.roundsDone += uncountedRounds;
+            // An opaque job's one round is not progress: roundsTotal
+            // is 0, and its one frame is the forced (0, 0) at finish.
+            countPrev = spec.rounds > 0;
         }
     } catch (const std::exception &ex) {
         p = ShardPartial{};
@@ -1016,9 +957,7 @@ JobScheduler::runShard(const JobSpec &spec, core::QumaMachine &machine,
 bool
 JobScheduler::stealableLocked() const
 {
-    if (!cfg.workSteal)
-        return false;
-    std::size_t floor = std::max<std::size_t>(cfg.minStealRounds, 2);
+    std::size_t floor = stealFloor();
     for (JobId id : activeSharded) {
         auto it = entries.find(id);
         if (it == entries.end())
@@ -1034,7 +973,7 @@ JobScheduler::stealableLocked() const
 std::optional<JobScheduler::Task>
 JobScheduler::stealLocked()
 {
-    std::size_t floor = std::max<std::size_t>(cfg.minStealRounds, 2);
+    std::size_t floor = stealFloor();
     JobId bestId = 0;
     std::size_t bestShard = 0;
     std::size_t bestRemaining = 0;
@@ -1091,6 +1030,21 @@ JobScheduler::noteRunLocked(const RunSample &sample)
         static_cast<double>(sample.eventsDispatched));
 }
 
+JobScheduler::Task
+JobScheduler::takeLocked(std::size_t slot)
+{
+    Task task = queue[slot];
+    queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(slot));
+    Entry &entry = entries.at(task.id);
+    entry.jobStatus = JobStatus::Running;
+    entry.progress[task.shard].running = true;
+    // Only a shard that can be a steal victim joins the steal scan's
+    // candidate set; an opaque job's one-round shard never can.
+    if (entry.shardRanges[task.shard].size() >= stealFloor())
+        activeSharded.insert(task.id);
+    return task;
+}
+
 void
 JobScheduler::workerLoop()
 {
@@ -1103,26 +1057,8 @@ JobScheduler::workerLoop()
             return;
 
         Task task;
-        std::shared_ptr<const JobSpec> spec;
-        std::string key;
-        bool sharded;
-        RoundRange range;
         if (!queue.empty()) {
-            std::size_t slot = pickBestLocked();
-            task = queue[slot];
-            queue.erase(queue.begin() +
-                        static_cast<std::ptrdiff_t>(slot));
-            Entry &entry = entries.at(task.id);
-            entry.jobStatus = JobStatus::Running;
-            spec = entry.spec;
-            key = entry.key;
-            sharded = !entry.shardRanges.empty();
-            range = sharded ? entry.shardRanges[task.shard]
-                            : RoundRange{};
-            if (sharded) {
-                entry.progress[task.shard].running = true;
-                activeSharded.insert(task.id);
-            }
+            task = takeLocked(pickBestLocked());
         } else {
             // Queue drained but a running shard has rounds to spare:
             // split its tail off as a fresh shard and run it here,
@@ -1131,78 +1067,64 @@ JobScheduler::workerLoop()
             if (!stolen)
                 continue; // raced with the victim finishing
             task = *stolen;
-            Entry &entry = entries.at(task.id);
-            spec = entry.spec;
-            key = entry.key;
-            sharded = true;
-            range = entry.shardRanges[task.shard];
         }
-        ++inFlight;
-        lock.unlock();
-        cvSpace.notify_one();
-        // A newly started (or newly stolen) shard is itself a steal
-        // candidate: wake idle workers so they can carve it up.
-        if (sharded)
-            cvWork.notify_all();
-
+        const std::string key = entries.at(task.id).key;
         MachinePool::Lease lease;
-        double acquireWait = 0.0;
-        try {
-            lease = pool.acquireKeyed(key, spec->machine,
-                                      &acquireWait);
-        } catch (const std::exception &ex) {
-            // Machine construction rejected the config: fail THIS
-            // task; letting the exception leave the thread would
-            // terminate the whole service.
-            std::string err =
-                std::string("machine unavailable: ") + ex.what();
-            lock.lock();
-            if (sharded) {
-                ShardPartial p;
-                p.range = range;
-                p.error = std::move(err);
-                deliverShardLocked(task.id, task.shard, std::move(p));
-            } else {
-                JobResult r;
-                r.error = std::move(err);
-                finishLocked(task.id, std::move(r));
-            }
-            --inFlight;
-            cvDone.notify_all();
-            continue;
-        }
-        // One pool-wait sample per acquisition (batched tasks reuse
-        // the lease and pay no wait -- that is the point of
-        // batching, so they contribute no sample). The sample is the
-        // time acquire spent BLOCKED on a fully leased pool, not the
-        // cost of constructing a cold machine.
-        lock.lock();
-        notePoolWaitLocked(acquireWait);
-        lock.unlock();
-        traceRecord(task.id, TracePhase::Leased, task.shard);
         std::size_t ranOnLease = 0;
+        // One iteration per task run on this lease: the first task
+        // acquires it, later ones are same-config batch picks.
         for (;;) {
+            const Entry &entry = entries.at(task.id);
+            std::shared_ptr<const JobSpec> spec = entry.spec;
+            const RoundRange range = entry.shardRanges[task.shard];
+            ++inFlight;
+            lock.unlock();
+            cvSpace.notify_one();
+            // A shard started at victim size is a steal candidate:
+            // wake idle workers so they can carve it up.
+            if (range.size() >= stealFloor())
+                cvWork.notify_all();
+
+            if (ranOnLease == 0) {
+                double acquireWait = 0.0;
+                try {
+                    lease = pool.acquireKeyed(key, spec->machine,
+                                              &acquireWait);
+                } catch (const std::exception &ex) {
+                    // Machine construction rejected the config: fail
+                    // THIS task; letting the exception leave the
+                    // thread would terminate the whole service.
+                    ShardPartial p;
+                    p.range = range;
+                    p.error =
+                        std::string("machine unavailable: ") + ex.what();
+                    lock.lock();
+                    deliverShardLocked(task.id, task.shard, std::move(p));
+                    --inFlight;
+                    cvDone.notify_all();
+                    break;
+                }
+                // One pool-wait sample per acquisition (batched tasks
+                // reuse the lease and pay no wait -- that is the point
+                // of batching, so they contribute no sample). The
+                // sample is the time acquire spent BLOCKED on a fully
+                // leased pool, not the cost of constructing a cold
+                // machine.
+                lock.lock();
+                notePoolWaitLocked(acquireWait);
+                lock.unlock();
+            }
+            traceRecord(task.id, TracePhase::Leased, task.shard);
             RunSample sample;
             traceRecord(task.id, TracePhase::ShardStart, task.shard);
-            if (sharded) {
-                ShardPartial partial =
-                    runShard(*spec, lease.machine(), task.id,
-                             task.shard, range, sample);
-                traceRecord(task.id, TracePhase::ShardFinish,
-                            task.shard);
-                lock.lock();
-                ++counters.shardsExecuted;
-                ms.shardsExecuted.inc();
-                deliverShardLocked(task.id, task.shard,
-                                   std::move(partial));
-            } else {
-                JobResult result =
-                    runJob(*spec, lease.machine(), sample);
-                traceRecord(task.id, TracePhase::ShardFinish,
-                            task.shard);
-                lock.lock();
-                finishLocked(task.id, std::move(result));
-            }
+            ShardPartial partial = runShard(*spec, lease.machine(),
+                                            task.id, task.shard, range,
+                                            sample);
+            traceRecord(task.id, TracePhase::ShardFinish, task.shard);
+            lock.lock();
+            ++counters.shardsExecuted;
+            ms.shardsExecuted.inc();
+            deliverShardLocked(task.id, task.shard, std::move(partial));
             noteRunLocked(sample);
             ++ranOnLease;
             --inFlight;
@@ -1211,36 +1133,14 @@ JobScheduler::workerLoop()
             // Lease batching: when the task the priority policy
             // would pick next wants this machine configuration, run
             // it on the same lease without a pool round-trip.
-            if (!stop && !queue.empty() &&
-                ranOnLease < cfg.leaseBatchLimit) {
-                std::size_t next = pickBestLocked();
-                Entry &ne = entries.at(queue[next].id);
-                if (ne.key == key) {
-                    task = queue[next];
-                    queue.erase(queue.begin() +
-                                static_cast<std::ptrdiff_t>(next));
-                    ++inFlight;
-                    ne.jobStatus = JobStatus::Running;
-                    spec = ne.spec;
-                    sharded = !ne.shardRanges.empty();
-                    range = sharded ? ne.shardRanges[task.shard]
-                                    : RoundRange{};
-                    if (sharded) {
-                        ne.progress[task.shard].running = true;
-                        activeSharded.insert(task.id);
-                    }
-                    ++counters.batchedJobs;
-                    ms.batchedJobs.inc();
-                    lock.unlock();
-                    cvSpace.notify_one();
-                    if (sharded)
-                        cvWork.notify_all();
-                    traceRecord(task.id, TracePhase::Leased,
-                                task.shard);
-                    continue;
-                }
-            }
-            break;
+            if (stop || queue.empty() || ranOnLease >= kLeaseBatchLimit)
+                break;
+            std::size_t next = pickBestLocked();
+            if (entries.at(queue[next].id).key != key)
+                break;
+            task = takeLocked(next);
+            ++counters.batchedJobs;
+            ms.batchedJobs.inc();
         }
         // Still holding the lock from the loop exit; release the
         // lease outside it (reset + pool hand-back take the pool

@@ -11,12 +11,13 @@
  * of Normal/Batch work, while aging guarantees the backlog is never
  * starved by a continuous stream of fresh High jobs.
  *
- * SHARDING. An opaque job (JobSpec::rounds == 0) is one task. A
- * round-structured job is split by partitionRounds() into contiguous
- * round ranges, one task per shard, which run in parallel on pooled
- * machines; the worker finishing the last shard merges the per-round
- * collector sums in global round order. Per-round RNG derivation
- * (runtime/keys.hh) plus the order-preserving merge make the merged
+ * ONE TASK KIND. Every job is split by partitionRounds() into
+ * contiguous round ranges, one task per shard; an opaque job
+ * (JobSpec::rounds == 0) is one shard of one round. Every task runs
+ * through the same per-round loop on a pooled machine, and the worker
+ * finishing a job's last shard merges the per-round collector sums in
+ * global round order. The stream choice of runtime/keys.hh
+ * (roundStreams) plus the order-preserving merge make the merged
  * result bit-identical for every shard count and worker count.
  *
  * BATCHING. After a task, while the worker still holds its machine
@@ -32,24 +33,24 @@
  * with no polling loop holding a thread per pending job.
  *
  * WORK STEALING. A slow shard would otherwise gate its job's merge
- * while other workers idle. With workSteal enabled, the executing
- * worker claims its shard's rounds one at a time (contiguously, under
- * the scheduler mutex) and an idle worker may SPLIT the largest
- * in-flight shard: the tail half of its unclaimed rounds becomes a
- * new shard the thief runs immediately. Because every round derives
- * its RNG streams from (seed, round) and the merge walks partials in
- * round order, stealing changes WHO runs a round but never WHAT it
- * computes -- merged results stay bit-identical with stealing on or
- * off, at any worker count.
+ * while other workers idle. The executing worker claims its shard's
+ * rounds one at a time (contiguously, under the scheduler mutex) --
+ * the only way a round is ever claimed -- and an idle worker may
+ * SPLIT the largest in-flight shard: the tail half of its unclaimed
+ * rounds becomes a new shard the thief runs immediately. Because
+ * every round derives its RNG streams from (seed, round) and the
+ * merge walks partials in round order, stealing changes WHO runs a
+ * round but never WHAT it computes -- merged results stay
+ * bit-identical at any worker count.
  *
  * ADMISSION. Executed jobs sample QumaMachine::stats(): a run whose
  * timing event queues rejected a push (producer backpressure; deep
  * queues alone are healthy) or silently dropped stale events counts
- * as saturated, and an EWMA of that
- * signal drives trySubmit's effective queue bound. While the machines report saturation the scheduler
- * stops accepting work it could only queue (adding depth would add
- * latency, not throughput); the configured queueCapacity remains the
- * hard ceiling, and blocking submit() always uses it.
+ * as saturated, and an EWMA of that signal drives trySubmit's
+ * effective queue bound. While the machines report saturation the
+ * scheduler stops accepting work it could only queue (adding depth
+ * would add latency, not throughput); the configured queueCapacity
+ * remains the hard ceiling, and blocking submit() always uses it.
  */
 
 #ifndef QUMA_RUNTIME_SCHEDULER_HH
@@ -108,8 +109,6 @@ struct SchedulerConfig
      * deployments) fill the bounded queue before draining begins.
      */
     bool startPaused = false;
-    /** Max same-config tasks executed on one pool lease. */
-    std::size_t leaseBatchLimit = 8;
     /**
      * Finished JobResults retained for poll/await. When exceeded the
      * oldest finished results age out and their ids report unknown.
@@ -123,10 +122,6 @@ struct SchedulerConfig
      * tie with fresh High work.
      */
     std::size_t agingQuantum = 64;
-    /** Enable machine-stats-driven admission for trySubmit. */
-    bool adaptiveAdmission = true;
-    /** Saturation EWMA above this tightens the effective bound. */
-    double saturationThreshold = 0.5;
     /** Effective bound while congested, as a queueCapacity fraction
      *  (floored at the worker count). */
     double congestedQueueFraction = 0.25;
@@ -141,8 +136,6 @@ struct SchedulerConfig
      * the bottleneck, so adding depth would add latency only.
      */
     double poolWaitThresholdSeconds = 0.02;
-    /** EWMA smoothing of the per-acquisition pool-wait samples. */
-    double poolWaitAlpha = 0.25;
     /**
      * Completions remembered by finishedIds(), newest-N ring. Bounds
      * the completion-order observable separately from result
@@ -156,13 +149,6 @@ struct SchedulerConfig
      * -- the default ExperimentService wiring.
      */
     JobTraceRecorder *trace = nullptr;
-    /**
-     * Let idle workers split the remaining round range of a running
-     * shard (see WORK STEALING above). Results are bit-identical
-     * either way; off trades tail-latency rebalancing for
-     * strictly lock-free round execution inside a shard.
-     */
-    bool workSteal = true;
     /**
      * A shard is a steal victim only while it still has at least
      * this many unclaimed rounds (floored at 2 so the victim always
@@ -209,7 +195,7 @@ class JobScheduler
         std::size_t batchedJobs = 0;
         /** Jobs split into more than one shard. */
         std::size_t shardedJobs = 0;
-        /** Shard tasks executed (incl. single-shard round jobs). */
+        /** Tasks executed: every shard, opaque jobs included. */
         std::size_t shardsExecuted = 0;
         /** Runs whose machine reported queue saturation. */
         std::size_t saturatedRuns = 0;
@@ -320,10 +306,9 @@ class JobScheduler
         std::function<void(JobId, std::size_t, std::size_t)>;
 
     /**
-     * Register `callback` for round-completion progress on a
-     * round-structured job, rate-limited by
-     * SchedulerConfig::progressInterval. Unlike subscribe() this is
-     * BEST-EFFORT and not one-shot: callbacks fire zero or more
+     * Register `callback` for round-completion progress, rate-limited
+     * by SchedulerConfig::progressInterval. Unlike subscribe() this
+     * is BEST-EFFORT and not one-shot: callbacks fire zero or more
      * times (a failed job gets no final frame; the completion push,
      * not a 100% notification, is the terminal signal) and ride the
      * same notifier thread in queue order -- every progress
@@ -333,7 +318,9 @@ class JobScheduler
      * subscriber that then subscribe()s for the result still sees
      * done == total first. Unknown ids are ignored rather than
      * fatal: the serving layer subscribes in a race with bounded
-     * retention. Subscriptions end with the job.
+     * retention. Subscriptions end with the job. An opaque job
+     * (rounds == 0) has no rounds to report: its one frame is the
+     * forced (0, 0) at finish.
      */
     void subscribeProgress(JobId id, ProgressCallback callback);
 
@@ -415,8 +402,8 @@ class JobScheduler
         std::size_t seq = 0;
         /** Submission instant (latency tracking reference point). */
         std::chrono::steady_clock::time_point submittedAt;
-        /** Round ranges per shard; empty for opaque jobs. Stolen
-         *  shards are appended, so ranges are not sorted -- the
+        /** Round ranges per shard (an opaque job has one, {0, 1}).
+         *  Stolen shards are appended, so ranges are not sorted -- the
          *  merge orders partials by range.begin. */
         std::vector<RoundRange> shardRanges;
         std::vector<ShardPartial> partials;
@@ -434,7 +421,7 @@ class JobScheduler
         std::chrono::steady_clock::time_point lastProgressAt{};
     };
 
-    /** One queued unit of work: a whole opaque job or one shard. */
+    /** One queued unit of work: one shard of a job. */
     struct Task
     {
         JobId id = 0;
@@ -482,8 +469,6 @@ class JobScheduler
     /** Queue a progress snapshot for every subscriber (rate-limited
      *  unless `force` -- the final 100% push is forced). */
     void queueProgressLocked(JobId id, Entry &entry, bool force);
-    JobResult runJob(const JobSpec &spec, core::QumaMachine &machine,
-                     RunSample &sample);
     ShardPartial runShard(const JobSpec &spec,
                           core::QumaMachine &machine, JobId id,
                           std::uint32_t shard, RoundRange range,
@@ -492,6 +477,13 @@ class JobScheduler
      *  a new shard of its job; nullopt when nothing is stealable. */
     std::optional<Task> stealLocked();
     bool stealableLocked() const;
+    /** Rounds a shard must still have unclaimed to be a victim. */
+    std::size_t stealFloor() const
+    {
+        return std::max<std::size_t>(cfg.minStealRounds, 2);
+    }
+    /** Dequeue queue[slot] and mark its job and shard running. */
+    Task takeLocked(std::size_t slot);
     /** Fold one task's machine samples into counters and EWMAs. */
     void noteRunLocked(const RunSample &sample);
     JobId enqueueLocked(JobSpec &&spec);
@@ -553,7 +545,7 @@ class JobScheduler
     std::condition_variable cvDone;
     std::deque<Task> queue;
     std::unordered_map<JobId, Entry> entries;
-    /** Jobs with shards currently executing -- the steal scan's
+    /** Jobs with a shard started at victim size -- the steal scan's
      *  candidate set, so idle workers never walk all entries. */
     std::unordered_set<JobId> activeSharded;
     /** Finished ids, oldest first (drives bounded result retention). */
@@ -582,9 +574,6 @@ class JobScheduler
      *  erased when the job finishes). */
     std::unordered_map<JobId, std::vector<ProgressCallback>>
         progressSubs;
-    /** Live progress-subscription count: lets the non-stealing
-     *  round loop skip the mutex entirely when nobody listens. */
-    std::atomic<std::size_t> progressSubCount{0};
     /** Fired-but-undelivered notifications, completion order. */
     std::deque<Notification> notifyQueue;
     std::condition_variable cvNotify;

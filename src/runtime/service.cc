@@ -68,16 +68,11 @@ schedulerConfigOf(const ServiceConfig &cfg, JobTraceRecorder *trace)
     sc.workers = cfg.workers;
     sc.queueCapacity = cfg.queueCapacity;
     sc.startPaused = cfg.startPaused;
-    sc.leaseBatchLimit = cfg.leaseBatchLimit;
     sc.maxRetainedResults = cfg.maxRetainedResults;
     sc.agingQuantum = cfg.agingQuantum;
-    sc.adaptiveAdmission = cfg.adaptiveAdmission;
-    sc.saturationThreshold = cfg.saturationThreshold;
     sc.congestedQueueFraction = cfg.congestedQueueFraction;
     sc.saturationAlpha = cfg.saturationAlpha;
     sc.poolWaitThresholdSeconds = cfg.poolWaitThresholdSeconds;
-    sc.poolWaitAlpha = cfg.poolWaitAlpha;
-    sc.workSteal = cfg.workSteal;
     sc.minStealRounds = cfg.minStealRounds;
     sc.progressInterval = cfg.progressInterval;
     sc.finishedHistoryLimit = cfg.finishedHistoryLimit;
@@ -87,8 +82,7 @@ schedulerConfigOf(const ServiceConfig &cfg, JobTraceRecorder *trace)
 } // namespace
 
 ExperimentService::ExperimentService(ServiceConfig config)
-    : cacheStore(config.cachedPrograms, config.cachedLuts),
-      poolStore(config.poolCapacity ? config.poolCapacity
+    : poolStore(config.poolCapacity ? config.poolCapacity
                                     : config.workers + 2,
                 &cacheStore),
       traceStore(config.traceCapacity),

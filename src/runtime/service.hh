@@ -35,25 +35,18 @@ struct ServiceConfig
     std::size_t queueCapacity = 256;
     /** Pool capacity; 0 = workers + 2 (one spare per config flip). */
     std::size_t poolCapacity = 0;
-    std::size_t cachedPrograms = 256;
-    std::size_t cachedLuts = 64;
     bool startPaused = false;
-    std::size_t leaseBatchLimit = 8;
     std::size_t maxRetainedResults = 65536;
     /** Priority aging: one class step per this many newer
      *  submissions (0 = pure class order, no aging). */
     std::size_t agingQuantum = 64;
     /** Machine-stats-driven admission control for trySubmit (see
      *  SchedulerConfig for the saturation knobs). */
-    bool adaptiveAdmission = true;
-    double saturationThreshold = 0.5;
     double congestedQueueFraction = 0.25;
     double saturationAlpha = 0.25;
     /** Pool-wait admission signal (see SchedulerConfig). */
     double poolWaitThresholdSeconds = 0.02;
-    double poolWaitAlpha = 0.25;
-    /** Work stealing between shards (see SchedulerConfig). */
-    bool workSteal = true;
+    /** Work-stealing victim floor (see SchedulerConfig). */
     std::size_t minStealRounds = 4;
     /** Per-job progress-notification rate limit (see
      *  SchedulerConfig::progressInterval; 0 = every round). */

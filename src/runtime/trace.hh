@@ -55,7 +55,7 @@ enum class TracePhase : std::uint8_t
     Queued = 2,
     /** A worker bound one of the job's tasks to a machine lease. */
     Leased = 3,
-    /** One shard (or the whole opaque job, shard 0) started running. */
+    /** One shard (an opaque job has one, shard 0) started running. */
     ShardStart = 4,
     /** That shard finished (successfully or not). */
     ShardFinish = 5,

@@ -221,18 +221,20 @@ TimingController::mdQueueSnapshot(unsigned queue) const
     return mdQueues[queue].snapshot();
 }
 
-bool
-TimingController::pulseQueueFull(unsigned queue) const
+std::size_t
+TimingController::pulseQueueFree(unsigned queue) const
 {
     quma_assert(queue < pulseQueues.size(), "pulse queue out of range");
-    return pulseQueues[queue].full();
+    const auto &q = pulseQueues[queue];
+    return q.capacity() - q.size();
 }
 
-bool
-TimingController::mdQueueFull(unsigned queue) const
+std::size_t
+TimingController::mdQueueFree(unsigned queue) const
 {
     quma_assert(queue < mdQueues.size(), "MD queue out of range");
-    return mdQueues[queue].full();
+    const auto &q = mdQueues[queue];
+    return q.capacity() - q.size();
 }
 
 bool

@@ -168,9 +168,10 @@ class TimingController
     std::vector<MpgEvent> mpgQueueSnapshot() const;
     std::vector<MdEvent> mdQueueSnapshot(unsigned queue) const;
     bool timingQueueFull() const { return timingQueue.full(); }
-    bool pulseQueueFull(unsigned queue) const;
+    /** Entries a push could still fill (capacity minus size). */
+    std::size_t pulseQueueFree(unsigned queue) const;
     bool mpgQueueFull() const { return mpgQueue.full(); }
-    bool mdQueueFull(unsigned queue) const;
+    std::size_t mdQueueFree(unsigned queue) const;
     bool allQueuesEmpty() const;
 
   private:

@@ -8,8 +8,7 @@
  * backend that is down at connect time is routed around, losing a
  * backend mid-sweep fails its jobs over with no client-visible
  * difference, drain removes a backend from routing while in-flight
- * work finishes, a v3 client is served through a v4 gateway with
- * v3-stamped replies and no progress pushes, a full backend queue
+ * work finishes, a full backend queue
  * blocks a submit through the gateway without losing or duplicating
  * a job, a StatsRequest answers with the merged fleet view, and a
  * client's merged trace holds the backends' lifecycle events under
@@ -26,7 +25,6 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "common/metrics.hh"
@@ -307,20 +305,20 @@ TEST(Gateway, NoHealthyBackendAnswersCleanErrors)
     std::uint16_t port = listener->port();
     QumaGateway gw(std::move(backends), std::move(listener));
 
-    // Raw v3 frames: a Submit gets ErrorReply{Internal}, a
-    // TrySubmit gets a clean rejection -- and the connection stays
-    // serviceable afterwards (a Stats round trip still answers).
+    // Raw frames: a Submit gets ErrorReply{Internal}, a TrySubmit
+    // gets a clean rejection -- and the connection stays serviceable
+    // afterwards (a Stats round trip still answers).
     std::unique_ptr<ByteStream> raw = tcpConnect("127.0.0.1", port);
     Writer submit;
     encodeJobSpec(submit, sweepSpecs(1, 4)[0]);
+    encodeTraceContext(submit, TraceContext{});
     std::vector<std::uint8_t> frame =
-        sealFrame(MsgType::SubmitRequest, 1, submit, 3);
+        sealFrame(MsgType::SubmitRequest, 1, submit);
     raw->sendAll(frame.data(), frame.size());
     {
         std::uint8_t header[kFrameHeaderBytes];
         ASSERT_TRUE(raw->recvAll(header, sizeof(header)));
-        EXPECT_EQ(checkFramePrefixCompat(header), 3u);
-        FrameHeader fh = decodeFrameHeaderUnchecked(header);
+        FrameHeader fh = decodeFrameHeader(header);
         ASSERT_EQ(fh.type, MsgType::ErrorReply);
         EXPECT_EQ(fh.requestId, 1u);
         std::vector<std::uint8_t> body(fh.length);
@@ -329,12 +327,12 @@ TEST(Gateway, NoHealthyBackendAnswersCleanErrors)
         ErrorFrame err = decodeErrorFrame(r);
         EXPECT_EQ(err.code, WireErrorCode::Internal);
     }
-    frame = sealFrame(MsgType::TrySubmitRequest, 2, submit, 3);
+    frame = sealFrame(MsgType::TrySubmitRequest, 2, submit);
     raw->sendAll(frame.data(), frame.size());
     {
         std::uint8_t header[kFrameHeaderBytes];
         ASSERT_TRUE(raw->recvAll(header, sizeof(header)));
-        FrameHeader fh = decodeFrameHeaderUnchecked(header);
+        FrameHeader fh = decodeFrameHeader(header);
         ASSERT_EQ(fh.type, MsgType::TrySubmitReply);
         std::vector<std::uint8_t> body(fh.length);
         ASSERT_TRUE(raw->recvAll(body.data(), body.size()));
@@ -555,74 +553,6 @@ TEST(Gateway, ProgressPushesReachTheClientUnderGatewayIds)
     for (JobId id : ids)
         EXPECT_EQ(lastDone[id], 8u) << "gateway job " << id;
     EXPECT_GE(gw->stats().progressForwarded, ids.size());
-}
-
-// --- wire compatibility -----------------------------------------------------
-
-/** Read one frame tolerant of any compatible version stamp. */
-std::tuple<std::uint16_t, FrameHeader, std::vector<std::uint8_t>>
-recvFrameCompat(ByteStream &stream)
-{
-    std::uint8_t header[kFrameHeaderBytes];
-    EXPECT_TRUE(stream.recvAll(header, sizeof(header)));
-    std::uint16_t version = checkFramePrefixCompat(header);
-    FrameHeader fh = decodeFrameHeaderUnchecked(header);
-    std::vector<std::uint8_t> payload(fh.length);
-    if (fh.length > 0) {
-        EXPECT_TRUE(stream.recvAll(payload.data(), payload.size()));
-    }
-    return {version, fh, std::move(payload)};
-}
-
-TEST(Gateway, V3ClientIsServedThroughV4Gateway)
-{
-    ServiceConfig sc;
-    sc.workers = 1;
-    sc.progressInterval = std::chrono::milliseconds(0);
-    auto fleet = makeFleet(2, sc);
-    auto [gw, port] = makeGateway(fleet);
-
-    std::unique_ptr<ByteStream> raw = tcpConnect("127.0.0.1", port);
-    // A v3 submit: JobSpec only, no appended trace context. The
-    // sweep spec is SHARDED, so a v4 peer would see progress pushes
-    // -- the v3 peer must not.
-    Writer submit;
-    encodeJobSpec(submit, sweepSpecs(1, 8)[0]);
-    std::vector<std::uint8_t> frame =
-        sealFrame(MsgType::SubmitRequest, 7, submit, 3);
-    raw->sendAll(frame.data(), frame.size());
-    auto [sver, sfh, sbody] = recvFrameCompat(*raw);
-    EXPECT_EQ(sver, 3u) << "reply to a v3 peer must be v3-stamped";
-    ASSERT_EQ(sfh.type, MsgType::SubmitReply);
-    EXPECT_EQ(sfh.requestId, 7u);
-    Reader sr(sbody);
-    JobId id = sr.u64();
-    sr.expectEnd();
-
-    Writer await;
-    await.u64(id);
-    frame = sealFrame(MsgType::AwaitRequest, 8, await, 3);
-    raw->sendAll(frame.data(), frame.size());
-    auto [aver, afh, abody] = recvFrameCompat(*raw);
-    EXPECT_EQ(aver, 3u);
-    ASSERT_EQ(afh.type, MsgType::AwaitReply)
-        << "the first push after a v3 await must be the result, "
-           "never a ProgressFrame";
-    EXPECT_EQ(afh.requestId, 8u);
-    Reader ar(abody);
-    JobResult result = decodeJobResult(ar);
-    EXPECT_FALSE(result.failed());
-
-    // Stats through the gateway at v3: the merged fleet frame.
-    frame = sealFrame(MsgType::StatsRequest, 9, Writer{}, 3);
-    raw->sendAll(frame.data(), frame.size());
-    auto [tver, tfh, tbody] = recvFrameCompat(*raw);
-    EXPECT_EQ(tver, 3u);
-    ASSERT_EQ(tfh.type, MsgType::StatsReply);
-    Reader tr(tbody);
-    StatsFrame stats = decodeStatsFrame(tr);
-    EXPECT_EQ(stats.scheduler.submitted, 1u);
-    EXPECT_EQ(gw->stats().progressForwarded, 0u);
 }
 
 // --- backpressure -----------------------------------------------------------

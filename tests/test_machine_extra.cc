@@ -127,6 +127,94 @@ TEST(MachineExtra, ResetClearsQueueSaturationCounters)
     EXPECT_EQ(m.stats().queues.timing.highWater, 0u);
 }
 
+/** What a QuantumPipeline delivered through its timing queues. */
+struct FanOutRun
+{
+    std::size_t delivered = 0;
+    std::size_t pushFailed = 0;
+    bool clean = false;
+    bool drained = false;
+};
+
+/**
+ * Two qubits share AWG 0 and MDU 0, and every pulse and MD queue
+ * holds `depth` events. `opener` (one event, label 0) takes a queue
+ * entry, a time point follows, then `fanout` sends two events with
+ * label 1 into that same queue. Label 0 fires only after the first
+ * drain, so the fan-out meets its queue with depth - 1 free entries.
+ */
+FanOutRun
+runFanOut(std::size_t depth, const isa::Instruction &opener,
+          const isa::Instruction &fanout)
+{
+    timing::TimingConfig tc;
+    tc.pulseQueueCapacity = depth;
+    tc.mdQueueCapacity = depth;
+    tc.numPulseQueues = 1;
+    tc.numMdQueues = 1;
+    timing::TimingController tcu(tc);
+    FanOutRun run;
+    tcu.setPulseSink([&](unsigned, Cycle, const timing::PulseEvent &) {
+        ++run.delivered;
+    });
+    tcu.setMdSink([&](unsigned, Cycle, const timing::MdEvent &) {
+        ++run.delivered;
+    });
+    TraceRecorder trace;
+    QuantumPipeline qp(microcode::QControlStore::standard(4, 300),
+                       QubitRouting{{0, 0}, {0, 0}}, tcu, trace);
+    for (const isa::Instruction &inst :
+         {opener, isa::Instruction::wait(100), fanout})
+        EXPECT_TRUE(qp.tryDispatch(inst));
+    Cycle now = 0;
+    auto drain = [&] {
+        for (int i = 0; i < 8; ++i)
+            qp.drainAt(++now);
+    };
+    drain();
+    tcu.start(0); // label 0 fires: the opener leaves its queue
+    drain();
+    tcu.advanceTo(now + 1000);
+    run.pushFailed = tcu.queueStats().totalPushFailed();
+    run.clean = tcu.violations().clean();
+    run.drained = qp.empty() && tcu.allQueuesEmpty();
+    return run;
+}
+
+/**
+ * One instruction can fan several events into ONE timing queue: a
+ * Pulse with two slots on qubits of the same AWG, or an MD over two
+ * qubits that share an MDU. The room check must count those events
+ * against the queue's free entries -- not test "not full" once per
+ * event, which let the second push fail and its event vanish. With
+ * one free entry the fan-out waits for room and then issues whole;
+ * with a queue too shallow to ever hold it, the machine refuses
+ * loudly instead of dropping an event.
+ */
+TEST(MachineExtra, QueueFanOutCountsFreeEntriesPerQueue)
+{
+    using isa::Instruction;
+    const Instruction pulseFanOut = Instruction::pulse(
+        {{QubitMask{1}, isa::uops::X180}, {QubitMask{1}, isa::uops::Y90}});
+    const Instruction mdFanOut = Instruction::md(QubitMask{0b11}, 7);
+    const std::pair<Instruction, Instruction> cases[] = {
+        {Instruction::pulse1(QubitMask{1}, isa::uops::X90), pulseFanOut},
+        {Instruction::md(QubitMask{1}, 6), mdFanOut},
+    };
+    for (const auto &[opener, fanout] : cases) {
+        FanOutRun run = runFanOut(2, opener, fanout);
+        EXPECT_EQ(run.pushFailed, 0u) << isa::toString(fanout);
+        EXPECT_EQ(run.delivered, 3u) << isa::toString(fanout);
+        EXPECT_TRUE(run.clean) << isa::toString(fanout);
+        EXPECT_TRUE(run.drained) << isa::toString(fanout);
+
+        setLogQuiet(true);
+        EXPECT_THROW(runFanOut(1, opener, fanout), FatalError)
+            << isa::toString(fanout);
+        setLogQuiet(false);
+    }
+}
+
 TEST(MachineExtra, HorizontalPulseRoutesAcrossAwgs)
 {
     MachineConfig cfg;

@@ -3,8 +3,8 @@
  * Tests of the network serving layer: wire-format round-trips for
  * every message type, defensive rejection of malformed frames
  * (truncated, oversized, bad magic, foreign version -- no UB),
- * wire-v2 version negotiation (a v1 frame without a requestId is
- * answered with a clean VersionMismatch error frame), truncation
+ * version checking (a v1 frame without a requestId, or a v3 frame,
+ * is answered with a clean VersionMismatch error frame), truncation
  * fuzzing of the 20-byte multiplexed header, the in-process
  * loopback transport, the server's request dispatch and
  * cancel-on-disconnect, and -- the acceptance invariants -- a
@@ -22,7 +22,6 @@
 #include <map>
 #include <mutex>
 #include <thread>
-#include <tuple>
 
 #include "common/logging.hh"
 #include "experiments/allxy.hh"
@@ -225,9 +224,12 @@ TEST(Wire, FrameHeaderRejectsForeignVersion)
     } catch (const WireVersionError &ex) {
         EXPECT_EQ(ex.peerVersion, kWireVersion + 1);
     }
-    // The legacy v1 value is equally foreign to a v2 speaker.
-    frame[4] = 1;
-    EXPECT_THROW(decodeFrameHeader(frame.data()), WireVersionError);
+    // Every older value is equally foreign, v3 included: the header
+    // layout is unchanged since v2, but the server speaks v4 only.
+    for (std::uint8_t legacy : {1, 3}) {
+        frame[4] = legacy;
+        EXPECT_THROW(decodeFrameHeader(frame.data()), WireVersionError);
+    }
 }
 
 TEST(Wire, FrameHeaderRejectsUnknownType)
@@ -847,7 +849,7 @@ sealV1Frame(MsgType type, const Writer &payload)
     return frame;
 }
 
-TEST(Loopback, LegacyV1FrameGetsCleanVersionMismatchThenHangup)
+TEST(Loopback, LegacyFrameGetsCleanVersionMismatchThenHangup)
 {
     ExperimentService service({.workers = 1});
     auto listener = std::make_unique<LoopbackListener>();
@@ -894,6 +896,22 @@ TEST(Loopback, LegacyV1FrameGetsCleanVersionMismatchThenHangup)
     EXPECT_EQ(decodeErrorFrame(tr).code,
               WireErrorCode::VersionMismatch);
     EXPECT_FALSE(short_raw->recvAll(&probe, 1));
+
+    // A v3 frame shares the v4 header layout, but the server speaks
+    // v4 only: it too gets VersionMismatch and a close.
+    std::unique_ptr<ByteStream> v3_raw = accept_side->connect();
+    std::vector<std::uint8_t> v3 =
+        sealFrame(MsgType::StatsRequest, 5, Writer{});
+    v3[4] = 3;
+    v3_raw->sendAll(v3.data(), v3.size());
+    auto [vfh, vbody] = recvFrame(*v3_raw);
+    EXPECT_EQ(vfh.type, MsgType::ErrorReply);
+    EXPECT_EQ(vfh.requestId, kConnectionRequestId);
+    Reader vr(vbody);
+    ErrorFrame ve = decodeErrorFrame(vr);
+    EXPECT_EQ(ve.code, WireErrorCode::VersionMismatch);
+    EXPECT_NE(ve.message.find("version 3"), std::string::npos);
+    EXPECT_FALSE(v3_raw->recvAll(&probe, 1));
 }
 
 TEST(Loopback, SlowConsumerOverflowTearsTheConnectionDown)
@@ -1324,7 +1342,7 @@ TEST(Loopback, SubmitCarriesTraceContextToServerRecorder)
 TEST(Loopback, ProgressStreamsMonotonicallyBitIdenticalEverywhere)
 {
     // THE progress acceptance sweep: the same sharded AllXY job at
-    // every shards x workers x stealing combination must (a) stream
+    // every shards x workers combination (stealing always on) must (a) stream
     // monotonic progress ending exactly at done == total ahead of
     // the result, and (b) produce the bit-identical JobResult the
     // quiet in-process run produces -- observability must never
@@ -1334,9 +1352,10 @@ TEST(Loopback, ProgressStreamsMonotonicallyBitIdenticalEverywhere)
     cfg.seed = 0xa11c;
 
     // One quiet in-process reference PER spec: a sharded job runs
-    // round-by-round with per-round RNG streams, a 1-shard job as a
-    // single machine run, so the bit-identity contract is per spec
-    // (any workers x stealing x progress), not across shard counts.
+    // round-by-round with per-round RNG streams, a 1-shard job as
+    // one opaque round on the job-level streams, so the bit-identity
+    // contract is per spec (any workers x progress), not across shard
+    // counts.
     std::map<std::uint32_t, JobResult> localByShards;
     for (std::uint32_t shards : {1u, 4u}) {
         cfg.shards = shards;
@@ -1345,57 +1364,50 @@ TEST(Loopback, ProgressStreamsMonotonicallyBitIdenticalEverywhere)
         ASSERT_FALSE(localByShards[shards].failed());
     }
 
-    for (bool steal : {false, true}) {
-        for (unsigned workers : {1u, 4u}) {
-            for (std::uint32_t shards : {1u, 4u}) {
-                ServiceConfig sc;
-                sc.workers = workers;
-                sc.workSteal = steal;
-                sc.progressInterval = std::chrono::milliseconds(0);
-                ExperimentService service(sc);
-                auto listener =
-                    std::make_unique<LoopbackListener>();
-                LoopbackListener *accept_side = listener.get();
-                QumaServer server(service, std::move(listener));
-                QumaClient client(accept_side->connect());
+    for (unsigned workers : {1u, 4u}) {
+        for (std::uint32_t shards : {1u, 4u}) {
+            ServiceConfig sc;
+            sc.workers = workers;
+            sc.progressInterval = std::chrono::milliseconds(0);
+            ExperimentService service(sc);
+            auto listener = std::make_unique<LoopbackListener>();
+            LoopbackListener *accept_side = listener.get();
+            QumaServer server(service, std::move(listener));
+            QumaClient client(accept_side->connect());
 
-                cfg.shards = shards;
-                JobSpec spec = experiments::allxyJob(cfg);
-                std::vector<runtime::JobId> ids =
-                    client.submitAll({spec});
-                std::mutex mu;
-                std::vector<std::pair<std::uint64_t, std::uint64_t>>
-                    seen;
-                auto streamed = client.awaitMany(
-                    ids, [&](runtime::JobId job, std::uint64_t done,
-                             std::uint64_t total) {
-                        std::lock_guard<std::mutex> lock(mu);
-                        EXPECT_EQ(job, ids[0]);
-                        seen.emplace_back(done, total);
-                    });
+            cfg.shards = shards;
+            JobSpec spec = experiments::allxyJob(cfg);
+            std::vector<runtime::JobId> ids = client.submitAll({spec});
+            std::mutex mu;
+            std::vector<std::pair<std::uint64_t, std::uint64_t>> seen;
+            auto streamed = client.awaitMany(
+                ids, [&](runtime::JobId job, std::uint64_t done,
+                         std::uint64_t total) {
+                    std::lock_guard<std::mutex> lock(mu);
+                    EXPECT_EQ(job, ids[0]);
+                    seen.emplace_back(done, total);
+                });
 
-                // awaitMany returned, so every queued progress
-                // notification was delivered first (FIFO notifier).
-                std::lock_guard<std::mutex> lock(mu);
-                ASSERT_FALSE(seen.empty())
-                    << "no progress at shards=" << shards
-                    << " workers=" << workers << " steal=" << steal;
-                std::uint64_t prev = 0;
-                for (auto &[done, total] : seen) {
-                    EXPECT_EQ(total, spec.rounds);
-                    EXPECT_GE(done, prev) << "progress went backwards";
-                    EXPECT_LE(done, total);
-                    prev = done;
-                }
-                EXPECT_EQ(seen.back().first, spec.rounds)
-                    << "final frame must report done == total";
-
-                ASSERT_EQ(streamed.size(), 1u);
-                EXPECT_EQ(streamed[0].second, localByShards[shards])
-                    << "progress streaming perturbed the result at "
-                    << "shards=" << shards << " workers=" << workers
-                    << " steal=" << steal;
+            // awaitMany returned, so every queued progress
+            // notification was delivered first (FIFO notifier).
+            std::lock_guard<std::mutex> lock(mu);
+            ASSERT_FALSE(seen.empty())
+                << "no progress at shards=" << shards
+                << " workers=" << workers;
+            std::uint64_t prev = 0;
+            for (auto &[done, total] : seen) {
+                EXPECT_EQ(total, spec.rounds);
+                EXPECT_GE(done, prev) << "progress went backwards";
+                EXPECT_LE(done, total);
+                prev = done;
             }
+            EXPECT_EQ(seen.back().first, spec.rounds)
+                << "final frame must report done == total";
+
+            ASSERT_EQ(streamed.size(), 1u);
+            EXPECT_EQ(streamed[0].second, localByShards[shards])
+                << "progress streaming perturbed the result at "
+                << "shards=" << shards << " workers=" << workers;
         }
     }
 }
@@ -1472,70 +1484,6 @@ TEST(Loopback, DisconnectMidSweepLeavesOtherConnectionsStreaming)
     std::lock_guard<std::mutex> lock(mu);
     EXPECT_GE(aliveProgress, 1u)
         << "survivor stopped receiving progress";
-}
-
-/** Read one frame tolerant of any compatible version stamp. */
-std::tuple<std::uint16_t, FrameHeader, std::vector<std::uint8_t>>
-recvFrameCompat(ByteStream &stream)
-{
-    std::uint8_t header[kFrameHeaderBytes];
-    EXPECT_TRUE(stream.recvAll(header, sizeof(header)));
-    std::uint16_t version = checkFramePrefixCompat(header);
-    FrameHeader fh = decodeFrameHeaderUnchecked(header);
-    std::vector<std::uint8_t> payload(fh.length);
-    if (fh.length > 0) {
-        EXPECT_TRUE(stream.recvAll(payload.data(), payload.size()));
-    }
-    return {version, fh, std::move(payload)};
-}
-
-TEST(Loopback, V3ClientIsServedWithoutProgressFrames)
-{
-    // The backward-compat pin: a v3 peer submits WITHOUT a trace
-    // context and awaits WITHOUT progress pushes; every reply it
-    // gets back is sealed at v3 (its strict header check rejects a
-    // v4 stamp), and the awaited result is the job's result frame,
-    // never a ProgressFrame it cannot decode.
-    ServiceConfig sc;
-    sc.workers = 1;
-    sc.progressInterval = std::chrono::milliseconds(0);
-    ExperimentService service(sc);
-    auto listener = std::make_unique<LoopbackListener>();
-    LoopbackListener *accept_side = listener.get();
-    QumaServer server(service, std::move(listener));
-
-    std::unique_ptr<ByteStream> raw = accept_side->connect();
-    // A v3 submit: JobSpec only, no appended trace context.
-    Writer submit;
-    encodeJobSpec(submit, shotJob(4, 0x33));
-    std::vector<std::uint8_t> frame =
-        sealFrame(MsgType::SubmitRequest, 1, submit, 3);
-    raw->sendAll(frame.data(), frame.size());
-    auto [sver, sfh, sbody] = recvFrameCompat(*raw);
-    EXPECT_EQ(sver, 3u) << "reply to a v3 peer must be v3-stamped";
-    ASSERT_EQ(sfh.type, MsgType::SubmitReply);
-    Reader sr(sbody);
-    runtime::JobId id = sr.u64();
-    sr.expectEnd();
-
-    Writer await;
-    await.u64(id);
-    frame = sealFrame(MsgType::AwaitRequest, 2, await, 3);
-    raw->sendAll(frame.data(), frame.size());
-    auto [aver, afh, abody] = recvFrameCompat(*raw);
-    EXPECT_EQ(aver, 3u);
-    // The FIRST push after a v3 await is the result, not progress:
-    // the server must not subscribe progress for a v3 peer even
-    // with the rate limit at zero.
-    ASSERT_EQ(afh.type, MsgType::AwaitReply);
-    EXPECT_EQ(afh.requestId, 2u);
-    Reader ar(abody);
-    JobResult result = decodeJobResult(ar);
-    EXPECT_FALSE(result.failed());
-
-    // And no trace association was recorded for the v3 job.
-    EXPECT_EQ(service.trace().traceIdOf(id), 0u);
-    EXPECT_EQ(server.stats().progressFramesPushed, 0u);
 }
 
 } // namespace

@@ -10,12 +10,16 @@
 
 #include <algorithm>
 #include <chrono>
+#include <future>
 #include <set>
 #include <thread>
 
 #include "common/logging.hh"
+#include "common/rng.hh"
 #include "experiments/allxy.hh"
 #include "experiments/coherence.hh"
+#include "isa/assembler.hh"
+#include "runtime/keys.hh"
 #include "runtime/service.hh"
 
 namespace quma::runtime {
@@ -321,38 +325,97 @@ TEST(Sharding, ShardMergeIsBitIdenticalAcrossSplitsAndWorkers)
 }
 
 /**
+ * A job's result as a single QumaMachine session of its program on
+ * the opaque streams -- what an opaque job must reproduce bit for bit
+ * now that it runs as a one-round shard.
+ */
+JobResult
+directReplay(const JobSpec &job)
+{
+    core::QumaMachine machine(job.machine);
+    machine.uploadStandardCalibration();
+    machine.reset(Rng::derive(job.seed, kChipStream),
+                  Rng::derive(job.seed, kExecStream));
+    machine.configureDataCollection(job.bins);
+    machine.loadProgram(isa::Assembler().assemble(job.assembly));
+    JobResult r;
+    r.run = machine.run(job.maxCycles);
+    r.averages = machine.dataCollector().averages();
+    r.bitAverages = machine.dataCollector().bitAverages();
+    r.sampleCount = machine.dataCollector().sampleCount();
+    return r;
+}
+
+/**
  * Work stealing rebalances shards at round granularity, and because
  * every round's RNG streams are derived from (seed, round) and the
  * merge re-sums in global round order, the result must stay
- * bit-identical whether stealing is on or off, at every worker and
- * shard count.
+ * bit-identical at every worker and shard count. An opaque job
+ * (rounds == 0) runs the same path as one one-round shard and must
+ * match a direct machine replay of its looping program.
  */
 TEST(Sharding, StealingKeepsMergesBitIdentical)
 {
-    auto run = [](std::size_t shards, unsigned workers, bool steal) {
-        ServiceConfig sc;
-        sc.workers = workers;
-        sc.workSteal = steal;
-        sc.minStealRounds = 2;
-        ExperimentService svc(sc);
-        JobSpec job = shotJob(1, 0x57ea1); // one-round body
-        job.rounds = 32;
+    auto jobOf = [](std::size_t rounds, std::size_t shards) {
+        // Opaque: the program loops 32 times; round-structured: the
+        // one-round body, 32 rounds.
+        JobSpec job = shotJob(rounds ? 1 : 32, 0x57ea1);
+        job.rounds = rounds;
         job.shards = shards;
         job.minRoundsPerShard = 8;
-        return svc.runSync(std::move(job));
+        return job;
+    };
+    auto run = [&](std::size_t rounds, std::size_t shards,
+                   unsigned workers) {
+        ServiceConfig sc;
+        sc.workers = workers;
+        sc.minStealRounds = 2;
+        ExperimentService svc(sc);
+        return svc.runSync(jobOf(rounds, shards));
     };
 
-    JobResult pinned = run(1, 1, false);
-    ASSERT_FALSE(pinned.failed());
-    EXPECT_EQ(pinned.sampleCount, 32u);
+    for (std::size_t rounds : {std::size_t{0}, std::size_t{32}}) {
+        JobResult pinned = rounds ? run(rounds, 1, 1)
+                                  : directReplay(jobOf(0, 1));
+        ASSERT_FALSE(pinned.failed());
+        EXPECT_EQ(pinned.sampleCount, 32u);
+        for (std::size_t shards : {std::size_t{1}, std::size_t{2},
+                                   std::size_t{4}})
+            for (unsigned workers : {1u, 2u, 4u})
+                EXPECT_EQ(pinned, run(rounds, shards, workers))
+                    << "rounds=" << rounds << " shards=" << shards
+                    << " workers=" << workers;
+    }
+}
 
-    for (std::size_t shards : {std::size_t{1}, std::size_t{2},
-                               std::size_t{4}})
-        for (unsigned workers : {1u, 2u, 4u})
-            for (bool steal : {false, true})
-                EXPECT_EQ(pinned, run(shards, workers, steal))
-                    << "shards=" << shards << " workers=" << workers
-                    << " steal=" << steal;
+/**
+ * An opaque job has no rounds to report: a progress subscriber gets
+ * exactly one frame, (0, 0), forced at finish and delivered ahead of
+ * the result.
+ */
+TEST(Sharding, OpaqueJobReportsOneZeroProgressFrame)
+{
+    ExperimentService svc({.workers = 2,
+                           .startPaused = true,
+                           .progressInterval =
+                               std::chrono::milliseconds(0)});
+    JobId id = svc.submit(shotJob(8, 0x0fa));
+    // Both callbacks run on the one notifier thread, in queue order.
+    std::vector<std::pair<std::size_t, std::size_t>> frames;
+    std::promise<std::size_t> framesBeforeResult;
+    svc.scheduler().subscribeProgress(
+        id, [&](JobId, std::size_t done, std::size_t total) {
+            frames.emplace_back(done, total);
+        });
+    svc.scheduler().subscribe(
+        id, [&](JobId, std::shared_ptr<const JobResult>) {
+            framesBeforeResult.set_value(frames.size());
+        });
+    svc.start();
+    ASSERT_FALSE(svc.await(id).failed());
+    EXPECT_EQ(framesBeforeResult.get_future().get(), 1u);
+    ASSERT_EQ(frames.size(), 1u);
+    EXPECT_EQ(frames[0], std::make_pair(std::size_t{0}, std::size_t{0}));
 }
 
 /**
