@@ -69,7 +69,7 @@ Ctpg::advanceTo(Cycle now)
 void
 Ctpg::reset()
 {
-    pending = {};
+    pending.clear();
     orderCounter = 0;
     emitted = 0;
 }

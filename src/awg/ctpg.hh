@@ -13,9 +13,9 @@
 
 #include <functional>
 #include <optional>
-#include <queue>
 
 #include "awg/wavememory.hh"
+#include "common/heap.hh"
 #include "signal/converters.hh"
 #include "signal/pulse.hh"
 
@@ -115,8 +115,7 @@ class Ctpg
      * routes it straight into the chip model).
      */
     signal::DrivePulse emitPulse;
-    std::priority_queue<Pending, std::vector<Pending>, std::greater<>>
-        pending;
+    MinHeap<Pending> pending;
     std::uint64_t orderCounter = 0;
     std::size_t emitted = 0;
 };

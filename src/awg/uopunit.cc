@@ -44,7 +44,7 @@ UopUnit::advanceTo(Cycle now)
 void
 UopUnit::reset()
 {
-    pending = {};
+    pending.clear();
     orderCounter = 0;
     emitted = 0;
 }

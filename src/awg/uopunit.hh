@@ -14,8 +14,8 @@
 
 #include <functional>
 #include <optional>
-#include <queue>
 
+#include "common/heap.hh"
 #include "common/types.hh"
 #include "microcode/seqtable.hh"
 
@@ -71,8 +71,7 @@ class UopUnit
     microcode::UopSequenceTable seqTable;
     Cycle delta;
     TriggerSink sink_;
-    std::priority_queue<Pending, std::vector<Pending>, std::greater<>>
-        pending;
+    MinHeap<Pending> pending;
     std::uint64_t orderCounter = 0;
     std::size_t emitted = 0;
 };

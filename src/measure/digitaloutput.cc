@@ -53,7 +53,7 @@ DigitalOutputUnit::advanceTo(Cycle now)
 void
 DigitalOutputUnit::reset()
 {
-    pending = {};
+    pending.clear();
     history.clear();
     orderCounter = 0;
 }

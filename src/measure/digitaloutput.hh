@@ -12,9 +12,9 @@
 
 #include <functional>
 #include <optional>
-#include <queue>
 #include <vector>
 
+#include "common/heap.hh"
 #include "common/types.hh"
 #include "signal/pulse.hh"
 
@@ -89,8 +89,7 @@ class DigitalOutputUnit
     double carrierHz;
     PulseSink pulseSink;
     std::vector<MarkerWindow> history;
-    std::priority_queue<Pending, std::vector<Pending>, std::greater<>>
-        pending;
+    MinHeap<Pending> pending;
     std::uint64_t orderCounter = 0;
 };
 

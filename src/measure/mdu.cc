@@ -49,9 +49,16 @@ calibrateMdu(const qsim::ReadoutParams &params, TimeNs window_ns)
 }
 
 Mdu::Mdu(MduCalibration calibration, Cycle latency_cycles)
+    : Mdu(std::make_shared<const MduCalibration>(std::move(calibration)),
+          latency_cycles)
+{
+}
+
+Mdu::Mdu(std::shared_ptr<const MduCalibration> calibration,
+         Cycle latency_cycles)
     : cal(std::move(calibration)), latency(latency_cycles)
 {
-    if (cal.weights.empty())
+    if (!cal || cal->weights.empty())
         fatal("Mdu needs a non-empty weight function");
 }
 
@@ -76,22 +83,22 @@ std::pair<double, bool>
 Mdu::integrate(const signal::Waveform &trace) const
 {
     double s = 0;
-    std::size_t n = std::min(trace.size(), cal.weights.size());
+    std::size_t n = std::min(trace.size(), cal->weights.size());
     for (std::size_t k = 0; k < n; ++k)
-        s += trace[k] * cal.weights[k];
-    return {s, s > cal.threshold};
+        s += trace[k] * cal->weights[k];
+    return {s, s > cal->threshold};
 }
 
 std::pair<double, bool>
 Mdu::integrate(const qsim::ReadoutShot &shot) const
 {
-    const double dt = cal.sampleNs;
+    const double dt = cal->sampleNs;
     // The trace's sample count (simulateReadout's floor), clamped to
     // the weights exactly as integrate(trace) clamps.
     auto n = std::min(
         static_cast<std::size_t>(
             std::floor(static_cast<double>(shot.durationNs) / dt)),
-        cal.weights.size());
+        cal->weights.size());
     // Samples carrying the |1> tone: those centred before the decay
     // instant. Estimate, then settle with simulateReadout's own
     // comparison so boundary samples classify identically.
@@ -110,9 +117,10 @@ Mdu::integrate(const qsim::ReadoutShot &shot) const
         while (ones > 0 && !centredBefore(ones - 1))
             --ones;
     }
-    double s = cal.prefix1[ones] + (cal.prefix0[n] - cal.prefix0[ones]) +
-               cal.noiseSigma * std::sqrt(cal.prefixW2[n]) * shot.noise;
-    return {s, s > cal.threshold};
+    const MduCalibration &c = *cal;
+    double s = c.prefix1[ones] + (c.prefix0[n] - c.prefix0[ones]) +
+               c.noiseSigma * std::sqrt(c.prefixW2[n]) * shot.noise;
+    return {s, s > c.threshold};
 }
 
 void

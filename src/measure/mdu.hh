@@ -24,6 +24,7 @@
 #define QUMA_MEASURE_MDU_HH
 
 #include <functional>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -90,8 +91,14 @@ class Mdu
     using ResultSink = std::function<void(const MduResult &)>;
 
     Mdu(MduCalibration calibration, Cycle latency_cycles = 100);
+    /**
+     * Share an immutable calibration: the runtime's program cache
+     * hands every pooled machine with the same readout the same one.
+     */
+    Mdu(std::shared_ptr<const MduCalibration> calibration,
+        Cycle latency_cycles = 100);
 
-    const MduCalibration &calibration() const { return cal; }
+    const MduCalibration &calibration() const { return *cal; }
     Cycle latencyCycles() const { return latency; }
 
     void setResultSink(ResultSink sink) { resultSink = std::move(sink); }
@@ -145,7 +152,7 @@ class Mdu
     void reset();
 
   private:
-    MduCalibration cal;
+    std::shared_ptr<const MduCalibration> cal;
     Cycle latency;
     ResultSink resultSink;
 

@@ -77,6 +77,7 @@ mergeStats(runtime::ServiceStats &acc, const runtime::ServiceStats &s)
     a.roundsStolen += x.roundsStolen;
     a.eventsDispatched += x.eventsDispatched;
     a.staleEventDrops += x.staleEventDrops;
+    a.roundsReplayed += x.roundsReplayed;
     a.admissionSoftRejects += x.admissionSoftRejects;
     a.progressNotifications += x.progressNotifications;
     a.machineSaturation =
@@ -106,6 +107,11 @@ mergeStats(runtime::ServiceStats &acc, const runtime::ServiceStats &s)
     ac.lutHits += xc.lutHits;
     ac.lutMisses += xc.lutMisses;
     ac.lutEvictions += xc.lutEvictions;
+    ac.mduHits += xc.mduHits;
+    ac.mduMisses += xc.mduMisses;
+    ac.tapeHits += xc.tapeHits;
+    ac.tapeMisses += xc.tapeMisses;
+    ac.tapeRejections += xc.tapeRejections;
     acc.effectiveQueueCapacity += s.effectiveQueueCapacity;
 }
 

@@ -32,6 +32,7 @@ ExecutionController::reset()
     isHalted = prog.empty();
     isBlocked = false;
     readyCycle = 0;
+    stallMode = StallMode::Drawn;
     execStats = ExecStats{};
     regs.reset();
     dataMem.assign(cfg.dataMemoryWords, 0);
@@ -260,8 +261,12 @@ ExecutionController::stepAt(Cycle now)
     }
     if (progressed) {
         Cycle stall = 0;
-        if (cfg.stallInjection && rng.bernoulli(cfg.stallProbability)) {
-            stall = rng.uniformInt(1, cfg.maxStallCycles);
+        if (cfg.stallInjection) {
+            if (stallMode == StallMode::Max)
+                stall = cfg.maxStallCycles;
+            else if (stallMode == StallMode::Drawn &&
+                     rng.bernoulli(cfg.stallProbability))
+                stall = rng.uniformInt(1, cfg.maxStallCycles);
             execStats.stallCyclesInjected += stall;
         }
         readyCycle = now + 1 + stall;

@@ -43,6 +43,20 @@ struct ExecConfig
     std::size_t dataMemoryWords = 4096;
 };
 
+/**
+ * Stall draws of the execution controller. Drawn is the configured
+ * stall injection; None and Max pin every stall to 0 or to
+ * maxStallCycles -- the two extremes the control-schedule replay
+ * check runs (quma/tape.hh). Internal: not part of ExecConfig, and
+ * reset() returns to Drawn.
+ */
+enum class StallMode : std::uint8_t
+{
+    Drawn,
+    None,
+    Max,
+};
+
 struct ExecStats
 {
     std::size_t classicalExecuted = 0;
@@ -92,6 +106,9 @@ class ExecutionController
     /** Replace the stall-injection seed used by the next reset(). */
     void reseed(std::uint64_t seed) { cfg.seed = seed; }
 
+    /** Pin the stall draws until the next reset() (see StallMode). */
+    void setStallMode(StallMode mode) { stallMode = mode; }
+
   private:
     /** Execute one instruction; false when blocked (pc unchanged). */
     bool executeOne(Cycle now);
@@ -107,6 +124,7 @@ class ExecutionController
     bool isHalted = false;
     bool isBlocked = false;
     Cycle readyCycle = 0;
+    StallMode stallMode = StallMode::Drawn;
     ExecStats execStats;
 };
 

@@ -6,6 +6,7 @@
 #include "common/logging.hh"
 #include "isa/assembler.hh"
 #include "isa/nametable.hh"
+#include "quma/tape.hh"
 
 namespace quma::core {
 
@@ -130,7 +131,8 @@ QumaMachine::wire()
 }
 
 void
-QumaMachine::uploadStandardCalibration(const LutProvider &provider)
+QumaMachine::uploadStandardCalibration(const LutProvider &provider,
+                                       const MduProvider &mdu_provider)
 {
     unsigned nq = static_cast<unsigned>(cfg.qubits.size());
 
@@ -157,11 +159,14 @@ QumaMachine::uploadStandardCalibration(const LutProvider &provider)
     }
 
     mdus.clear();
+    const TimeNs window = cyclesToNs(cfg.msmtCycles);
     for (unsigned q = 0; q < nq; ++q) {
-        auto cal = measure::calibrateMdu(cfg.qubits[q].readout,
-                                         cyclesToNs(cfg.msmtCycles));
+        const qsim::ReadoutParams &readout = cfg.qubits[q].readout;
         auto unit = std::make_unique<measure::Mdu>(
-            std::move(cal), cfg.mduLatencyCycles);
+            mdu_provider ? mdu_provider(readout, window)
+                         : std::make_shared<const measure::MduCalibration>(
+                               measure::calibrateMdu(readout, window)),
+            cfg.mduLatencyCycles);
         unit->setResultSink([this, q](const measure::MduResult &r) {
             onMduResult(q, r);
         });
@@ -307,9 +312,13 @@ QumaMachine::onDrivePulse(unsigned awg_index,
                   std::popcount(mask));
         auto lo = static_cast<unsigned>(std::countr_zero(mask));
         auto hi = static_cast<unsigned>(std::countr_zero(mask & (mask - 1)));
+        if (taping)
+            taping->cz(lo, hi, pulse.t0Ns, cfg.czDurationNs);
         chipSim->applyCz(lo, hi, pulse.t0Ns, cfg.czDurationNs);
         return;
     }
+    if (taping)
+        taping->drive(awg_index, pulse, cw, mask);
     for (QubitMask m = mask; m != 0; m &= m - 1)
         chipSim->applyDrive(static_cast<unsigned>(std::countr_zero(m)),
                             pulse);
@@ -322,6 +331,8 @@ QumaMachine::onMeasurementPulse(unsigned qubit,
     quma_assert(qubit < mdus.size(), "measurement of unknown qubit");
     Cycle td = nsToCycles(pulse.t0Ns);
     Cycle dur = nsToCycles(pulse.durationNs);
+    if (taping)
+        taping->measure(qubit, pulse.t0Ns, pulse.durationNs);
     qsim::ReadoutShot shot =
         chipSim->measure(qubit, pulse.t0Ns, pulse.durationNs);
     recorder.recordMeasurement({td, qubit, dur, shot.initialOne});
@@ -337,6 +348,8 @@ QumaMachine::onMduResult(unsigned qubit, const measure::MduResult &r)
                                 bit);
     collector.addSample(r.s);
     collector.addBit(r.bit);
+    if (taping)
+        taping->deliver(qubit);
     recorder.recordMduResult({r.completionCycle, qubit, r.s, r.bit,
                               r.destReg});
 }
@@ -461,6 +474,76 @@ QumaMachine::run(Cycle max_cycles)
     result.halted = drained;
     result.violations = tcu->violations();
     return result;
+}
+
+RunResult
+QumaMachine::recordRun(PhysicsTape &tape, Cycle max_cycles)
+{
+    TapeWriter writer(tape, static_cast<unsigned>(cfg.qubits.size()));
+    taping = &writer;
+    // The writer dies with this frame: never leave it reachable, not
+    // even when the run throws.
+    struct Detach
+    {
+        TapeWriter *&slot;
+        ~Detach() { slot = nullptr; }
+    } detach{taping};
+    tape.result = run(max_cycles);
+    return tape.result;
+}
+
+RunResult
+QumaMachine::replay(const PhysicsTape &tape)
+{
+    if (!calibrated)
+        uploadStandardCalibration();
+    if (ran)
+        fatal("QumaMachine::replay is one-shot; reload a program first");
+    ran = true;
+    if (collector.numBins() == 0)
+        collector.configure(1);
+
+    // Sized once per tape shape; a warm replay allocates nothing.
+    if (replayShots.size() < tape.shots)
+        replayShots.resize(tape.shots);
+    std::uint32_t loaded = ~std::uint32_t{0};
+    for (const TapeOp &op : tape.ops) {
+        switch (op.kind) {
+          case TapeOp::Kind::Drive: {
+            if (op.index != loaded) {
+                // Copy into the reused pulse, exactly as the CTPG
+                // assembles its emission: sized vectors, no heap.
+                const signal::DrivePulse &p = tape.pulses[op.index];
+                replayPulse.i = p.i;
+                replayPulse.q = p.q;
+                replayPulse.ssbHz = p.ssbHz;
+                replayPulse.carrierHz = p.carrierHz;
+                loaded = op.index;
+            }
+            replayPulse.t0Ns = op.t0;
+            for (QubitMask m = op.mask; m != 0; m &= m - 1)
+                chipSim->applyDrive(
+                    static_cast<unsigned>(std::countr_zero(m)),
+                    replayPulse);
+            break;
+          }
+          case TapeOp::Kind::Cz:
+            chipSim->applyCz(op.qubit, op.qubit2, op.t0, op.duration);
+            break;
+          case TapeOp::Kind::Measure:
+            replayShots[op.index] = mdus[op.qubit]->integrate(
+                chipSim->measure(op.qubit, op.t0, op.duration));
+            break;
+          case TapeOp::Kind::Deliver: {
+            auto [s, bit] = replayShots[op.index];
+            collector.addSample(s);
+            collector.addBit(bit);
+            break;
+          }
+        }
+    }
+    cyclesVisited = 0;
+    return tape.result;
 }
 
 } // namespace quma::core

@@ -19,6 +19,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "awg/awgmodule.hh"
@@ -30,8 +31,12 @@
 #include "quma/execcontroller.hh"
 #include "quma/qmb.hh"
 #include "quma/trace.hh"
+#include "signal/pulse.hh"
 
 namespace quma::core {
+
+struct PhysicsTape;
+class TapeWriter;
 
 struct MachineConfig
 {
@@ -143,8 +148,19 @@ class QumaMachine
         const std::map<Codeword, awg::StoredPulse>>(
         const awg::CalibrationParams &)>;
 
+    /**
+     * Supplier of MDU calibrations for (readout, window). When set,
+     * uploadStandardCalibration shares the returned calibration
+     * instead of computing its own; the program cache uses this like
+     * the LutProvider.
+     */
+    using MduProvider =
+        std::function<std::shared_ptr<const measure::MduCalibration>(
+            const qsim::ReadoutParams &, TimeNs)>;
+
     /** Upload the Table 1 LUTs and calibrate every MDU. */
-    void uploadStandardCalibration(const LutProvider &provider = {});
+    void uploadStandardCalibration(const LutProvider &provider = {},
+                                   const MduProvider &mdu_provider = {});
 
     /** Load an assembled program into the instruction cache. */
     void loadProgram(isa::Program program);
@@ -160,6 +176,23 @@ class QumaMachine
      * reports halted = false and cyclesRun = max_cycles.
      */
     RunResult run(Cycle max_cycles = 2'000'000'000ULL);
+
+    /** run() that also records the run's physics calls into `tape`
+     *  (quma/tape.hh); tape.result receives the RunResult. */
+    RunResult recordRun(PhysicsTape &tape,
+                        Cycle max_cycles = 2'000'000'000ULL);
+
+    /**
+     * Control-schedule replay: instead of running the loaded
+     * program, make the chip calls, MDU integrations and collector
+     * feeds `tape` recorded, in its order, and return its RunResult.
+     * Called where run() would be (after reset -> configure ->
+     * loadProgram), it leaves the collector bit-identical to a full
+     * run of an eligible program (see verifyTape). The tape is only
+     * read; replayed runs visit no cycles. Only the runtime replays:
+     * direct callers always get the full machine from run().
+     */
+    RunResult replay(const PhysicsTape &tape);
 
     /**
      * Re-arm the machine to its freshly-constructed state without
@@ -251,6 +284,13 @@ class QumaMachine
     std::uint64_t wokenMask = 0;
     /** Cycles visited by the most recent run's event loop. */
     std::size_t cyclesVisited = 0;
+
+    /** Physics-call recorder of a recordRun, null otherwise. */
+    TapeWriter *taping = nullptr;
+    /** replay() scratch, sized by the first replay of a tape: the
+     *  integrated shot per slot and the pulse handed to the chip. */
+    std::vector<std::pair<double, bool>> replayShots;
+    signal::DrivePulse replayPulse;
 
     bool calibrated = false;
     bool ran = false;

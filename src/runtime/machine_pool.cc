@@ -124,9 +124,11 @@ MachinePool::acquireKeyed(const std::string &key,
 
     try {
         auto m = std::make_unique<core::QumaMachine>(config);
-        m->uploadStandardCalibration(
-            lutCache ? lutCache->lutProvider()
-                     : core::QumaMachine::LutProvider{});
+        if (lutCache)
+            m->uploadStandardCalibration(lutCache->lutProvider(),
+                                         lutCache->mduProvider());
+        else
+            m->uploadStandardCalibration();
         // The metric counts only constructions that survived (the
         // exported counter is monotonic and cannot mirror the
         // Stats rollback in the catch below).

@@ -11,10 +11,19 @@
  *  - the LUT layer maps calibration parameters to the rendered
  *    Table 1 waveform entries, so calibrating the Nth pooled machine
  *    with the same qubit parameters copies stored samples instead of
- *    re-rendering envelopes and SSB modulation.
+ *    re-rendering envelopes and SSB modulation; it also maps a
+ *    (readout, window) pair to its MDU calibration, shared read-only
+ *    by every machine with that readout;
+ *  - the TAPE layer maps a (program source, machine config key) pair
+ *    to its verified physics tape (quma/tape.hh), so every round
+ *    after the check replays the physics instead of re-running the
+ *    control plane. A pair is checked on its SECOND sighting: the
+ *    first only notes it, so a fresh service's first job runs exactly
+ *    as without the layer.
  *
- * Both layers are bounded (FIFO eviction) and thread-safe: every
- * scheduler worker shares one cache.
+ * Every layer is bounded (FIFO eviction) and thread-safe: every
+ * scheduler worker shares one cache. The cache belongs to one service
+ * -- nothing here is process-global.
  */
 
 #ifndef QUMA_RUNTIME_PROGRAM_CACHE_HH
@@ -45,10 +54,36 @@ class ProgramCache
         std::size_t lutHits = 0;
         std::size_t lutMisses = 0;
         std::size_t lutEvictions = 0;
+        /** MDU calibrations served / computed by the LUT layer. */
+        std::size_t mduHits = 0;
+        std::size_t mduMisses = 0;
+        /** Tape lookups served a verified tape. */
+        std::size_t tapeHits = 0;
+        /** Tape lookups that found none: first sighting, check due,
+         *  or a rejected pair. */
+        std::size_t tapeMisses = 0;
+        /** Pairs the check rejected (they keep the full path). */
+        std::size_t tapeRejections = 0;
+    };
+
+    /** What the tape layer holds for one (program, config) pair. */
+    struct TapeLookup
+    {
+        /** The verified tape; null when there is none to replay. */
+        std::shared_ptr<const core::PhysicsTape> tape;
+        /** Second sighting of an unchecked pair: run verifyTape and
+         *  storeTape the outcome. */
+        bool verify = false;
+        /** The pair was checked and rejected: it keeps the full
+         *  path, no tape will come. */
+        bool rejected = false;
     };
 
     explicit ProgramCache(std::size_t max_programs = 256,
                           std::size_t max_luts = 64);
+
+    /** Bound of the tape layer: (program, config) pairs tracked. */
+    static constexpr std::size_t kMaxTapes = 64;
 
     /** Assemble `source`, memoized on the exact source text. */
     std::shared_ptr<const isa::Program>
@@ -60,6 +95,26 @@ class ProgramCache
 
     /** Adapter handing the LUT layer to uploadStandardCalibration. */
     core::QumaMachine::LutProvider lutProvider();
+
+    /** MDU calibration of (readout, window), memoized in the LUT
+     *  layer and shared immutable. */
+    std::shared_ptr<const measure::MduCalibration>
+    mduCalibration(const qsim::ReadoutParams &readout, TimeNs window_ns);
+
+    /** Adapter handing mduCalibration to uploadStandardCalibration. */
+    core::QumaMachine::MduProvider mduProvider();
+
+    /**
+     * Tape-layer lookup for `source` assembled under the config with
+     * key `config_key`. The first sighting notes the pair and returns
+     * neither a tape nor a check request.
+     */
+    TapeLookup tape(const std::string &source,
+                    const std::string &config_key);
+
+    /** Record a check's outcome: the tape, or null to reject. */
+    void storeTape(const std::string &source, const std::string &config_key,
+                   std::shared_ptr<const core::PhysicsTape> tape);
 
     Stats stats() const;
     void clear();
@@ -77,6 +132,13 @@ class ProgramCache
     void bindMetrics(metrics::MetricsRegistry &registry);
 
   private:
+    /** A tape-layer slot: unchecked, verified (tape) or rejected. */
+    struct TapeSlot
+    {
+        std::shared_ptr<const core::PhysicsTape> tape;
+        bool checked = false;
+    };
+
     mutable std::mutex mu;
     std::size_t maxPrograms;
     std::size_t maxLuts;
@@ -88,6 +150,12 @@ class ProgramCache
         std::shared_ptr<const std::map<Codeword, awg::StoredPulse>>>
         luts;
     std::deque<std::string> lutOrder;
+    std::unordered_map<std::string,
+                       std::shared_ptr<const measure::MduCalibration>>
+        mduCals;
+    std::deque<std::string> mduOrder;
+    std::unordered_map<std::string, TapeSlot> tapes;
+    std::deque<std::string> tapeOrder;
     Stats counters;
 
     /** Metric handles; default-constructed (no-op) until bound. */
@@ -99,6 +167,9 @@ class ProgramCache
         metrics::Counter lutHits;
         metrics::Counter lutMisses;
         metrics::Counter lutEvictions;
+        metrics::Counter tapeHits;
+        metrics::Counter tapeMisses;
+        metrics::Counter tapeRejections;
     };
     Instruments ms;
 };

@@ -5,6 +5,7 @@
 
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "quma/tape.hh"
 #include "runtime/keys.hh"
 
 namespace quma::runtime {
@@ -494,6 +495,10 @@ JobScheduler::bindMetrics(metrics::MetricsRegistry &registry)
     ms.eventsDispatched = registry.counter(
         "quma_machine_cycles_visited_total",
         "Cycles visited by the event loops of machines running jobs.");
+    ms.roundsReplayed = registry.counter(
+        "quma_rounds_replayed_total",
+        "Rounds served by control-schedule replay of a verified "
+        "physics tape instead of a full machine run.");
     static constexpr const char *kClassNames[3] = {"batch", "normal",
                                                    "high"};
     for (std::size_t cls = 0; cls < ms.latency.size(); ++cls)
@@ -852,8 +857,9 @@ JobScheduler::mergeShardsLocked(JobId id)
 }
 
 JobScheduler::ShardPartial
-JobScheduler::runShard(const JobSpec &spec, core::QumaMachine &machine,
-                       JobId id, std::uint32_t shard, RoundRange range,
+JobScheduler::runShard(const JobSpec &spec, const std::string &key,
+                       core::QumaMachine &machine, JobId id,
+                       std::uint32_t shard, RoundRange range,
                        RunSample &sample)
 {
     ShardPartial p;
@@ -877,6 +883,15 @@ JobScheduler::runShard(const JobSpec &spec, core::QumaMachine &machine,
             cached = cache.assemble(spec.assembly);
             program = cached.get();
         }
+
+        // Control-schedule replay (quma/tape.hh): only a program from
+        // the cache takes part. The tape layer is asked round by
+        // round until it settles this shard: a tape to replay, or a
+        // rejection. A first sighting runs in full; the next one
+        // runs the check.
+        std::shared_ptr<const core::PhysicsTape> tape;
+        bool tapeSettled = !cached;
+        bool tapeSaturated = false;
 
         bool first = true;
         // The previous iteration's round is counted as DONE under
@@ -915,11 +930,33 @@ JobScheduler::runShard(const JobSpec &spec, core::QumaMachine &machine,
             // rounds -- including one rebalanced by stealing --
             // replays them exactly.
             const RoundStreams streams = roundStreams(spec.rounds, r);
-            machine.reset(Rng::derive(spec.seed, streams.chip),
-                          Rng::derive(spec.seed, streams.exec));
+            const std::uint64_t chipSeed =
+                Rng::derive(spec.seed, streams.chip);
+            const std::uint64_t execSeed =
+                Rng::derive(spec.seed, streams.exec);
+            machine.reset(chipSeed, execSeed);
+            if (!tapeSettled) {
+                ProgramCache::TapeLookup found =
+                    cache.tape(spec.assembly, key);
+                tape = std::move(found.tape);
+                if (found.verify) {
+                    tape = core::verifyTape(machine, *program, bins,
+                                            spec.maxCycles);
+                    cache.storeTape(spec.assembly, key, tape);
+                    machine.reset(chipSeed, execSeed);
+                }
+                tapeSettled = tape || found.verify || found.rejected;
+                if (tape)
+                    tapeSaturated = machineSaturated(tape->stats);
+            }
+            // A tape covers the job only if its budget lets the run
+            // finish as the taped one did.
+            const bool replayed =
+                tape && spec.maxCycles >= tape->result.cyclesRun;
             machine.configureDataCollection(bins);
             machine.loadProgram(*program);
-            core::RunResult rr = machine.run(spec.maxCycles);
+            core::RunResult rr = replayed ? machine.replay(*tape)
+                                          : machine.run(spec.maxCycles);
             p.run.accumulate(rr, first);
             first = false;
 
@@ -938,9 +975,17 @@ JobScheduler::runShard(const JobSpec &spec, core::QumaMachine &machine,
             }
             p.samples += dc.sampleCount();
             // loadProgram re-arms the timing unit (clearing its
-            // counters), so saturation must be sampled per round.
-            auto st = machine.stats();
-            sample.absorb(st, machineSaturated(st));
+            // counters), so saturation must be sampled per round. A
+            // replayed round visits no cycles and reports the
+            // zero-stall check run's saturation: the most
+            // backpressured draw.
+            if (replayed) {
+                sample.saturated = sample.saturated || tapeSaturated;
+                ++sample.roundsReplayed;
+            } else {
+                auto st = machine.stats();
+                sample.absorb(st, machineSaturated(st));
+            }
             p.range.end = r + 1;
             // An opaque job's one round is not progress: roundsTotal
             // is 0, and its one frame is the forced (0, 0) at finish.
@@ -1026,8 +1071,10 @@ JobScheduler::noteRunLocked(const RunSample &sample)
     noteSaturationLocked(sample.saturated);
     counters.eventsDispatched += sample.eventsDispatched;
     counters.staleEventDrops += sample.staleDrops;
+    counters.roundsReplayed += sample.roundsReplayed;
     ms.eventsDispatched.inc(
         static_cast<double>(sample.eventsDispatched));
+    ms.roundsReplayed.inc(static_cast<double>(sample.roundsReplayed));
 }
 
 JobScheduler::Task
@@ -1117,7 +1164,7 @@ JobScheduler::workerLoop()
             traceRecord(task.id, TracePhase::Leased, task.shard);
             RunSample sample;
             traceRecord(task.id, TracePhase::ShardStart, task.shard);
-            ShardPartial partial = runShard(*spec, lease.machine(),
+            ShardPartial partial = runShard(*spec, key, lease.machine(),
                                             task.id, task.shard, range,
                                             sample);
             traceRecord(task.id, TracePhase::ShardFinish, task.shard);

@@ -43,6 +43,13 @@
  * round but never WHAT it computes -- merged results stay
  * bit-identical at any worker count.
  *
+ * REPLAY. A round whose (program, machine config) pair has a verified
+ * physics tape in the program cache replays that tape instead of
+ * running the control plane (control-schedule replay, quma/tape.hh).
+ * A pair's first sighting runs in full and its second runs the check
+ * that accepts or rejects the tape. A replay is bit-identical to the
+ * full run, so replay, too, changes cost and never results.
+ *
  * ADMISSION. Executed jobs sample QumaMachine::stats(): a run whose
  * timing event queues rejected a push (producer backpressure; deep
  * queues alone are healthy) or silently dropped stale events counts
@@ -207,6 +214,9 @@ class JobScheduler
         std::size_t eventsDispatched = 0;
         /** Stale timing-queue drops summed over executed runs. */
         std::size_t staleEventDrops = 0;
+        /** Rounds served by control-schedule replay (a physics tape
+         *  from the program cache) instead of a full machine run. */
+        std::size_t roundsReplayed = 0;
         /** trySubmit rejections below the hard bound (admission). */
         std::size_t admissionSoftRejects = 0;
         /** Progress notifications queued to subscribers (not
@@ -449,6 +459,7 @@ class JobScheduler
         bool saturated = false;
         std::size_t eventsDispatched = 0;
         std::size_t staleDrops = 0;
+        std::size_t roundsReplayed = 0;
 
         void
         absorb(const core::MachineStats &s, bool machine_saturated)
@@ -469,7 +480,8 @@ class JobScheduler
     /** Queue a progress snapshot for every subscriber (rate-limited
      *  unless `force` -- the final 100% push is forced). */
     void queueProgressLocked(JobId id, Entry &entry, bool force);
-    ShardPartial runShard(const JobSpec &spec,
+    /** Run a shard's rounds; `key` is the job's configKey. */
+    ShardPartial runShard(const JobSpec &spec, const std::string &key,
                           core::QumaMachine &machine, JobId id,
                           std::uint32_t shard, RoundRange range,
                           RunSample &sample);
@@ -521,6 +533,7 @@ class JobScheduler
         metrics::Counter shardsStolen;
         metrics::Counter roundsStolen;
         metrics::Counter eventsDispatched;
+        metrics::Counter roundsReplayed;
         /** Submit->finish latency, one series per priority class. */
         std::array<metrics::Histogram, 3> latency;
     };

@@ -1,9 +1,9 @@
 /**
  * @file
  * Heap allocations of the machine's run loop. A warm machine (built,
- * calibrated and run once) must execute a program without allocating
- * per instruction: the count inside run() may not grow with the
- * number of AllXY rounds. Its own executable, because it replaces the
+ * calibrated and run once) must execute a program without touching
+ * the heap: run() and a control-schedule replay() of the same job
+ * make zero allocations. Its own executable, because it replaces the
  * global operator new.
  */
 
@@ -14,6 +14,7 @@
 #include "experiments/allxy.hh"
 #include "isa/assembler.hh"
 #include "quma/machine.hh"
+#include "quma/tape.hh"
 #include "runtime/keys.hh"
 
 namespace quma {
@@ -45,7 +46,7 @@ allocationsInRun(core::QumaMachine &machine, const runtime::JobSpec &job,
     return made;
 }
 
-TEST(RunAllocations, DoNotGrowWithInstructionsExecuted)
+TEST(RunAllocations, WarmRunAllocatesNothing)
 {
     runtime::JobSpec shortJob = allxyJobOf(4);
     runtime::JobSpec longJob = allxyJobOf(16);
@@ -60,10 +61,33 @@ TEST(RunAllocations, DoNotGrowWithInstructionsExecuted)
     allocationsInRun(machine, longJob, longProgram);
     allocationsInRun(machine, shortJob, shortProgram);
 
-    std::size_t shortRun = allocationsInRun(machine, shortJob, shortProgram);
-    std::size_t longRun = allocationsInRun(machine, longJob, longProgram);
-    EXPECT_EQ(shortRun, longRun);
+    EXPECT_EQ(allocationsInRun(machine, shortJob, shortProgram), 0u);
+    EXPECT_EQ(allocationsInRun(machine, longJob, longProgram), 0u);
     EXPECT_GT(machine.stats().cyclesVisited, 0u);
+}
+
+TEST(RunAllocations, WarmReplayAllocatesNothing)
+{
+    runtime::JobSpec job = allxyJobOf(16);
+    isa::Program program = isa::Assembler().assemble(job.assembly);
+    core::QumaMachine machine(job.machine);
+    machine.uploadStandardCalibration();
+    auto tape = core::verifyTape(machine, program, job.bins, job.maxCycles);
+    ASSERT_NE(tape, nullptr);
+
+    for (int warm = 0; warm < 2; ++warm) {
+        machine.reset(Rng::derive(job.seed, runtime::kChipStream),
+                      Rng::derive(job.seed, runtime::kExecStream));
+        machine.configureDataCollection(job.bins);
+        machine.loadProgram(program);
+        std::size_t before = allocations();
+        core::RunResult r = machine.replay(*tape);
+        std::size_t made = allocations() - before;
+        EXPECT_TRUE(r.halted);
+        if (warm == 1) {
+            EXPECT_EQ(made, 0u);
+        }
+    }
 }
 
 } // namespace

@@ -101,6 +101,43 @@ TEST(ProgramCache, MemoizesLutRendering)
     EXPECT_EQ(s.lutMisses, 2u);
 }
 
+TEST(ProgramCache, CachedMduCalibrationIntegratesLikeAnOwnOne)
+{
+    ProgramCache cache;
+    qsim::ReadoutParams rp = qsim::paperQubitParams().readout;
+    auto shared = cache.mduCalibration(rp, 1500);
+    EXPECT_EQ(shared.get(), cache.mduCalibration(rp, 1500).get());
+    EXPECT_EQ(cache.stats().mduMisses, 1u);
+    EXPECT_EQ(cache.stats().mduHits, 1u);
+
+    measure::Mdu fromCache(shared);
+    measure::Mdu own(measure::calibrateMdu(rp, 1500));
+    Rng rng(0x3d);
+    for (int i = 0; i < 500; ++i) {
+        qsim::ReadoutShot shot =
+            qsim::sampleReadoutShot(rng.bernoulli(0.5), 1500, 30000.0, rng);
+        ASSERT_EQ(fromCache.integrate(shot), own.integrate(shot));
+    }
+
+    // A machine calibrated through the cache runs bit-identically to
+    // one that calibrated itself.
+    core::QumaMachine cached{core::MachineConfig{}};
+    cached.uploadStandardCalibration(cache.lutProvider(),
+                                     cache.mduProvider());
+    core::QumaMachine self{core::MachineConfig{}};
+    self.uploadStandardCalibration();
+    for (core::QumaMachine *m : {&cached, &self}) {
+        m->reset(5, 6);
+        m->configureDataCollection(1);
+        m->loadAssembly(shotProgram(20));
+        m->run(50'000'000);
+    }
+    EXPECT_EQ(cached.dataCollector().binSums(),
+              self.dataCollector().binSums());
+    EXPECT_EQ(cached.dataCollector().bitBinSums(),
+              self.dataCollector().bitBinSums());
+}
+
 TEST(MachinePool, ReusesIdleMachinesOfTheSameShard)
 {
     MachinePool pool(2);
