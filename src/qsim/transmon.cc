@@ -18,6 +18,7 @@ constexpr double kTwoPi = 2.0 * std::numbers::pi;
 TransmonChip::TransmonChip(std::vector<TransmonParams> qubit_params,
                            std::uint64_t seed)
     : params(std::move(qubit_params)),
+      idleMemo(params.size()),
       roundDetuningHz(params.size(), 0.0),
       busyUntilNs(params.size(), 0),
       rho(params.empty() ? 1 : static_cast<unsigned>(params.size())),
@@ -57,10 +58,12 @@ TransmonChip::newRound()
 {
     rho.reset();
     nowNs = 0;
-    for (std::size_t q = 0; q < params.size(); ++q) {
+    for (unsigned q = 0; q < params.size(); ++q) {
         busyUntilNs[q] = 0;
-        double sigma = params[q].quasiStaticDetuningSigmaHz;
-        roundDetuningHz[q] = sigma > 0 ? random.gaussian(0.0, sigma) : 0.0;
+        roundDetuningHz[q] =
+            staticFrame(q)
+                ? 0.0
+                : random.gaussian(0.0, params[q].quasiStaticDetuningSigmaHz);
     }
 }
 
@@ -79,10 +82,14 @@ TransmonChip::idleEvolve(TimeNs from_ns, TimeNs to_ns)
         // Closed-form T1/T2 update fused with the quasi-static
         // detuning frame rotation: one allocation-free sweep instead
         // of a generic Kraus application plus an rz conjugation.
-        IdleChannelParams icp =
-            idleChannelParams(dt, params[q].t1Ns, params[q].t2Ns);
+        IdleMemo &memo = idleMemo[q];
+        if (dt != memo.dtNs) {
+            memo.dtNs = dt;
+            memo.channel =
+                idleChannelParams(dt, params[q].t1Ns, params[q].t2Ns);
+        }
         double det = roundDetuningHz[q];
-        rho.applyIdle(q, icp.gamma, icp.lambda,
+        rho.applyIdle(q, memo.channel.gamma, memo.channel.lambda,
                       kTwoPi * det * dt * 1e-9);
     }
 }
@@ -107,13 +114,20 @@ TransmonChip::advanceAtLeast(TimeNs t_ns)
 void
 TransmonChip::applyDrive(unsigned q, const signal::DrivePulse &pulse)
 {
+    applyDriveGate(q, driveGate(q, pulse));
+}
+
+DriveGate
+TransmonChip::driveGate(unsigned q, const signal::DrivePulse &pulse) const
+{
     quma_assert(q < params.size(), "qubit index out of range");
     quma_assert(pulse.i.size() == pulse.q.size(),
                 "DrivePulse I/Q length mismatch");
 
+    DriveGate gate;
     auto dur = static_cast<TimeNs>(std::llround(pulse.durationNs()));
-    TimeNs mid = pulse.t0Ns + dur / 2;
-    advanceAtLeast(mid);
+    gate.midNs = pulse.t0Ns + dur / 2;
+    gate.endNs = pulse.t0Ns + dur;
 
     // Demodulate the complex baseband against the qubit's rotating
     // frame. The frame offset from the carrier includes this round's
@@ -136,9 +150,26 @@ TransmonChip::applyDrive(unsigned q, const signal::DrivePulse &pulse)
     double theta = p.rabiRadPerAmpNs * std::abs(acc);
     if (theta > 1e-12) {
         double phi = std::arg(acc);
-        rho.apply1(q, gates::raxis(phi, theta));
+        gate.rotation = gates::raxis(phi, theta);
+        gate.rotates = true;
     }
-    advanceAtLeast(pulse.t0Ns + dur);
+    return gate;
+}
+
+void
+TransmonChip::applyDriveGate(unsigned q, const DriveGate &gate)
+{
+    quma_assert(q < params.size(), "qubit index out of range");
+    advanceAtLeast(gate.midNs);
+    if (gate.rotates)
+        rho.apply1(q, gate.rotation);
+    advanceAtLeast(gate.endNs);
+}
+
+bool
+TransmonChip::staticFrame(unsigned q) const
+{
+    return !(qubitParams(q).quasiStaticDetuningSigmaHz > 0);
 }
 
 void
@@ -182,9 +213,8 @@ TransmonChip::measure(unsigned q, TimeNs t0_ns, TimeNs duration_ns)
     // Quasi-static noise decorrelates between shots: redraw the slow
     // frequency offset after each readout (measurements delimit
     // experiment shots in a continuous run).
-    double sigma = p.quasiStaticDetuningSigmaHz;
-    if (sigma > 0)
-        roundDetuningHz[q] = random.gaussian(0.0, sigma);
+    if (!staticFrame(q))
+        roundDetuningHz[q] = random.gaussian(0.0, p.quasiStaticDetuningSigmaHz);
     return shot;
 }
 

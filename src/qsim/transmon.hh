@@ -25,6 +25,7 @@
 
 #include "common/rng.hh"
 #include "common/types.hh"
+#include "qsim/channels.hh"
 #include "qsim/density.hh"
 #include "qsim/readout.hh"
 #include "signal/pulse.hh"
@@ -52,6 +53,22 @@ struct TransmonParams
     double rabiRadPerAmpNs = 0.0;
     /** Readout response. */
     ReadoutParams readout;
+};
+
+/**
+ * What one drive pulse does to one qubit, computed apart from doing
+ * it: the rotation its integrated envelope sets in the qubit's frame,
+ * applied at the pulse midpoint, and the pulse end the chip then
+ * idles to.
+ */
+struct DriveGate
+{
+    /** raxis(phi, theta) of the pulse integral. */
+    Mat2 rotation{};
+    /** theta is above the no-op threshold: apply `rotation`. */
+    bool rotates = false;
+    TimeNs midNs = 0;
+    TimeNs endNs = 0;
 };
 
 /**
@@ -102,8 +119,27 @@ class TransmonChip
      * Apply a microwave drive pulse to qubit q. The pulse's I/Q
      * samples are interpreted in the qubit's rotating frame relative
      * to the pulse's carrier; time is the global simulation time.
+     * Exactly applyDriveGate(q, driveGate(q, pulse)).
      */
     void applyDrive(unsigned q, const signal::DrivePulse &pulse);
+
+    /**
+     * The gate `pulse` applies to qubit q in the qubit's current
+     * frame: the pulse integral against the frame and its rotation.
+     * Reads no state but the frame, so on a static-frame qubit it
+     * depends on the pulse alone.
+     */
+    DriveGate driveGate(unsigned q, const signal::DrivePulse &pulse) const;
+
+    /** Idle to the gate's midpoint, rotate, idle to its end. */
+    void applyDriveGate(unsigned q, const DriveGate &gate);
+
+    /**
+     * True when qubit q's rotating frame never moves: it has no
+     * quasi-static detuning, so no draw ever shifts it and
+     * driveGate() of a pulse is the same on every shot.
+     */
+    bool staticFrame(unsigned q) const;
 
     /**
      * Apply a two-qubit CZ between qubits a and b (idealised flux
@@ -133,7 +169,17 @@ class TransmonChip
   private:
     void idleEvolve(TimeNs from_ns, TimeNs to_ns);
 
+    /** A qubit's last idle interval and its channel parameters: a
+     *  pure function of (dt, T1, T2), and schedules repeat their
+     *  intervals. dtNs < 0 means empty. */
+    struct IdleMemo
+    {
+        double dtNs = -1.0;
+        IdleChannelParams channel;
+    };
+
     std::vector<TransmonParams> params;
+    std::vector<IdleMemo> idleMemo;
     std::vector<double> roundDetuningHz;
     /**
      * End of each qubit's most recent readout window: its evolution

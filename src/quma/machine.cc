@@ -507,26 +507,32 @@ QumaMachine::replay(const PhysicsTape &tape)
     if (replayShots.size() < tape.shots)
         replayShots.resize(tape.shots);
     std::uint32_t loaded = ~std::uint32_t{0};
+    std::size_t gate = 0;
     for (const TapeOp &op : tape.ops) {
         switch (op.kind) {
-          case TapeOp::Kind::Drive: {
-            if (op.index != loaded) {
-                // Copy into the reused pulse, exactly as the CTPG
-                // assembles its emission: sized vectors, no heap.
-                const signal::DrivePulse &p = tape.pulses[op.index];
-                replayPulse.i = p.i;
-                replayPulse.q = p.q;
-                replayPulse.ssbHz = p.ssbHz;
-                replayPulse.carrierHz = p.carrierHz;
-                loaded = op.index;
+          case TapeOp::Kind::Drive:
+            for (QubitMask m = op.mask; m != 0; m &= m - 1) {
+                auto q = static_cast<unsigned>(std::countr_zero(m));
+                // A static-frame qubit's gate was computed once, when
+                // the tape was verified.
+                if (tape.staticFrames & (QubitMask{1} << q)) {
+                    chipSim->applyDriveGate(q, tape.gates[gate++]);
+                    continue;
+                }
+                if (op.index != loaded) {
+                    // Copy into the reused pulse, exactly as the CTPG
+                    // assembles its emission: sized vectors, no heap.
+                    const signal::DrivePulse &p = tape.pulses[op.index];
+                    replayPulse.i = p.i;
+                    replayPulse.q = p.q;
+                    replayPulse.ssbHz = p.ssbHz;
+                    replayPulse.carrierHz = p.carrierHz;
+                    loaded = op.index;
+                }
+                replayPulse.t0Ns = op.t0;
+                chipSim->applyDrive(q, replayPulse);
             }
-            replayPulse.t0Ns = op.t0;
-            for (QubitMask m = op.mask; m != 0; m &= m - 1)
-                chipSim->applyDrive(
-                    static_cast<unsigned>(std::countr_zero(m)),
-                    replayPulse);
             break;
-          }
           case TapeOp::Kind::Cz:
             chipSim->applyCz(op.qubit, op.qubit2, op.t0, op.duration);
             break;

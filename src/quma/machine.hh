@@ -186,6 +186,8 @@ class QumaMachine
      * Control-schedule replay: instead of running the loaded
      * program, make the chip calls, MDU integrations and collector
      * feeds `tape` recorded, in its order, and return its RunResult.
+     * A drive on one of the tape's static-frame qubits applies the
+     * gate the tape stores instead of re-integrating its pulse.
      * Called where run() would be (after reset -> configure ->
      * loadProgram), it leaves the collector bit-identical to a full
      * run of an eligible program (see verifyTape). The tape is only

@@ -1,5 +1,6 @@
 #include "quma/tape.hh"
 
+#include <bit>
 #include <bitset>
 
 #include "common/logging.hh"
@@ -129,6 +130,25 @@ recordWithStalls(QumaMachine &machine, const isa::Program &program,
     return tape;
 }
 
+/** Store the gate of every drive on a static-frame qubit. */
+void
+compileDriveGates(PhysicsTape &tape, const qsim::TransmonChip &chip)
+{
+    for (unsigned q = 0; q < chip.numQubits(); ++q)
+        if (chip.staticFrame(q))
+            tape.staticFrames |= QubitMask{1} << q;
+    signal::DrivePulse pulse;
+    for (const TapeOp &op : tape.ops) {
+        if (op.kind != TapeOp::Kind::Drive)
+            continue;
+        pulse = tape.pulses[op.index];
+        pulse.t0Ns = op.t0;
+        for (QubitMask m = op.mask & tape.staticFrames; m != 0; m &= m - 1)
+            tape.gates.push_back(chip.driveGate(
+                static_cast<unsigned>(std::countr_zero(m)), pulse));
+    }
+}
+
 bool
 onTime(const PhysicsTape &tape)
 {
@@ -155,6 +175,7 @@ verifyTape(QumaMachine &machine, const isa::Program &program,
             if (!onTime(late) || !late.sameRun(*early))
                 return nullptr;
         }
+        compileDriveGates(*early, machine.chip());
         return early;
     } catch (const FatalError &) {
         // A program that wedges or faults at a stall extreme is

@@ -17,9 +17,21 @@
  *    the measurement it integrates;
  *  - the run's RunResult and MachineStats.
  *
+ * An accepted tape is also compiled: the deterministic half of its
+ * physics is done once, when it is verified. Every drive on a qubit
+ * whose frame is static (TransmonChip::staticFrame: no quasi-static
+ * detuning, so nothing ever redraws it) stores its DriveGate -- the
+ * pulse integral and rotation TransmonChip::driveGate computes from
+ * the pulse and its fire time alone. A drifting-frame qubit's gate
+ * changes with every detuning draw, so its drives keep the pulse.
+ *
  * QumaMachine::replay() makes the same chip calls, the same
- * Mdu::integrate() and the same collector feeds in the same order, so
- * a replay is bit-identical to a full run by construction.
+ * Mdu::integrate() and the same collector feeds in the same order,
+ * so a replay is bit-identical to a full run by construction. A
+ * stored gate is too: TransmonChip::applyDrive is exactly
+ * applyDriveGate(driveGate()), the same code computed the stored
+ * gate from the same inputs (a tape is keyed by program and machine
+ * config), and the replay applies it where the run would have.
  *
  * Eligibility is checked, never configured. verifyTape() accepts a
  * program only when
@@ -50,6 +62,7 @@
 #include <vector>
 
 #include "isa/program.hh"
+#include "qsim/transmon.hh"
 #include "quma/machine.hh"
 #include "signal/pulse.hh"
 
@@ -95,6 +108,11 @@ struct PhysicsTape
     std::vector<signal::DrivePulse> pulses;
     /** Measurements taken (shot slots a replay needs). */
     std::size_t shots = 0;
+    /** Qubits whose drives replay from `gates` (static frames). */
+    QubitMask staticFrames = 0;
+    /** The DriveGate of every drive on a `staticFrames` qubit, in
+     *  op order and, within an op, in mask bit order. */
+    std::vector<qsim::DriveGate> gates;
     RunResult result;
     /** The recorded run's counters; replayed rounds report these to
      *  admission. */
@@ -148,6 +166,7 @@ bool feedbackFree(const isa::Program &program);
  * zero-stall run's tape if the program is eligible (see the file
  * comment); nullptr otherwise. The machine keeps its seeds but needs
  * the usual reset -> configure -> loadProgram before its next run.
+ * An accepted tape comes compiled (staticFrames and gates).
  */
 std::shared_ptr<const PhysicsTape> verifyTape(QumaMachine &machine,
                                               const isa::Program &program,

@@ -1,5 +1,6 @@
 #include "runtime/program_cache.hh"
 
+#include <algorithm>
 #include <sstream>
 
 #include "isa/assembler.hh"
@@ -172,7 +173,8 @@ ProgramCache::mduProvider()
 }
 
 ProgramCache::TapeLookup
-ProgramCache::tape(const std::string &source, const std::string &config_key)
+ProgramCache::tape(const std::string &source, const std::string &config_key,
+                   Cycle max_cycles)
 {
     std::string key = tapeKey(source, config_key);
     std::lock_guard<std::mutex> lock(mu);
@@ -188,28 +190,36 @@ ProgramCache::tape(const std::string &source, const std::string &config_key)
         insertBounded(tapes, tapeOrder, kMaxTapes, key, TapeSlot{});
         return {};
     }
-    const bool checked = it->second.checked;
-    return {nullptr, !checked, checked};
+    const TapeSlot &slot = it->second;
+    const bool rejected = slot.checked && max_cycles <= slot.rejectedUnder;
+    return {nullptr, !rejected, rejected};
 }
 
 void
 ProgramCache::storeTape(const std::string &source,
                         const std::string &config_key,
-                        std::shared_ptr<const core::PhysicsTape> tape)
+                        std::shared_ptr<const core::PhysicsTape> tape,
+                        Cycle max_cycles)
 {
     std::string key = tapeKey(source, config_key);
     std::lock_guard<std::mutex> lock(mu);
     TapeSlot &slot =
         insertBounded(tapes, tapeOrder, kMaxTapes, key, TapeSlot{});
-    // Racing checks of one pair reach the same verdict; count it once.
-    if (slot.checked)
+    // A verified tape stays: racing checks reach the same verdict,
+    // or one ran under a budget too small to tell.
+    if (slot.tape)
         return;
-    slot.checked = true;
-    slot.tape = std::move(tape);
-    if (!slot.tape) {
+    if (tape) {
+        slot.checked = true;
+        slot.tape = std::move(tape);
+        return;
+    }
+    if (!slot.checked) {
         ++counters.tapeRejections;
         ms.tapeRejections.inc();
     }
+    slot.checked = true;
+    slot.rejectedUnder = std::max(slot.rejectedUnder, max_cycles);
 }
 
 ProgramCache::Stats

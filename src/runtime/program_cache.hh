@@ -62,7 +62,8 @@ class ProgramCache
         /** Tape lookups that found none: first sighting, check due,
          *  or a rejected pair. */
         std::size_t tapeMisses = 0;
-        /** Pairs the check rejected (they keep the full path). */
+        /** Pairs the check rejected (they keep the full path), each
+         *  counted once however often a larger budget re-checks it. */
         std::size_t tapeRejections = 0;
     };
 
@@ -71,11 +72,12 @@ class ProgramCache
     {
         /** The verified tape; null when there is none to replay. */
         std::shared_ptr<const core::PhysicsTape> tape;
-        /** Second sighting of an unchecked pair: run verifyTape and
-         *  storeTape the outcome. */
+        /** Second sighting of an unchecked pair, or a rejected pair
+         *  seen with a larger budget than any check ran under: run
+         *  verifyTape and storeTape the outcome. */
         bool verify = false;
-        /** The pair was checked and rejected: it keeps the full
-         *  path, no tape will come. */
+        /** The pair was checked and rejected under at least this
+         *  job's budget: it keeps the full path, no tape will come. */
         bool rejected = false;
     };
 
@@ -106,15 +108,18 @@ class ProgramCache
 
     /**
      * Tape-layer lookup for `source` assembled under the config with
-     * key `config_key`. The first sighting notes the pair and returns
-     * neither a tape nor a check request.
+     * key `config_key`, for a job whose budget is `max_cycles`. The
+     * first sighting notes the pair and returns neither a tape nor a
+     * check request.
      */
     TapeLookup tape(const std::string &source,
-                    const std::string &config_key);
+                    const std::string &config_key, Cycle max_cycles);
 
-    /** Record a check's outcome: the tape, or null to reject. */
+    /** Record the outcome of a check run under `max_cycles`: the
+     *  tape, or null to reject. */
     void storeTape(const std::string &source, const std::string &config_key,
-                   std::shared_ptr<const core::PhysicsTape> tape);
+                   std::shared_ptr<const core::PhysicsTape> tape,
+                   Cycle max_cycles);
 
     Stats stats() const;
     void clear();
@@ -137,6 +142,10 @@ class ProgramCache
     {
         std::shared_ptr<const core::PhysicsTape> tape;
         bool checked = false;
+        /** Rejected: the largest budget a check ran under. A budget
+         *  that cut the check's runs short says nothing about a job
+         *  with a larger one. */
+        Cycle rejectedUnder = 0;
     };
 
     mutable std::mutex mu;

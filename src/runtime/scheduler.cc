@@ -937,12 +937,13 @@ JobScheduler::runShard(const JobSpec &spec, const std::string &key,
             machine.reset(chipSeed, execSeed);
             if (!tapeSettled) {
                 ProgramCache::TapeLookup found =
-                    cache.tape(spec.assembly, key);
+                    cache.tape(spec.assembly, key, spec.maxCycles);
                 tape = std::move(found.tape);
                 if (found.verify) {
                     tape = core::verifyTape(machine, *program, bins,
                                             spec.maxCycles);
-                    cache.storeTape(spec.assembly, key, tape);
+                    cache.storeTape(spec.assembly, key, tape,
+                                    spec.maxCycles);
                     machine.reset(chipSeed, execSeed);
                 }
                 tapeSettled = tape || found.verify || found.rejected;

@@ -2,7 +2,8 @@
  * @file
  * Unit tests for the pulse-level transmon model: drive calibration,
  * the timing-sets-the-axis property (paper §4.2.3), detuning,
- * decoherence and readout.
+ * decoherence and readout, and the split of a drive into its gate
+ * and the gate's application.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,8 @@
 #include <numbers>
 
 #include "common/logging.hh"
+#include "common/rng.hh"
+#include "qsim/channels.hh"
 #include "qsim/transmon.hh"
 #include "signal/envelope.hh"
 #include "signal/modulation.hh"
@@ -242,6 +245,99 @@ TEST(Transmon, QuasiStaticDetuningDephasesRamsey)
     // tau on the 20 ns grid so the drive phase is unshifted.
     EXPECT_NEAR(ramsey(0.0, 2000), 1.0, 0.05);
     EXPECT_NEAR(ramsey(400.0e3, 2000), 0.5, 0.12);
+}
+
+/** Bit-for-bit equality of two density matrices. */
+void
+expectSameState(const DensityMatrix &a, const DensityMatrix &b)
+{
+    ASSERT_EQ(a.dim(), b.dim());
+    for (std::size_t r = 0; r < a.dim(); ++r)
+        for (std::size_t c = 0; c < a.dim(); ++c)
+            ASSERT_EQ(a.element(r, c), b.element(r, c))
+                << "element (" << r << ", " << c << ")";
+}
+
+TEST(Transmon, ApplyDriveIsDriveGateThenApplyDriveGate)
+{
+    // Random envelopes, phases, fire times and carrier detunings, on
+    // a static and a drifting frame: the split must reproduce the
+    // one-call drive bit for bit, idle evolution included.
+    Rng rng(0xd21e);
+    TransmonParams drifting = paperQubitParams();
+    drifting.freqHz = 6.1e9;
+    drifting.quasiStaticDetuningSigmaHz = 300e3;
+    const std::vector<TransmonParams> qubits{paperQubitParams(), drifting};
+    TransmonChip whole(qubits, 42);
+    TransmonChip split(qubits, 42);
+    whole.newRound();
+    split.newRound();
+    TimeNs t = 0;
+    for (int n = 0; n < 200; ++n) {
+        const auto q = static_cast<unsigned>(rng.uniformInt(0, 1));
+        signal::DrivePulse pulse =
+            makePulse(qubits[q], rng.uniform(0.0, 2.0 * kPi),
+                      rng.uniform(0.0, 2.0 * kPi), 0);
+        pulse.carrierHz += rng.uniform(-20e6, 20e6);
+        t += static_cast<TimeNs>(rng.uniformInt(0, 400));
+        pulse.t0Ns = t;
+        whole.applyDrive(q, pulse);
+        split.applyDriveGate(q, split.driveGate(q, pulse));
+        ASSERT_EQ(whole.now(), split.now());
+        expectSameState(whole.state(), split.state());
+        t += 20;
+    }
+}
+
+TEST(Transmon, DriveGateDependsOnlyOnThePulseOnAStaticFrame)
+{
+    TransmonParams drifting = quietParams();
+    drifting.quasiStaticDetuningSigmaHz = 300e3;
+    TransmonChip chip({quietParams(), drifting}, 3);
+    EXPECT_TRUE(chip.staticFrame(0));
+    EXPECT_FALSE(chip.staticFrame(1));
+
+    signal::DrivePulse pulse = makePulse(quietParams(), kPi / 2, 0.3, 45);
+    chip.newRound();
+    const DriveGate fixed = chip.driveGate(0, pulse);
+    const DriveGate moving = chip.driveGate(1, pulse);
+    EXPECT_EQ(fixed.midNs, 55);
+    EXPECT_EQ(fixed.endNs, 65);
+    EXPECT_TRUE(fixed.rotates);
+    // Redraw the drifting frame: only its gate moves.
+    chip.measure(1, 100, 1500);
+    chip.newRound();
+    EXPECT_EQ(chip.driveGate(0, pulse).rotation, fixed.rotation);
+    EXPECT_NE(chip.driveGate(1, pulse).rotation, moving.rotation);
+}
+
+TEST(Transmon, MemoizedIdleMatchesIdleChannelParams)
+{
+    // Repeating intervals hit the per-qubit memo, changing ones miss
+    // it; both must give the unmemoized channel's density matrix.
+    TransmonParams a = paperQubitParams();
+    TransmonParams b = paperQubitParams();
+    b.t1Ns = 12000.0;
+    b.t2Ns = 9000.0;
+    TransmonChip chip({a, b}, 1);
+    chip.state().apply1(0, gates::hadamard());
+    chip.state().apply1(1, gates::raxis(0.4, 2.0));
+    DensityMatrix reference = chip.state();
+
+    const TimeNs steps[] = {10, 10, 10, 37, 10, 10, 500, 37, 37, 1,
+                            2,  3,  10, 10, 4000, 4000, 7, 10, 10, 10};
+    TimeNs t = 0;
+    for (TimeNs dt : steps) {
+        t += dt;
+        chip.advanceTo(t);
+        for (unsigned q = 0; q < 2; ++q) {
+            const TransmonParams &p = chip.qubitParams(q);
+            IdleChannelParams icp = idleChannelParams(
+                static_cast<double>(dt), p.t1Ns, p.t2Ns);
+            reference.applyIdle(q, icp.gamma, icp.lambda, 0.0);
+        }
+        expectSameState(chip.state(), reference);
+    }
 }
 
 TEST(Readout, TraceSeparatesStates)

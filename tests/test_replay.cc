@@ -5,11 +5,15 @@
  * experiment program, shard count and worker count; the stall check
  * must only accept tapes every stall draw reproduces; and programs
  * with measurement feedback, or whose timing breaks under stalls,
- * must keep the full path.
+ * must keep the full path. A replayed drive on a static-frame qubit
+ * applies the gate its tape stores; on a drifting frame it
+ * re-integrates the pulse.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -23,6 +27,7 @@
 #include "isa/nametable.hh"
 #include "quma/tape.hh"
 #include "runtime/keys.hh"
+#include "runtime/program_cache.hh"
 #include "runtime/service.hh"
 
 namespace quma {
@@ -122,6 +127,38 @@ cnotJob()
     return job;
 }
 
+/** Both qubits driven around a CZ, with only q1's frame drifting:
+ *  a quasi-static detuning redrawn after every readout. */
+JobSpec
+driftingCzJob()
+{
+    JobSpec job = cnotJob();
+    job.name = "cz_one_drifting";
+    job.machine.qubits[1].quasiStaticDetuningSigmaHz = 250e3;
+    job.assembly = R"(
+        mov r1, 0
+        mov r2, 3
+        mov r15, 40000
+        Round:
+        QNopReg r15
+        Pulse {q0, q1}, X90
+        Wait 4
+        CNOT q0, q1
+        Pulse {q0}, Y90
+        Wait 4
+        Pulse {q1}, X90
+        Wait 4
+        Measure q0, r7
+        Measure q1, r8
+        Wait 600
+        addi r1, r1, 1
+        bne r1, r2, Round
+        halt
+    )";
+    job.seed = 0xd1;
+    return job;
+}
+
 /** One-qubit point program: `gates` then a measurement, `rounds`
  *  times, as the Rabi and spectroscopy sweeps build theirs. */
 JobSpec
@@ -172,6 +209,9 @@ experimentJobs()
     experiments::runEcho(coherence, recorder);
     coherence.artificialDetuningHz = 200e3;
     experiments::runRamsey(coherence, recorder);
+    // A drifting frame: every drive replays through its pulse.
+    coherence.qubitParams.quasiStaticDetuningSigmaHz = 150e3;
+    experiments::runRamsey(coherence, recorder);
     jobs.insert(jobs.end(), recorder.specs.begin(), recorder.specs.end());
 
     JobSpec rabi = pointJob("rabi", {"X180"}, 6, 3);
@@ -186,6 +226,7 @@ experimentJobs()
     spectroscopy.maxCycles = 50000 + 1'000'000;
     jobs.push_back(spectroscopy);
     jobs.push_back(cnotJob());
+    jobs.push_back(driftingCzJob());
     return jobs;
 }
 
@@ -367,6 +408,127 @@ TEST(Replay, ReplayReproducesTheCollectorOfAFullRun)
     EXPECT_GT(checked, 5u);
 }
 
+// ------------------------------------------------- compiled drive gates
+
+/** The collector after a full run or a replay of `tape` under
+ *  `chip_seed`; `tape` null means the full run. */
+std::vector<double>
+collectorAfter(core::QumaMachine &machine, const isa::Program &program,
+               std::size_t bins, std::uint64_t chip_seed,
+               const core::PhysicsTape *tape)
+{
+    machine.reset(chip_seed, 7);
+    machine.configureDataCollection(bins);
+    machine.loadProgram(program);
+    if (tape)
+        machine.replay(*tape);
+    else
+        machine.run(10'000'000);
+    std::vector<double> out = machine.dataCollector().binSums();
+    const auto &bits = machine.dataCollector().bitBinSums();
+    out.insert(out.end(), bits.begin(), bits.end());
+    return out;
+}
+
+/** Drive applications in `tape` on the qubits of `qubits`. */
+std::size_t
+drivesOn(const core::PhysicsTape &tape, QubitMask qubits)
+{
+    std::size_t n = 0;
+    for (const core::TapeOp &op : tape.ops)
+        if (op.kind == core::TapeOp::Kind::Drive)
+            n += static_cast<std::size_t>(std::popcount(op.mask & qubits));
+    return n;
+}
+
+/** `tape` with every stored gate a no-op: what a replay that
+ *  applies stored gates can no longer reproduce. */
+core::PhysicsTape
+withoutGates(const core::PhysicsTape &tape)
+{
+    core::PhysicsTape copy = tape;
+    for (qsim::DriveGate &g : copy.gates)
+        g.rotates = false;
+    return copy;
+}
+
+/** `tape` with every pulse silenced: what a replay that integrates
+ *  pulses can no longer reproduce. */
+core::PhysicsTape
+withoutPulses(const core::PhysicsTape &tape)
+{
+    core::PhysicsTape copy = tape;
+    for (signal::DrivePulse &p : copy.pulses) {
+        p.i = signal::Waveform(std::vector<double>(p.i.size()), p.i.rateHz());
+        p.q = p.i;
+    }
+    return copy;
+}
+
+TEST(Replay, StaticFramesReplayStoredGatesAndDriftingFramesThePulse)
+{
+    // Every qubit static: the tape stores one gate per drive and the
+    // replay never reads a pulse.
+    {
+        experiments::AllxyConfig cfg;
+        cfg.rounds = 4;
+        cfg.shards = 1;
+        JobSpec job = experiments::allxyJob(cfg);
+        isa::Program program = isa::Assembler().assemble(job.assembly);
+        core::QumaMachine machine(job.machine);
+        machine.uploadStandardCalibration();
+        auto tape = core::verifyTape(machine, program, job.bins,
+                                     job.maxCycles);
+        ASSERT_NE(tape, nullptr);
+        EXPECT_EQ(tape->staticFrames, 1u);
+        EXPECT_EQ(tape->gates.size(), drivesOn(*tape, 1));
+        EXPECT_GT(tape->gates.size(), 0u);
+        const auto full = collectorAfter(machine, program, job.bins, 5,
+                                         nullptr);
+        EXPECT_EQ(collectorAfter(machine, program, job.bins, 5, &*tape),
+                  full);
+        core::PhysicsTape silenced = withoutPulses(*tape);
+        EXPECT_EQ(collectorAfter(machine, program, job.bins, 5, &silenced),
+                  full)
+            << "a static-frame drive must not integrate its pulse";
+        core::PhysicsTape gateless = withoutGates(*tape);
+        EXPECT_NE(collectorAfter(machine, program, job.bins, 5, &gateless),
+                  full);
+    }
+    // q0 static, q1 drifting: q0's drives come from stored gates,
+    // q1's from their pulses, and the mix replays bit-identically.
+    {
+        JobSpec job = driftingCzJob();
+        isa::Program program = isa::Assembler().assemble(job.assembly);
+        core::QumaMachine machine(job.machine);
+        machine.uploadStandardCalibration();
+        machine.reset(1, 2);
+        auto tape = core::verifyTape(machine, program, job.bins,
+                                     job.maxCycles);
+        ASSERT_NE(tape, nullptr);
+        EXPECT_EQ(tape->staticFrames, 1u);
+        EXPECT_GT(drivesOn(*tape, 1), 0u);
+        EXPECT_GT(drivesOn(*tape, 2), 0u);
+        EXPECT_EQ(tape->gates.size(), drivesOn(*tape, 1));
+        for (std::uint64_t chip : {5u, 6u, 7u}) {
+            const auto full = collectorAfter(machine, program, job.bins,
+                                             chip, nullptr);
+            EXPECT_EQ(collectorAfter(machine, program, job.bins, chip,
+                                     &*tape),
+                      full);
+            core::PhysicsTape silenced = withoutPulses(*tape);
+            EXPECT_NE(collectorAfter(machine, program, job.bins, chip,
+                                     &silenced),
+                      full)
+                << "a drifting-frame drive must integrate its pulse";
+            core::PhysicsTape gateless = withoutGates(*tape);
+            EXPECT_NE(collectorAfter(machine, program, job.bins, chip,
+                                     &gateless),
+                      full);
+        }
+    }
+}
+
 /** Active reset (examples/active_reset.cpp): the branch reads the MD
  *  result, so the control schedule depends on the chip. */
 JobSpec
@@ -540,6 +702,64 @@ TEST(Replay, TraceEnabledOrBudgetTooSmallKeepsTheFullPath)
     EXPECT_FALSE(got.run.halted);
     EXPECT_EQ(got, service.runSync(fullPath(cut)));
     EXPECT_EQ(service.stats().scheduler.roundsReplayed, 1u);
+}
+
+TEST(Replay, ABudgetCutRejectionIsCheckedAgainUnderALargerBudget)
+{
+    experiments::AllxyConfig cfg;
+    cfg.rounds = 4;
+    cfg.shards = 1;
+    JobSpec job = experiments::allxyJob(cfg);
+    JobSpec cut = job;
+    cut.maxCycles = 1000;
+    runtime::ServiceConfig sc;
+    sc.workers = 1;
+    runtime::ExperimentService service(sc);
+    // The cut job is noted, then checked: its budget cuts both check
+    // runs short, so the pair is rejected under 1000 cycles.
+    for (int i = 0; i < 3; ++i)
+        EXPECT_EQ(service.runSync(cut), service.runSync(fullPath(cut)));
+    ASSERT_EQ(service.stats().cache.tapeRejections, 1u);
+    ASSERT_EQ(service.stats().scheduler.roundsReplayed, 0u);
+
+    // A normal budget checks the pair again, passes and replays.
+    const JobResult reference = service.runSync(fullPath(job));
+    for (int i = 0; i < 2; ++i)
+        EXPECT_EQ(service.runSync(job), reference) << "#" << i;
+    runtime::ServiceStats st = service.stats();
+    EXPECT_EQ(st.scheduler.roundsReplayed, 2u);
+    EXPECT_EQ(st.cache.tapeHits, 1u);
+    EXPECT_EQ(st.cache.tapeRejections, 1u);
+    // The cut job still cannot use the tape.
+    EXPECT_EQ(service.runSync(cut), service.runSync(fullPath(cut)));
+    EXPECT_EQ(service.stats().scheduler.roundsReplayed, 2u);
+}
+
+TEST(Replay, ARejectionIsCheckedAgainOnlyUnderALargerBudget)
+{
+    runtime::ProgramCache cache;
+    const std::string src = "halt", cfg = "config";
+    runtime::ProgramCache::TapeLookup l = cache.tape(src, cfg, 1000);
+    EXPECT_FALSE(l.tape || l.verify || l.rejected) << "first sighting";
+    EXPECT_TRUE(cache.tape(src, cfg, 1000).verify);
+    cache.storeTape(src, cfg, nullptr, 1000);
+
+    for (Cycle budget : {Cycle{1000}, Cycle{10}}) {
+        l = cache.tape(src, cfg, budget);
+        EXPECT_TRUE(l.rejected && !l.verify) << budget;
+    }
+    EXPECT_TRUE(cache.tape(src, cfg, 5000).verify);
+    cache.storeTape(src, cfg, nullptr, 5000);
+    EXPECT_TRUE(cache.tape(src, cfg, 5000).rejected);
+    EXPECT_EQ(cache.stats().tapeRejections, 1u) << "one pair, one rejection";
+
+    EXPECT_TRUE(cache.tape(src, cfg, 9000).verify);
+    auto tape = std::make_shared<const core::PhysicsTape>();
+    cache.storeTape(src, cfg, tape, 9000);
+    EXPECT_EQ(cache.tape(src, cfg, 10).tape, tape);
+    // A racing check's late rejection does not evict the tape.
+    cache.storeTape(src, cfg, nullptr, 100);
+    EXPECT_EQ(cache.tape(src, cfg, 10).tape, tape);
 }
 
 } // namespace

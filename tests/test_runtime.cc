@@ -481,6 +481,10 @@ TEST(Sharding, IdleWorkersStealFromASlowShard)
     JobSpec job = shotJob(96, 0x5709);
     job.rounds = 64;
     job.shards = 1; // everything lands on one worker...
+    // ...and, pre-built, never replays: every round is a full machine
+    // run. A replayed round is so cheap that the shard can finish
+    // before an idle worker is scheduled, on one CPU or a loaded one.
+    job.program = isa::Assembler().assemble(job.assembly);
     JobResult r = svc.runSync(std::move(job));
     ASSERT_FALSE(r.failed());
     EXPECT_EQ(r, pinned);
