@@ -7,7 +7,10 @@
  * loop visits per job, and the heap allocations run() makes per job.
  * A second row times QumaMachine::replay of the same jobs from the
  * job's verified physics tape (control-schedule replay, quma/tape.hh)
- * and checks every replayed collector against the full run's.
+ * and checks every replayed collector against the full run's. The
+ * work a tape moves out of replay lands in its verification, so the
+ * bench also reports the median verifyTape() time and the verified
+ * tape's size (ops plus side tables).
  * Prints a summary and, with `--json <path>`, writes machine-readable
  * metrics per docs/benchmarks.md.
  *
@@ -19,6 +22,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -97,12 +101,23 @@ main(int argc, char **argv)
         allocs.push_back(static_cast<double>(made));
     }
 
-    // The same jobs replayed from the tape the runtime would verify.
-    machine.reset(Rng::derive(job.seed, runtime::kChipStream),
-                  Rng::derive(job.seed, runtime::kExecStream));
-    auto tape = core::verifyTape(machine, program, job.bins, job.maxCycles);
-    if (!tape)
-        fatal("the AllXY job failed the replay check");
+    // The same jobs replayed from the tape the runtime would verify;
+    // verification (two recording runs and the compile step) is timed
+    // on its own.
+    std::shared_ptr<const core::PhysicsTape> tape;
+    std::vector<double> verifyUs;
+    for (std::size_t v = 0; v < (smoke ? 1 : 21); ++v) {
+        machine.reset(Rng::derive(job.seed, runtime::kChipStream),
+                      Rng::derive(job.seed, runtime::kExecStream));
+        auto t0 = std::chrono::steady_clock::now();
+        tape = core::verifyTape(machine, program, job.bins, job.maxCycles);
+        auto t1 = std::chrono::steady_clock::now();
+        if (!tape)
+            fatal("the AllXY job failed the replay check");
+        verifyUs.push_back(
+            std::chrono::duration<double, std::micro>(t1 - t0).count());
+    }
+    const auto tapeBytes = static_cast<double>(tape->bytes());
     std::vector<double> replayUs, replayAllocs;
     for (std::size_t i = 0; i <= jobs; ++i) {
         arm(i);
@@ -134,6 +149,9 @@ main(int argc, char **argv)
                 median(usPerJob) / median(replayUs));
     std::printf("replay heap allocations    %10.0f\n",
                 median(replayAllocs));
+    std::printf("verifyTape() per tape      %10.1f us (median)\n",
+                median(verifyUs));
+    std::printf("verified tape size         %10.0f bytes\n", tapeBytes);
     bench::rule();
 
     json.metric("run_ns_per_visited_cycle", median(nsPerCycle), "ns");
@@ -142,5 +160,7 @@ main(int argc, char **argv)
     json.metric("heap_allocs_per_job", median(allocs), "count");
     json.metric("replay_us_per_job", median(replayUs), "us");
     json.metric("replay_speedup", median(usPerJob) / median(replayUs));
+    json.metric("verify_us", median(verifyUs), "us");
+    json.metric("tape_bytes", tapeBytes, "bytes");
     return json.writeTo(jsonPath) ? 0 : 1;
 }

@@ -47,9 +47,14 @@ DensityMatrix::DensityMatrix(unsigned num_qubits) : nq(num_qubits)
 void
 DensityMatrix::apply1(unsigned q, const Mat2 &u)
 {
+    apply1(q, u, adjoint(u));
+}
+
+void
+DensityMatrix::apply1(unsigned q, const Mat2 &u, const Mat2 &ud)
+{
     quma_assert(q < nq, "qubit index out of range");
     std::size_t stride = std::size_t{1} << q;
-    Mat2 ud = adjoint(u);
 
     // Fused conjugation U rho U+: each (row-pair x column-pair) 2x2
     // block transforms independently, so one in-place row-major sweep
@@ -193,17 +198,33 @@ void
 DensityMatrix::applyIdle(unsigned q, double gamma, double lambda,
                          double phase)
 {
-    quma_assert(q < nq, "qubit index out of range");
+    applyIdle(q, idleCoeffs(gamma, lambda, phase));
+}
+
+IdleCoeffs
+DensityMatrix::idleCoeffs(double gamma, double lambda, double phase)
+{
     quma_assert(gamma >= 0 && gamma <= 1 && lambda >= 0 && lambda <= 1,
                 "idle parameters out of range");
-    std::size_t stride = std::size_t{1} << q;
-    double keep = 1.0 - gamma;
-    double coh = std::sqrt(keep) * std::sqrt(1.0 - lambda);
+    IdleCoeffs c;
+    c.gamma = gamma;
+    c.keep = 1.0 - gamma;
+    double coh = std::sqrt(c.keep) * std::sqrt(1.0 - lambda);
     // Coherence factor for the (0,1) element; the (1,0) element takes
     // the conjugate. phase follows the rz(theta) convention: rho_01
     // picks up exp(-i*theta).
-    Complex up = coh * Complex{std::cos(phase), -std::sin(phase)};
-    Complex down = std::conj(up);
+    c.up = coh * Complex{std::cos(phase), -std::sin(phase)};
+    c.down = std::conj(c.up);
+    return c;
+}
+
+void
+DensityMatrix::applyIdle(unsigned q, const IdleCoeffs &c)
+{
+    quma_assert(q < nq, "qubit index out of range");
+    std::size_t stride = std::size_t{1} << q;
+    const double gamma = c.gamma, keep = c.keep;
+    const Complex up = c.up, down = c.down;
     forEachBlock1(rho.data(), n, stride,
                   [gamma, keep, up, down](Complex *row0, Complex *row1,
                                           std::size_t c0, std::size_t c1) {

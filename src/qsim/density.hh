@@ -23,6 +23,23 @@
 
 namespace quma::qsim {
 
+/**
+ * The element-wise factors of one closed-form idle step on a qubit
+ * (DensityMatrix::idleCoeffs): rho_00 += gamma * rho_11,
+ * rho_11 *= keep, rho_01 *= up, rho_10 *= down. A pure function of
+ * (gamma, lambda, phase), so it can be computed once and applied on
+ * every shot that idles the same way.
+ */
+struct IdleCoeffs
+{
+    double gamma = 0.0;
+    double keep = 1.0;
+    Complex up{1.0, 0.0};
+    Complex down{1.0, 0.0};
+
+    bool operator==(const IdleCoeffs &) const = default;
+};
+
 class DensityMatrix
 {
   public:
@@ -39,6 +56,10 @@ class DensityMatrix
 
     /** Apply a single-qubit unitary to qubit q: rho -> U rho U+. */
     void apply1(unsigned q, const Mat2 &u);
+
+    /** apply1 with U+ supplied: `ud` must be adjoint(u), which a
+     *  caller applying the same gate many times computes once. */
+    void apply1(unsigned q, const Mat2 &u, const Mat2 &ud);
 
     /** Apply a two-qubit unitary (q_high = more significant bit). */
     void apply2(unsigned q_high, unsigned q_low, const Mat4 &u);
@@ -75,10 +96,19 @@ class DensityMatrix
      *   rho_10 *= sqrt(1-gamma) * sqrt(1-lambda) * exp(+i*phase)
      *
      * Equivalent (to rounding) to applyKraus1(idleChannel(...)) then
-     * applyRz(phase); see tests/test_qsim_kernels.cc.
+     * applyRz(phase); see tests/test_qsim_kernels.cc. Exactly
+     * applyIdle(q, idleCoeffs(gamma, lambda, phase)).
      */
     void applyIdle(unsigned q, double gamma, double lambda,
                    double phase = 0.0);
+
+    /** The factors applyIdle(q, gamma, lambda, phase) multiplies in. */
+    static IdleCoeffs idleCoeffs(double gamma, double lambda,
+                                 double phase = 0.0);
+
+    /** One idle step with precomputed factors: the element-wise
+     *  sweep alone, no parameter math. */
+    void applyIdle(unsigned q, const IdleCoeffs &c);
 
     /** Probability that measuring qubit q yields 1. */
     double probabilityOne(unsigned q) const;

@@ -1,6 +1,7 @@
 #include "qsim/transmon.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numbers>
 
@@ -78,20 +79,33 @@ TransmonChip::idleEvolve(TimeNs from_ns, TimeNs to_ns)
         TimeNs start = std::max(from_ns, busyUntilNs[q]);
         if (start >= to_ns)
             continue;
-        double dt = static_cast<double>(to_ns - start);
-        // Closed-form T1/T2 update fused with the quasi-static
-        // detuning frame rotation: one allocation-free sweep instead
-        // of a generic Kraus application plus an rz conjugation.
-        IdleMemo &memo = idleMemo[q];
-        if (dt != memo.dtNs) {
-            memo.dtNs = dt;
-            memo.channel =
-                idleChannelParams(dt, params[q].t1Ns, params[q].t2Ns);
-        }
-        double det = roundDetuningHz[q];
-        rho.applyIdle(q, memo.channel.gamma, memo.channel.lambda,
-                      kTwoPi * det * dt * 1e-9);
+        if (kernelSink)
+            kernelSink->idle(q, to_ns - start);
+        applyIdle(q, idleCoeffs(q, static_cast<double>(to_ns - start)));
     }
+}
+
+IdleCoeffs
+TransmonChip::idleCoeffs(unsigned q, double dt_ns)
+{
+    // Closed-form T1/T2 update fused with the quasi-static detuning
+    // frame rotation: one allocation-free sweep instead of a generic
+    // Kraus application plus an rz conjugation.
+    double phase = kTwoPi * roundDetuningHz[q] * dt_ns * 1e-9;
+    auto phaseBits = std::bit_cast<std::uint64_t>(phase);
+    IdleMemo &memo = idleMemo[q];
+    for (const IdleMemo::Entry &e : memo.entry)
+        if (e.dtNs == dt_ns && e.phaseBits == phaseBits)
+            return e.coeffs;
+    IdleMemo::Entry &e = memo.entry[memo.victim];
+    memo.victim ^= 1;
+    IdleChannelParams channel =
+        idleChannelParams(dt_ns, params[q].t1Ns, params[q].t2Ns);
+    e.dtNs = dt_ns;
+    e.phaseBits = phaseBits;
+    e.coeffs = DensityMatrix::idleCoeffs(channel.gamma, channel.lambda,
+                                         phase);
+    return e.coeffs;
 }
 
 void
@@ -114,7 +128,12 @@ TransmonChip::advanceAtLeast(TimeNs t_ns)
 void
 TransmonChip::applyDrive(unsigned q, const signal::DrivePulse &pulse)
 {
-    applyDriveGate(q, driveGate(q, pulse));
+    DriveGate gate = driveGate(q, pulse);
+    advanceAtLeast(gate.midNs);
+    if (kernelSink)
+        kernelSink->rotate(q, pulse);
+    rotate(q, gate);
+    advanceAtLeast(gate.endNs);
 }
 
 DriveGate
@@ -151,19 +170,17 @@ TransmonChip::driveGate(unsigned q, const signal::DrivePulse &pulse) const
     if (theta > 1e-12) {
         double phi = std::arg(acc);
         gate.rotation = gates::raxis(phi, theta);
+        gate.adjoint = adjoint(gate.rotation);
         gate.rotates = true;
     }
     return gate;
 }
 
 void
-TransmonChip::applyDriveGate(unsigned q, const DriveGate &gate)
+TransmonChip::rotate(unsigned q, const DriveGate &gate)
 {
-    quma_assert(q < params.size(), "qubit index out of range");
-    advanceAtLeast(gate.midNs);
     if (gate.rotates)
-        rho.apply1(q, gate.rotation);
-    advanceAtLeast(gate.endNs);
+        rho.apply1(q, gate.rotation, gate.adjoint);
 }
 
 bool
@@ -179,9 +196,17 @@ TransmonChip::applyCz(unsigned a, unsigned b, TimeNs t0_ns,
     quma_assert(a < params.size() && b < params.size() && a != b,
                 "bad CZ operands");
     advanceAtLeast(t0_ns + duration_ns / 2);
+    if (kernelSink)
+        kernelSink->czPhase(a, b, t0_ns, duration_ns);
+    czPhase(a, b);
+    advanceAtLeast(t0_ns + duration_ns);
+}
+
+void
+TransmonChip::czPhase(unsigned a, unsigned b)
+{
     // CZ is diagonal: an O(n^2) sign sweep, not a 4x4 conjugation.
     rho.applyCzPhase(a, b);
-    advanceAtLeast(t0_ns + duration_ns);
 }
 
 ReadoutShot
@@ -193,7 +218,20 @@ TransmonChip::measure(unsigned q, TimeNs t0_ns, TimeNs duration_ns)
               " ns starts before the previous one ends (",
               busyUntilNs[q], " ns)");
     advanceAtLeast(t0_ns);
+    // The measured qubit's evolution during the window is decided by
+    // the sampled shot (T1 decay included); decoherence inside the
+    // window is suppressed via busyUntilNs so it is not applied
+    // twice. Other qubits idle normally as time advances.
+    busyUntilNs[q] = t0_ns + duration_ns;
+    if (kernelSink)
+        kernelSink->readout(q, t0_ns, duration_ns);
+    return readout(q, duration_ns);
+}
 
+ReadoutShot
+TransmonChip::readout(unsigned q, TimeNs duration_ns)
+{
+    quma_assert(q < params.size(), "qubit index out of range");
     double p1 = rho.probabilityOne(q);
     bool outcome = random.bernoulli(std::clamp(p1, 0.0, 1.0));
     rho.project(q, outcome);
@@ -201,14 +239,8 @@ TransmonChip::measure(unsigned q, TimeNs t0_ns, TimeNs duration_ns)
     const TransmonParams &p = params[q];
     ReadoutShot shot = sampleReadoutShot(outcome, duration_ns, p.t1Ns,
                                          random);
-
-    // The measured qubit's state at the end of the window is decided
-    // by the sampled shot (T1 decay included); decoherence inside
-    // the window is suppressed via busyUntilNs so it is not applied
-    // twice. Other qubits idle normally as time advances.
     if (shot.initialOne && !shot.finalOne)
         rho.resetQubit(q);
-    busyUntilNs[q] = t0_ns + duration_ns;
 
     // Quasi-static noise decorrelates between shots: redraw the slow
     // frequency offset after each readout (measurements delimit

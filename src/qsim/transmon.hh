@@ -20,6 +20,7 @@
 #ifndef QUMA_QSIM_TRANSMON_HH
 #define QUMA_QSIM_TRANSMON_HH
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -65,10 +66,35 @@ struct DriveGate
 {
     /** raxis(phi, theta) of the pulse integral. */
     Mat2 rotation{};
+    /** adjoint(rotation), so applying the gate conjugates nothing. */
+    Mat2 adjoint{};
     /** theta is above the no-op threshold: apply `rotation`. */
     bool rotates = false;
     TimeNs midNs = 0;
     TimeNs endNs = 0;
+
+    bool operator==(const DriveGate &) const = default;
+};
+
+/**
+ * Observer of the kernels a chip applies, told of each in call order
+ * (TransmonChip::setKernelSink). The clock-driven entry points --
+ * advanceTo, applyDrive, applyCz, measure -- report what they apply;
+ * the clock-free kernels they call report nothing.
+ */
+class KernelSink
+{
+  public:
+    virtual ~KernelSink() = default;
+    /** Qubit q idled dt_ns: applyIdle(q, idleCoeffs(q, dt_ns)). */
+    virtual void idle(unsigned q, TimeNs dt_ns) = 0;
+    /** rotate(q, driveGate(q, pulse)); pulse.t0Ns is its fire time. */
+    virtual void rotate(unsigned q, const signal::DrivePulse &pulse) = 0;
+    /** czPhase(a, b) of the CZ applyCz(a, b, t0_ns, duration_ns). */
+    virtual void czPhase(unsigned a, unsigned b, TimeNs t0_ns,
+                         TimeNs duration_ns) = 0;
+    /** readout(q, duration_ns) of the window measure(q, t0_ns, ...). */
+    virtual void readout(unsigned q, TimeNs t0_ns, TimeNs duration_ns) = 0;
 };
 
 /**
@@ -109,6 +135,8 @@ class TransmonChip
      */
     void reseed(std::uint64_t seed);
 
+    // --- clock: the chip's time line, driving the kernels below ---
+
     /** Advance to an absolute time, applying idle decoherence. */
     void advanceTo(TimeNs t_ns);
 
@@ -119,9 +147,45 @@ class TransmonChip
      * Apply a microwave drive pulse to qubit q. The pulse's I/Q
      * samples are interpreted in the qubit's rotating frame relative
      * to the pulse's carrier; time is the global simulation time.
-     * Exactly applyDriveGate(q, driveGate(q, pulse)).
+     * Exactly: gate = driveGate(q, pulse), idle to gate.midNs,
+     * rotate(q, gate), idle to gate.endNs.
      */
     void applyDrive(unsigned q, const signal::DrivePulse &pulse);
+
+    /**
+     * Apply a two-qubit CZ between qubits a and b (idealised flux
+     * pulse of the given duration): idle to its midpoint,
+     * czPhase(a, b), idle to its end.
+     */
+    void applyCz(unsigned a, unsigned b, TimeNs t0_ns, TimeNs duration_ns);
+
+    /**
+     * Measure qubit q with a readout window starting at t0 lasting
+     * duration_ns: reject a window overlapping the qubit's previous
+     * one, idle to t0, suppress the qubit's idling inside the window,
+     * then readout(q, duration_ns).
+     */
+    ReadoutShot measure(unsigned q, TimeNs t0_ns, TimeNs duration_ns);
+
+    /** Report every kernel the clock applies to `sink` (null: none). */
+    void setKernelSink(KernelSink *sink) { kernelSink = sink; }
+
+    // --- kernels: clock-free, applied where the clock puts them ---
+
+    /**
+     * The factors of dt_ns of idling on qubit q in its current frame:
+     * idleChannelParams(dt_ns, T1, T2) composed with the frame
+     * rotation 2*pi*detuning*dt_ns. Pure in (dt_ns, phase), so a
+     * two-entry memo per qubit serves the repeating intervals of a
+     * schedule.
+     */
+    IdleCoeffs idleCoeffs(unsigned q, double dt_ns);
+
+    /** One idle step on qubit q with the given factors. */
+    void applyIdle(unsigned q, const IdleCoeffs &c)
+    {
+        rho.applyIdle(q, c);
+    }
 
     /**
      * The gate `pulse` applies to qubit q in the qubit's current
@@ -131,31 +195,33 @@ class TransmonChip
      */
     DriveGate driveGate(unsigned q, const signal::DrivePulse &pulse) const;
 
-    /** Idle to the gate's midpoint, rotate, idle to its end. */
-    void applyDriveGate(unsigned q, const DriveGate &gate);
+    /** Apply the gate's rotation to qubit q (if it rotates at all). */
+    void rotate(unsigned q, const DriveGate &gate);
+
+    /** The CZ's diagonal phase on qubits a and b. */
+    void czPhase(unsigned a, unsigned b);
+
+    /**
+     * Read qubit q out over a duration_ns window: project it, simulate
+     * T1 decay during the window and return the readout as an
+     * integrated-domain shot. Draws, in order: the projection
+     * (bernoulli), the decay instant (one uniform, only for |1>), the
+     * integrated noise (one standard normal), then the quasi-static
+     * detuning redraw.
+     */
+    ReadoutShot readout(unsigned q, TimeNs duration_ns);
 
     /**
      * True when qubit q's rotating frame never moves: it has no
      * quasi-static detuning, so no draw ever shifts it and
-     * driveGate() of a pulse is the same on every shot.
+     * driveGate() of a pulse and idleCoeffs() of an interval are the
+     * same on every shot.
      */
     bool staticFrame(unsigned q) const;
 
-    /**
-     * Apply a two-qubit CZ between qubits a and b (idealised flux
-     * pulse of the given duration).
-     */
-    void applyCz(unsigned a, unsigned b, TimeNs t0_ns, TimeNs duration_ns);
-
-    /**
-     * Measure qubit q with a readout window starting at t0 lasting
-     * duration_ns. Projects the qubit, simulates T1 decay during the
-     * window, and returns the readout as an integrated-domain shot.
-     * Draws, in order: the projection (bernoulli), the decay instant
-     * (one uniform, only for |1>), the integrated noise (one
-     * standard normal), then the quasi-static detuning redraw.
-     */
-    ReadoutShot measure(unsigned q, TimeNs t0_ns, TimeNs duration_ns);
+    /** Qubit q's current quasi-static detuning (Hz; 0 on a static
+     *  frame). */
+    double detuningHz(unsigned q) const { return roundDetuningHz.at(q); }
 
     /** Probability of |1> right now (diagnostic; not a measurement). */
     double probabilityOne(unsigned q) const;
@@ -169,13 +235,21 @@ class TransmonChip
   private:
     void idleEvolve(TimeNs from_ns, TimeNs to_ns);
 
-    /** A qubit's last idle interval and its channel parameters: a
-     *  pure function of (dt, T1, T2), and schedules repeat their
-     *  intervals. dtNs < 0 means empty. */
+    /** A qubit's two most recent distinct idle steps and their
+     *  factors, keyed on (dt, phase bits); a schedule alternates
+     *  between a long wait and short gate intervals, so one entry
+     *  would miss on every change. dtNs < 0 means empty. */
     struct IdleMemo
     {
-        double dtNs = -1.0;
-        IdleChannelParams channel;
+        struct Entry
+        {
+            double dtNs = -1.0;
+            std::uint64_t phaseBits = 0;
+            IdleCoeffs coeffs;
+        };
+        Entry entry[2];
+        /** The entry the next miss overwrites. */
+        unsigned victim = 0;
     };
 
     std::vector<TransmonParams> params;
@@ -190,6 +264,7 @@ class TransmonChip
     DensityMatrix rho;
     Rng random;
     TimeNs nowNs = 0;
+    KernelSink *kernelSink = nullptr;
 };
 
 /**

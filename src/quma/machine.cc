@@ -312,13 +312,9 @@ QumaMachine::onDrivePulse(unsigned awg_index,
                   std::popcount(mask));
         auto lo = static_cast<unsigned>(std::countr_zero(mask));
         auto hi = static_cast<unsigned>(std::countr_zero(mask & (mask - 1)));
-        if (taping)
-            taping->cz(lo, hi, pulse.t0Ns, cfg.czDurationNs);
         chipSim->applyCz(lo, hi, pulse.t0Ns, cfg.czDurationNs);
         return;
     }
-    if (taping)
-        taping->drive(awg_index, pulse, cw, mask);
     for (QubitMask m = mask; m != 0; m &= m - 1)
         chipSim->applyDrive(static_cast<unsigned>(std::countr_zero(m)),
                             pulse);
@@ -331,8 +327,6 @@ QumaMachine::onMeasurementPulse(unsigned qubit,
     quma_assert(qubit < mdus.size(), "measurement of unknown qubit");
     Cycle td = nsToCycles(pulse.t0Ns);
     Cycle dur = nsToCycles(pulse.durationNs);
-    if (taping)
-        taping->measure(qubit, pulse.t0Ns, pulse.durationNs);
     qsim::ReadoutShot shot =
         chipSim->measure(qubit, pulse.t0Ns, pulse.durationNs);
     recorder.recordMeasurement({td, qubit, dur, shot.initialOne});
@@ -481,13 +475,18 @@ QumaMachine::recordRun(PhysicsTape &tape, Cycle max_cycles)
 {
     TapeWriter writer(tape, static_cast<unsigned>(cfg.qubits.size()));
     taping = &writer;
+    chipSim->setKernelSink(&writer);
     // The writer dies with this frame: never leave it reachable, not
     // even when the run throws.
     struct Detach
     {
-        TapeWriter *&slot;
-        ~Detach() { slot = nullptr; }
-    } detach{taping};
+        QumaMachine &m;
+        ~Detach()
+        {
+            m.taping = nullptr;
+            m.chipSim->setKernelSink(nullptr);
+        }
+    } detach{*this};
     tape.result = run(max_cycles);
     return tape.result;
 }
@@ -506,39 +505,47 @@ QumaMachine::replay(const PhysicsTape &tape)
     // Sized once per tape shape; a warm replay allocates nothing.
     if (replayShots.size() < tape.shots)
         replayShots.resize(tape.shots);
+    qsim::TransmonChip &chip = *chipSim;
     std::uint32_t loaded = ~std::uint32_t{0};
-    std::size_t gate = 0;
+    // The kernel stream the run's clock produced; the clock itself
+    // never runs. A static-frame qubit's idles and rotations were
+    // computed when the tape was verified; a drifting one's follow
+    // its current detuning.
     for (const TapeOp &op : tape.ops) {
+        const bool stored = tape.staticFrames & (QubitMask{1} << op.qubit);
         switch (op.kind) {
-          case TapeOp::Kind::Drive:
-            for (QubitMask m = op.mask; m != 0; m &= m - 1) {
-                auto q = static_cast<unsigned>(std::countr_zero(m));
-                // A static-frame qubit's gate was computed once, when
-                // the tape was verified.
-                if (tape.staticFrames & (QubitMask{1} << q)) {
-                    chipSim->applyDriveGate(q, tape.gates[gate++]);
-                    continue;
-                }
-                if (op.index != loaded) {
-                    // Copy into the reused pulse, exactly as the CTPG
-                    // assembles its emission: sized vectors, no heap.
-                    const signal::DrivePulse &p = tape.pulses[op.index];
-                    replayPulse.i = p.i;
-                    replayPulse.q = p.q;
-                    replayPulse.ssbHz = p.ssbHz;
-                    replayPulse.carrierHz = p.carrierHz;
-                    loaded = op.index;
-                }
-                replayPulse.t0Ns = op.t0;
-                chipSim->applyDrive(q, replayPulse);
+          case TapeOp::Kind::Idle:
+            if (stored)
+                chip.applyIdle(op.qubit, tape.idles[op.index]);
+            else
+                chip.applyIdle(op.qubit,
+                               chip.idleCoeffs(op.qubit, static_cast<double>(
+                                                             op.duration)));
+            break;
+          case TapeOp::Kind::Rotate:
+            if (stored) {
+                chip.rotate(op.qubit, tape.gates[op.index]);
+                break;
             }
+            if (op.index != loaded) {
+                // Copy into the reused pulse, exactly as the CTPG
+                // assembles its emission: sized vectors, no heap.
+                const signal::DrivePulse &p = tape.pulses[op.index];
+                replayPulse.i = p.i;
+                replayPulse.q = p.q;
+                replayPulse.ssbHz = p.ssbHz;
+                replayPulse.carrierHz = p.carrierHz;
+                loaded = op.index;
+            }
+            replayPulse.t0Ns = op.t0;
+            chip.rotate(op.qubit, chip.driveGate(op.qubit, replayPulse));
             break;
           case TapeOp::Kind::Cz:
-            chipSim->applyCz(op.qubit, op.qubit2, op.t0, op.duration);
+            chip.czPhase(op.qubit, op.qubit2);
             break;
-          case TapeOp::Kind::Measure:
+          case TapeOp::Kind::Readout:
             replayShots[op.index] = mdus[op.qubit]->integrate(
-                chipSim->measure(op.qubit, op.t0, op.duration));
+                chip.readout(op.qubit, op.duration));
             break;
           case TapeOp::Kind::Deliver: {
             auto [s, bit] = replayShots[op.index];

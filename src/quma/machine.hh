@@ -177,17 +177,18 @@ class QumaMachine
      */
     RunResult run(Cycle max_cycles = 2'000'000'000ULL);
 
-    /** run() that also records the run's physics calls into `tape`
-     *  (quma/tape.hh); tape.result receives the RunResult. */
+    /** run() that also records the run's chip kernels and MDU
+     *  deliveries into `tape` (quma/tape.hh); tape.result receives
+     *  the RunResult. */
     RunResult recordRun(PhysicsTape &tape,
                         Cycle max_cycles = 2'000'000'000ULL);
 
     /**
      * Control-schedule replay: instead of running the loaded
-     * program, make the chip calls, MDU integrations and collector
+     * program, apply the chip kernels, MDU integrations and collector
      * feeds `tape` recorded, in its order, and return its RunResult.
-     * A drive on one of the tape's static-frame qubits applies the
-     * gate the tape stores instead of re-integrating its pulse.
+     * The chip's clock never runs; a static-frame qubit's idles and
+     * rotations apply the factors and gates the tape stores.
      * Called where run() would be (after reset -> configure ->
      * loadProgram), it leaves the collector bit-identical to a full
      * run of an eligible program (see verifyTape). The tape is only
@@ -287,7 +288,8 @@ class QumaMachine
     /** Cycles visited by the most recent run's event loop. */
     std::size_t cyclesVisited = 0;
 
-    /** Physics-call recorder of a recordRun, null otherwise. */
+    /** Delivery recorder of a recordRun (also the chip's kernel
+     *  sink), null otherwise. */
     TapeWriter *taping = nullptr;
     /** replay() scratch, sized by the first replay of a tape: the
      *  integrated shot per slot and the pulse handed to the chip. */

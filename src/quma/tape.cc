@@ -1,11 +1,51 @@
 #include "quma/tape.hh"
 
-#include <bit>
 #include <bitset>
+#include <map>
+#include <utility>
 
 #include "common/logging.hh"
 
 namespace quma::core {
+
+namespace {
+
+/** Same samples, rate and frequencies; the fire time is not part of
+ *  a rendering. */
+bool
+samePulse(const signal::DrivePulse &a, const signal::DrivePulse &b)
+{
+    return a.i.samples() == b.i.samples() && a.q.samples() == b.q.samples() &&
+           a.i.rateHz() == b.i.rateHz() && a.q.rateHz() == b.q.rateHz() &&
+           a.ssbHz == b.ssbHz && a.carrierHz == b.carrierHz;
+}
+
+} // namespace
+
+bool
+PhysicsTape::sameRun(const PhysicsTape &other) const
+{
+    if (ops != other.ops || shots != other.shots ||
+        !(result == other.result) || staticFrames != other.staticFrames ||
+        idles != other.idles || gates != other.gates ||
+        pulses.size() != other.pulses.size())
+        return false;
+    for (std::size_t p = 0; p < pulses.size(); ++p)
+        if (!samePulse(pulses[p], other.pulses[p]))
+            return false;
+    return true;
+}
+
+std::size_t
+PhysicsTape::bytes() const
+{
+    std::size_t n = ops.size() * sizeof(TapeOp) +
+                    idles.size() * sizeof(qsim::IdleCoeffs) +
+                    gates.size() * sizeof(qsim::DriveGate);
+    for (const signal::DrivePulse &p : pulses)
+        n += sizeof p + (p.i.size() + p.q.size()) * sizeof(double);
+    return n;
+}
 
 TapeWriter::TapeWriter(PhysicsTape &tape_, unsigned num_qubits)
     : tape(tape_), undelivered(num_qubits)
@@ -13,49 +53,56 @@ TapeWriter::TapeWriter(PhysicsTape &tape_, unsigned num_qubits)
 }
 
 void
-TapeWriter::drive(unsigned awg, const signal::DrivePulse &pulse,
-                  Codeword cw, QubitMask mask)
+TapeWriter::push(TapeOp::Kind kind, unsigned q, std::uint32_t index,
+                 TimeNs t0, TimeNs duration)
 {
-    auto [it, added] = pulseIndex.emplace(
-        std::pair{awg, cw}, static_cast<std::uint32_t>(tape.pulses.size()));
-    if (added) {
+    TapeOp op;
+    op.kind = kind;
+    op.qubit = static_cast<std::uint8_t>(q);
+    op.index = index;
+    op.t0 = t0;
+    op.duration = duration;
+    tape.ops.push_back(op);
+}
+
+void
+TapeWriter::idle(unsigned q, TimeNs dt_ns)
+{
+    push(TapeOp::Kind::Idle, q, 0, 0, dt_ns);
+}
+
+void
+TapeWriter::rotate(unsigned q, const signal::DrivePulse &pulse)
+{
+    // A program plays a handful of distinct renderings; the latest
+    // match is the likeliest.
+    auto index = static_cast<std::uint32_t>(tape.pulses.size());
+    for (std::uint32_t p = index; p-- > 0;)
+        if (samePulse(tape.pulses[p], pulse)) {
+            index = p;
+            break;
+        }
+    if (index == tape.pulses.size()) {
         tape.pulses.push_back(pulse);
         tape.pulses.back().t0Ns = 0;
     }
-    TapeOp op;
-    op.kind = TapeOp::Kind::Drive;
-    op.awg = static_cast<std::uint8_t>(awg);
-    op.cw = cw;
-    op.mask = mask;
-    op.index = it->second;
-    op.t0 = pulse.t0Ns;
-    tape.ops.push_back(op);
+    push(TapeOp::Kind::Rotate, q, index, pulse.t0Ns, 0);
 }
 
 void
-TapeWriter::cz(unsigned a, unsigned b, TimeNs t0, TimeNs duration)
+TapeWriter::czPhase(unsigned a, unsigned b, TimeNs t0_ns,
+                    TimeNs duration_ns)
 {
-    TapeOp op;
-    op.kind = TapeOp::Kind::Cz;
-    op.qubit = static_cast<std::uint8_t>(a);
-    op.qubit2 = static_cast<std::uint8_t>(b);
-    op.t0 = t0;
-    op.duration = duration;
-    tape.ops.push_back(op);
+    push(TapeOp::Kind::Cz, a, 0, t0_ns, duration_ns);
+    tape.ops.back().qubit2 = static_cast<std::uint8_t>(b);
 }
 
 void
-TapeWriter::measure(unsigned qubit, TimeNs t0, TimeNs duration)
+TapeWriter::readout(unsigned q, TimeNs t0_ns, TimeNs duration_ns)
 {
     auto slot = static_cast<std::uint32_t>(tape.shots++);
-    undelivered.at(qubit).push_back(slot);
-    TapeOp op;
-    op.kind = TapeOp::Kind::Measure;
-    op.qubit = static_cast<std::uint8_t>(qubit);
-    op.index = slot;
-    op.t0 = t0;
-    op.duration = duration;
-    tape.ops.push_back(op);
+    undelivered.at(q).push_back(slot);
+    push(TapeOp::Kind::Readout, q, slot, t0_ns, duration_ns);
 }
 
 void
@@ -63,12 +110,8 @@ TapeWriter::deliver(unsigned qubit)
 {
     auto &fifo = undelivered.at(qubit);
     quma_assert(!fifo.empty(), "MDU delivered a result it never measured");
-    TapeOp op;
-    op.kind = TapeOp::Kind::Deliver;
-    op.qubit = static_cast<std::uint8_t>(qubit);
-    op.index = fifo.front();
+    push(TapeOp::Kind::Deliver, qubit, fifo.front(), 0, 0);
     fifo.pop_front();
-    tape.ops.push_back(op);
 }
 
 bool
@@ -130,24 +173,39 @@ recordWithStalls(QumaMachine &machine, const isa::Program &program,
     return tape;
 }
 
-/** Store the gate of every drive on a static-frame qubit. */
+} // namespace
+
 void
-compileDriveGates(PhysicsTape &tape, const qsim::TransmonChip &chip)
+compileKernels(PhysicsTape &tape, qsim::TransmonChip &chip)
 {
     for (unsigned q = 0; q < chip.numQubits(); ++q)
         if (chip.staticFrame(q))
             tape.staticFrames |= QubitMask{1} << q;
+    std::map<std::pair<unsigned, TimeNs>, std::uint32_t> idleIndex;
     signal::DrivePulse pulse;
-    for (const TapeOp &op : tape.ops) {
-        if (op.kind != TapeOp::Kind::Drive)
+    for (TapeOp &op : tape.ops) {
+        if (!(tape.staticFrames & (QubitMask{1} << op.qubit)))
             continue;
-        pulse = tape.pulses[op.index];
-        pulse.t0Ns = op.t0;
-        for (QubitMask m = op.mask & tape.staticFrames; m != 0; m &= m - 1)
-            tape.gates.push_back(chip.driveGate(
-                static_cast<unsigned>(std::countr_zero(m)), pulse));
+        if (op.kind == TapeOp::Kind::Idle) {
+            auto [it, added] = idleIndex.emplace(
+                std::pair{unsigned{op.qubit}, op.duration},
+                static_cast<std::uint32_t>(tape.idles.size()));
+            if (added)
+                tape.idles.push_back(chip.idleCoeffs(
+                    op.qubit, static_cast<double>(op.duration)));
+            op.index = it->second;
+        } else if (op.kind == TapeOp::Kind::Rotate) {
+            // The frame phase at the fire time sets the axis, so
+            // gates rarely repeat: one per rotation.
+            pulse = tape.pulses[op.index];
+            pulse.t0Ns = op.t0;
+            op.index = static_cast<std::uint32_t>(tape.gates.size());
+            tape.gates.push_back(chip.driveGate(op.qubit, pulse));
+        }
     }
 }
+
+namespace {
 
 bool
 onTime(const PhysicsTape &tape)
@@ -175,7 +233,7 @@ verifyTape(QumaMachine &machine, const isa::Program &program,
             if (!onTime(late) || !late.sameRun(*early))
                 return nullptr;
         }
-        compileDriveGates(*early, machine.chip());
+        compileKernels(*early, machine.chip());
         return early;
     } catch (const FatalError &) {
         // A program that wedges or faults at a stall extreme is

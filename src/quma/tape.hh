@@ -8,30 +8,37 @@
  * chip's outcomes nor -- as long as no time point is late -- on when
  * the execution controller delivers events. Only the chip's draws
  * differ from run to run. A PhysicsTape records the physics side of
- * one run in call order:
+ * one run as the chip's own kernel stream, in call order:
  *
- *  - every drive pulse, CZ and measurement the machine applied to the
- *    chip, with its arguments (each (AWG, codeword) pulse rendering
- *    is stored once);
+ *  - every kernel the chip's clock applied (qsim::KernelSink): each
+ *    idle step (qubit, interval), each drive rotation (qubit, pulse,
+ *    fire time; each distinct pulse rendering is stored once), each
+ *    CZ phase and each readout (qubit, window);
  *  - every MDU result delivery into the data collection unit, naming
- *    the measurement it integrates;
+ *    the readout it integrates;
  *  - the run's RunResult and MachineStats.
  *
- * An accepted tape is also compiled: the deterministic half of its
- * physics is done once, when it is verified. Every drive on a qubit
- * whose frame is static (TransmonChip::staticFrame: no quasi-static
- * detuning, so nothing ever redraws it) stores its DriveGate -- the
- * pulse integral and rotation TransmonChip::driveGate computes from
- * the pulse and its fire time alone. A drifting-frame qubit's gate
- * changes with every detuning draw, so its drives keep the pulse.
+ * An accepted tape is also compiled: every deterministic parameter is
+ * computed once, when it is verified. On a qubit whose frame is
+ * static (TransmonChip::staticFrame: no quasi-static detuning, so
+ * nothing ever redraws it) each idle step stores its IdleCoeffs --
+ * one entry per distinct (qubit, interval) -- and each rotation its
+ * DriveGate. A drifting-frame qubit's
+ * factors change with every detuning draw, so its idles keep the
+ * interval and its rotations the pulse and fire time.
  *
- * QumaMachine::replay() makes the same chip calls, the same
- * Mdu::integrate() and the same collector feeds in the same order,
- * so a replay is bit-identical to a full run by construction. A
- * stored gate is too: TransmonChip::applyDrive is exactly
- * applyDriveGate(driveGate()), the same code computed the stored
- * gate from the same inputs (a tape is keyed by program and machine
- * config), and the replay applies it where the run would have.
+ * QumaMachine::replay() walks the stream once: it applies the stored
+ * factors and gates, computes a drifting qubit's from its current
+ * detuning with the same chip functions, and makes the same
+ * readouts, Mdu::integrate() calls and collector feeds in the same
+ * order. It never touches the chip's clock: the stream already holds
+ * every step the clock produced. A replay is therefore bit-identical
+ * to a full run by construction. The run's clock calls the same
+ * kernels -- applyIdle(q, idleCoeffs(q, dt)), rotate(q, driveGate(q,
+ * pulse)), czPhase, readout -- in this order, and a stored value is
+ * what the same function returned for the same inputs (a tape is
+ * keyed by program and machine config, and a static frame's
+ * detuning is always zero).
  *
  * Eligibility is checked, never configured. verifyTape() accepts a
  * program only when
@@ -56,9 +63,7 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "isa/program.hh"
@@ -68,31 +73,32 @@
 
 namespace quma::core {
 
-/** One physics call of a run. */
+/** One kernel call of a run (see the file comment). */
 struct TapeOp
 {
     enum class Kind : std::uint8_t
     {
-        /** chip.applyDrive for every qubit of `mask`. */
-        Drive,
-        /** chip.applyCz(qubit, qubit2, t0, duration). */
+        /** chip.applyIdle on `qubit` over `duration` ns; compiled on
+         *  a static frame: PhysicsTape::idles[index]. */
+        Idle,
+        /** chip.rotate on `qubit` by the pulse PhysicsTape::pulses
+         *  [index] fired at `t0`; compiled on a static frame: the
+         *  gate PhysicsTape::gates[index]. */
+        Rotate,
+        /** chip.czPhase(qubit, qubit2) of the CZ fired at `t0` for
+         *  `duration` ns. */
         Cz,
-        /** chip.measure(qubit, t0, duration), integrated by MDU
-         *  `qubit` into shot slot `index`. */
-        Measure,
+        /** chip.readout(qubit, duration) of the window at `t0`,
+         *  integrated by MDU `qubit` into shot slot `index`. */
+        Readout,
         /** Feed shot slot `index` into the data collection unit. */
         Deliver,
     };
 
-    Kind kind = Kind::Drive;
+    Kind kind = Kind::Idle;
     std::uint8_t qubit = 0;
     std::uint8_t qubit2 = 0;
-    /** Drive: the AWG that played the pulse. */
-    std::uint8_t awg = 0;
-    Codeword cw = 0;
-    QubitMask mask = 0;
-    /** Drive: index into PhysicsTape::pulses; Measure/Deliver: the
-     *  shot slot. */
+    /** Into the side table or shot slots `kind` names. */
     std::uint32_t index = 0;
     TimeNs t0 = 0;
     TimeNs duration = 0;
@@ -100,53 +106,58 @@ struct TapeOp
     bool operator==(const TapeOp &) const = default;
 };
 
-/** The ordered physics calls of one run (see the file comment). */
+/** The ordered kernel calls of one run (see the file comment). */
 struct PhysicsTape
 {
     std::vector<TapeOp> ops;
-    /** Rendered pulse per (AWG, codeword), first use first; t0 = 0. */
+    /** Distinct rendered pulses, first use first; t0 = 0. */
     std::vector<signal::DrivePulse> pulses;
-    /** Measurements taken (shot slots a replay needs). */
+    /** Readouts taken (shot slots a replay needs). */
     std::size_t shots = 0;
-    /** Qubits whose drives replay from `gates` (static frames). */
+    /** Qubits whose idles and rotations replay from `idles` and
+     *  `gates` (static frames). */
     QubitMask staticFrames = 0;
-    /** The DriveGate of every drive on a `staticFrames` qubit, in
-     *  op order and, within an op, in mask bit order. */
+    /** Distinct idle factors of the static-frame qubits. */
+    std::vector<qsim::IdleCoeffs> idles;
+    /** The gate of every rotation on a static-frame qubit, in op
+     *  order. */
     std::vector<qsim::DriveGate> gates;
     RunResult result;
     /** The recorded run's counters; replayed rounds report these to
      *  admission. */
     MachineStats stats;
 
-    /** Same physics calls and result (stats are not compared). */
-    bool
-    sameRun(const PhysicsTape &other) const
-    {
-        return ops == other.ops && shots == other.shots &&
-               result == other.result;
-    }
+    /** Same kernel calls, times, pulses and stored tables, and the
+     *  same result (stats are not compared). */
+    bool sameRun(const PhysicsTape &other) const;
+
+    /** Bytes of the ops and side tables a replay reads. */
+    std::size_t bytes() const;
 };
 
 /**
- * Appends a run's physics calls to a tape; QumaMachine::recordRun
- * drives it from the machine's chip and MDU sinks.
+ * Appends a run's kernel calls to a tape: QumaMachine::recordRun sets
+ * it as the chip's KernelSink and reports MDU deliveries itself.
  */
-class TapeWriter
+class TapeWriter : public qsim::KernelSink
 {
   public:
     TapeWriter(PhysicsTape &tape, unsigned num_qubits);
 
-    void drive(unsigned awg, const signal::DrivePulse &pulse, Codeword cw,
-               QubitMask mask);
-    void cz(unsigned a, unsigned b, TimeNs t0, TimeNs duration);
-    void measure(unsigned qubit, TimeNs t0, TimeNs duration);
+    void idle(unsigned q, TimeNs dt_ns) override;
+    void rotate(unsigned q, const signal::DrivePulse &pulse) override;
+    void czPhase(unsigned a, unsigned b, TimeNs t0_ns,
+                 TimeNs duration_ns) override;
+    void readout(unsigned q, TimeNs t0_ns, TimeNs duration_ns) override;
     /** MDU `qubit` delivered its oldest undelivered shot. */
     void deliver(unsigned qubit);
 
   private:
+    void push(TapeOp::Kind kind, unsigned q, std::uint32_t index,
+              TimeNs t0, TimeNs duration);
+
     PhysicsTape &tape;
-    std::map<std::pair<unsigned, Codeword>, std::uint32_t> pulseIndex;
-    /** Per MDU: shot slots measured but not yet delivered. An MDU
+    /** Per MDU: shot slots read out but not yet delivered. An MDU
      *  consumes its shots in order, so this is a FIFO. */
     std::vector<std::deque<std::uint32_t>> undelivered;
 };
@@ -160,13 +171,21 @@ class TapeWriter
 bool feedbackFree(const isa::Program &program);
 
 /**
+ * Compile `tape` for `chip` (see the file comment): mark the
+ * static-frame qubits, then move each of their idle and rotation ops'
+ * index from its interval or pulse to a stored IdleCoeffs or
+ * DriveGate, computed by the same chip functions the run called.
+ */
+void compileKernels(PhysicsTape &tape, qsim::TransmonChip &chip);
+
+/**
  * The stall check: run `program` on `machine` with every stall 0 and
  * with every stall maxStallCycles (once when stall injection is off),
  * each after reset() and with `bins` collector bins, and return the
  * zero-stall run's tape if the program is eligible (see the file
  * comment); nullptr otherwise. The machine keeps its seeds but needs
  * the usual reset -> configure -> loadProgram before its next run.
- * An accepted tape comes compiled (staticFrames and gates).
+ * An accepted tape comes compiled (staticFrames, idles and gates).
  */
 std::shared_ptr<const PhysicsTape> verifyTape(QumaMachine &machine,
                                               const isa::Program &program,

@@ -2,13 +2,14 @@
  * @file
  * Unit tests for the pulse-level transmon model: drive calibration,
  * the timing-sets-the-axis property (paper §4.2.3), detuning,
- * decoherence and readout, and the split of a drive into its gate
- * and the gate's application.
+ * decoherence and readout, and the split of the chip's clock from its
+ * kernels (drive, idle, readout) with the idle-factor memo.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numbers>
 
 #include "common/logging.hh"
@@ -258,11 +259,12 @@ expectSameState(const DensityMatrix &a, const DensityMatrix &b)
                 << "element (" << r << ", " << c << ")";
 }
 
-TEST(Transmon, ApplyDriveIsDriveGateThenApplyDriveGate)
+TEST(Transmon, ApplyDriveIsItsClockAroundRotate)
 {
     // Random envelopes, phases, fire times and carrier detunings, on
-    // a static and a drifting frame: the split must reproduce the
-    // one-call drive bit for bit, idle evolution included.
+    // a static and a drifting frame: the clock half (idle to the
+    // midpoint, idle to the end) around the clock-free rotate must
+    // reproduce the one-call drive bit for bit.
     Rng rng(0xd21e);
     TransmonParams drifting = paperQubitParams();
     drifting.freqHz = 6.1e9;
@@ -282,11 +284,111 @@ TEST(Transmon, ApplyDriveIsDriveGateThenApplyDriveGate)
         t += static_cast<TimeNs>(rng.uniformInt(0, 400));
         pulse.t0Ns = t;
         whole.applyDrive(q, pulse);
-        split.applyDriveGate(q, split.driveGate(q, pulse));
+        const DriveGate gate = split.driveGate(q, pulse);
+        EXPECT_EQ(gate.adjoint, adjoint(gate.rotation));
+        split.advanceAtLeast(gate.midNs);
+        split.rotate(q, gate);
+        split.advanceAtLeast(gate.endNs);
         ASSERT_EQ(whole.now(), split.now());
         expectSameState(whole.state(), split.state());
         t += 20;
     }
+}
+
+TEST(Transmon, ScalarApplyIdleIsApplyIdleOfIdleCoeffs)
+{
+    Rng rng(0x1d1e);
+    DensityMatrix a(3);
+    for (unsigned q = 0; q < 3; ++q)
+        a.apply1(q, gates::raxis(rng.uniform(0.0, 2.0 * kPi),
+                                 rng.uniform(0.0, kPi)));
+    DensityMatrix b = a;
+    for (int n = 0; n < 100; ++n) {
+        const auto q = static_cast<unsigned>(rng.uniformInt(0, 2));
+        const double gamma = rng.uniform(0.0, 0.3);
+        const double lambda = rng.uniform(0.0, 0.3);
+        const double phase = rng.uniform(-4.0, 4.0);
+        a.applyIdle(q, gamma, lambda, phase);
+        b.applyIdle(q, DensityMatrix::idleCoeffs(gamma, lambda, phase));
+        expectSameState(a, b);
+    }
+}
+
+TEST(Transmon, MeasureIsItsClockThenReadout)
+{
+    // Same shot, same state and the same next draw: measure is the
+    // overlap check and the idle to t0, then readout.
+    TransmonParams drifting = paperQubitParams();
+    drifting.quasiStaticDetuningSigmaHz = 300e3;
+    const std::vector<TransmonParams> qubits{paperQubitParams(), drifting};
+    Rng rng(0x3ea5);
+    for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+        TransmonChip whole(qubits, seed);
+        whole.newRound();
+        for (unsigned q = 0; q < 2; ++q)
+            whole.state().apply1(q, gates::raxis(rng.uniform(0.0, kPi),
+                                                 rng.uniform(0.0, kPi)));
+        TransmonChip split = whole;
+        const auto q = static_cast<unsigned>(seed % 2);
+        const auto t0 = static_cast<TimeNs>(rng.uniformInt(0, 5000));
+        const ReadoutShot a = whole.measure(q, t0, 1500);
+        split.advanceAtLeast(t0);
+        const ReadoutShot b = split.readout(q, 1500);
+        ASSERT_EQ(a.initialOne, b.initialOne);
+        ASSERT_EQ(a.finalOne, b.finalOne);
+        ASSERT_EQ(a.decayAtNs, b.decayAtNs);
+        ASSERT_EQ(a.durationNs, b.durationNs);
+        ASSERT_EQ(a.noise, b.noise);
+        expectSameState(whole.state(), split.state());
+        ASSERT_EQ(whole.detuningHz(1), split.detuningHz(1));
+        ASSERT_EQ(whole.rng()(), split.rng()());
+    }
+}
+
+/** Bit-for-bit equality of two sets of idle factors. */
+bool
+sameCoeffs(const IdleCoeffs &a, const IdleCoeffs &b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+TEST(Transmon, TwoEntryIdleMemoMatchesFreshCoefficients)
+{
+    // A schedule's alternating intervals and a non-repeating run, on a
+    // static and a drifting frame whose detuning is redrawn between
+    // shots: every memoized answer equals the factors computed
+    // afresh from idleChannelParams and the current frame.
+    TransmonParams drifting = paperQubitParams();
+    drifting.quasiStaticDetuningSigmaHz = 300e3;
+    TransmonChip chip({paperQubitParams(), drifting}, 9);
+    chip.newRound();
+    std::vector<TimeNs> alternating, distinct;
+    for (int shot = 0; shot < 20; ++shot)
+        alternating.insert(alternating.end(), {198510, 10, 10, 10});
+    for (TimeNs dt = 1; dt <= 80; ++dt)
+        distinct.push_back(dt * 7);
+    for (const auto *steps : {&alternating, &distinct}) {
+        for (std::size_t n = 0; n < steps->size(); ++n) {
+            const auto dt = static_cast<double>((*steps)[n]);
+            for (unsigned q = 0; q < 2; ++q) {
+                const TransmonParams &p = chip.qubitParams(q);
+                IdleChannelParams icp =
+                    idleChannelParams(dt, p.t1Ns, p.t2Ns);
+                const double phase =
+                    2.0 * kPi * chip.detuningHz(q) * dt * 1e-9;
+                ASSERT_TRUE(sameCoeffs(
+                    chip.idleCoeffs(q, dt),
+                    DensityMatrix::idleCoeffs(icp.gamma, icp.lambda,
+                                              phase)))
+                    << "qubit " << q << " step " << n;
+            }
+            // Every fourth step ends a shot: the drifting frame moves.
+            if (n % 4 == 3)
+                chip.readout(1, 1500);
+        }
+    }
+    EXPECT_EQ(chip.detuningHz(0), 0.0);
+    EXPECT_NE(chip.detuningHz(1), 0.0);
 }
 
 TEST(Transmon, DriveGateDependsOnlyOnThePulseOnAStaticFrame)

@@ -5,14 +5,14 @@
  * experiment program, shard count and worker count; the stall check
  * must only accept tapes every stall draw reproduces; and programs
  * with measurement feedback, or whose timing breaks under stalls,
- * must keep the full path. A replayed drive on a static-frame qubit
- * applies the gate its tape stores; on a drifting frame it
- * re-integrates the pulse.
+ * must keep the full path. A replayed idle step or drive on a
+ * static-frame qubit applies the factors or gate its tape stores; on
+ * a drifting frame it computes them from the current detuning.
  */
 
 #include <gtest/gtest.h>
 
-#include <bit>
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <string>
@@ -366,6 +366,7 @@ TEST(Replay, EveryStallDrawReproducesAnAcceptedTape)
             machine.loadProgram(program);
             core::PhysicsTape drawn;
             machine.recordRun(drawn, kBudget);
+            core::compileKernels(drawn, machine.chip());
             ASSERT_TRUE(drawn.sameRun(*tape))
                 << "program " << n << " exec seed " << s;
         }
@@ -403,12 +404,14 @@ TEST(Replay, ReplayReproducesTheCollectorOfAFullRun)
             EXPECT_EQ(machine.dataCollector().binSums(), sums);
             EXPECT_EQ(machine.dataCollector().bitBinSums(), bits);
             EXPECT_EQ(machine.stats().cyclesVisited, 0u);
+            // The kernel stream holds every step; the clock never ran.
+            EXPECT_EQ(machine.chip().now(), 0);
         }
     }
     EXPECT_GT(checked, 5u);
 }
 
-// ------------------------------------------------- compiled drive gates
+// ------------------------------------------------- compiled kernels
 
 /** The collector after a full run or a replay of `tape` under
  *  `chip_seed`; `tape` null means the full run. */
@@ -430,14 +433,15 @@ collectorAfter(core::QumaMachine &machine, const isa::Program &program,
     return out;
 }
 
-/** Drive applications in `tape` on the qubits of `qubits`. */
+/** Ops of `kind` in `tape` on the qubits of `qubits`. */
 std::size_t
-drivesOn(const core::PhysicsTape &tape, QubitMask qubits)
+opsOn(const core::PhysicsTape &tape, core::TapeOp::Kind kind,
+      QubitMask qubits)
 {
     std::size_t n = 0;
     for (const core::TapeOp &op : tape.ops)
-        if (op.kind == core::TapeOp::Kind::Drive)
-            n += static_cast<std::size_t>(std::popcount(op.mask & qubits));
+        if (op.kind == kind && (qubits & (QubitMask{1} << op.qubit)))
+            ++n;
     return n;
 }
 
@@ -449,6 +453,17 @@ withoutGates(const core::PhysicsTape &tape)
     core::PhysicsTape copy = tape;
     for (qsim::DriveGate &g : copy.gates)
         g.rotates = false;
+    return copy;
+}
+
+/** `tape` with every stored idle step a full decay to |0>: what a
+ *  replay that applies stored idle factors can no longer reproduce. */
+core::PhysicsTape
+withDecayedIdles(const core::PhysicsTape &tape)
+{
+    core::PhysicsTape copy = tape;
+    for (qsim::IdleCoeffs &c : copy.idles)
+        c = qsim::DensityMatrix::idleCoeffs(1.0, 1.0);
     return copy;
 }
 
@@ -465,10 +480,36 @@ withoutPulses(const core::PhysicsTape &tape)
     return copy;
 }
 
-TEST(Replay, StaticFramesReplayStoredGatesAndDriftingFramesThePulse)
+/** `tape` with an identity idle step and a no-op gate stored at every
+ *  index any op names: a replay that reads them for a drifting qubit
+ *  can no longer reproduce the run. */
+core::PhysicsTape
+withJunkTables(const core::PhysicsTape &tape)
 {
-    // Every qubit static: the tape stores one gate per drive and the
-    // replay never reads a pulse.
+    core::PhysicsTape copy = tape;
+    std::size_t size = 0;
+    for (const core::TapeOp &op : tape.ops)
+        size = std::max<std::size_t>(size, op.index + 1);
+    copy.idles.assign(size, qsim::IdleCoeffs{});
+    copy.gates.assign(size, qsim::DriveGate{});
+    return copy;
+}
+
+core::PhysicsTape
+verifiedTape(core::QumaMachine &machine, const JobSpec &job,
+             const isa::Program &program)
+{
+    machine.reset(1, 2);
+    auto tape = core::verifyTape(machine, program, job.bins, job.maxCycles);
+    EXPECT_NE(tape, nullptr) << job.name;
+    return tape ? *tape : core::PhysicsTape{};
+}
+
+TEST(Replay, StaticFramesReplayStoredKernelsAndDriftingFramesComputeThem)
+{
+    using Kind = core::TapeOp::Kind;
+    // Every qubit static: every idle step and rotation comes from the
+    // tape's tables, and the replay never reads a pulse.
     {
         experiments::AllxyConfig cfg;
         cfg.rounds = 4;
@@ -477,54 +518,86 @@ TEST(Replay, StaticFramesReplayStoredGatesAndDriftingFramesThePulse)
         isa::Program program = isa::Assembler().assemble(job.assembly);
         core::QumaMachine machine(job.machine);
         machine.uploadStandardCalibration();
-        auto tape = core::verifyTape(machine, program, job.bins,
-                                     job.maxCycles);
-        ASSERT_NE(tape, nullptr);
-        EXPECT_EQ(tape->staticFrames, 1u);
-        EXPECT_EQ(tape->gates.size(), drivesOn(*tape, 1));
-        EXPECT_GT(tape->gates.size(), 0u);
+        const core::PhysicsTape tape = verifiedTape(machine, job, program);
+        EXPECT_EQ(tape.staticFrames, 1u);
+        EXPECT_GT(tape.gates.size(), 0u);
+        EXPECT_EQ(tape.gates.size(), opsOn(tape, Kind::Rotate, 1));
+        // Deduplicated per interval: far fewer than the idle steps.
+        EXPECT_GT(tape.idles.size(), 0u);
+        EXPECT_LT(tape.idles.size(), opsOn(tape, Kind::Idle, 1));
         const auto full = collectorAfter(machine, program, job.bins, 5,
                                          nullptr);
-        EXPECT_EQ(collectorAfter(machine, program, job.bins, 5, &*tape),
+        EXPECT_EQ(collectorAfter(machine, program, job.bins, 5, &tape),
                   full);
-        core::PhysicsTape silenced = withoutPulses(*tape);
+        core::PhysicsTape silenced = withoutPulses(tape);
         EXPECT_EQ(collectorAfter(machine, program, job.bins, 5, &silenced),
                   full)
             << "a static-frame drive must not integrate its pulse";
-        core::PhysicsTape gateless = withoutGates(*tape);
+        core::PhysicsTape gateless = withoutGates(tape);
         EXPECT_NE(collectorAfter(machine, program, job.bins, 5, &gateless),
                   full);
+        core::PhysicsTape decayed = withDecayedIdles(tape);
+        EXPECT_NE(collectorAfter(machine, program, job.bins, 5, &decayed),
+                  full);
     }
-    // q0 static, q1 drifting: q0's drives come from stored gates,
-    // q1's from their pulses, and the mix replays bit-identically.
+    // q0 static, q1 drifting: q0's kernels come from the tables, q1's
+    // from its interval and pulses, and the mix replays
+    // bit-identically.
     {
         JobSpec job = driftingCzJob();
         isa::Program program = isa::Assembler().assemble(job.assembly);
         core::QumaMachine machine(job.machine);
         machine.uploadStandardCalibration();
-        machine.reset(1, 2);
-        auto tape = core::verifyTape(machine, program, job.bins,
-                                     job.maxCycles);
-        ASSERT_NE(tape, nullptr);
-        EXPECT_EQ(tape->staticFrames, 1u);
-        EXPECT_GT(drivesOn(*tape, 1), 0u);
-        EXPECT_GT(drivesOn(*tape, 2), 0u);
-        EXPECT_EQ(tape->gates.size(), drivesOn(*tape, 1));
+        const core::PhysicsTape tape = verifiedTape(machine, job, program);
+        EXPECT_EQ(tape.staticFrames, 1u);
+        EXPECT_GT(opsOn(tape, Kind::Rotate, 1), 0u);
+        EXPECT_GT(opsOn(tape, Kind::Rotate, 2), 0u);
+        EXPECT_EQ(tape.gates.size(), opsOn(tape, Kind::Rotate, 1));
+        EXPECT_GT(opsOn(tape, Kind::Cz, 3), 0u);
         for (std::uint64_t chip : {5u, 6u, 7u}) {
             const auto full = collectorAfter(machine, program, job.bins,
                                              chip, nullptr);
             EXPECT_EQ(collectorAfter(machine, program, job.bins, chip,
-                                     &*tape),
+                                     &tape),
                       full);
-            core::PhysicsTape silenced = withoutPulses(*tape);
+            core::PhysicsTape silenced = withoutPulses(tape);
             EXPECT_NE(collectorAfter(machine, program, job.bins, chip,
                                      &silenced),
                       full)
                 << "a drifting-frame drive must integrate its pulse";
-            core::PhysicsTape gateless = withoutGates(*tape);
+            core::PhysicsTape gateless = withoutGates(tape);
             EXPECT_NE(collectorAfter(machine, program, job.bins, chip,
                                      &gateless),
                       full);
+            core::PhysicsTape decayed = withDecayedIdles(tape);
+            EXPECT_NE(collectorAfter(machine, program, job.bins, chip,
+                                     &decayed),
+                      full);
+        }
+    }
+    // Both qubits drifting: nothing is stored, and junk in the tables
+    // at every index an op names leaves the replay bit-identical.
+    {
+        JobSpec job = driftingCzJob();
+        job.machine.qubits[0].quasiStaticDetuningSigmaHz = 250e3;
+        isa::Program program = isa::Assembler().assemble(job.assembly);
+        core::QumaMachine machine(job.machine);
+        machine.uploadStandardCalibration();
+        const core::PhysicsTape tape = verifiedTape(machine, job, program);
+        EXPECT_EQ(tape.staticFrames, 0u);
+        EXPECT_TRUE(tape.idles.empty());
+        EXPECT_TRUE(tape.gates.empty());
+        core::PhysicsTape junk = withJunkTables(tape);
+        for (std::uint64_t chip : {5u, 6u}) {
+            const auto full = collectorAfter(machine, program, job.bins,
+                                             chip, nullptr);
+            EXPECT_EQ(collectorAfter(machine, program, job.bins, chip,
+                                     &tape),
+                      full);
+            EXPECT_EQ(collectorAfter(machine, program, job.bins, chip,
+                                     &junk),
+                      full)
+                << "a drifting qubit must not read the stored tables";
         }
     }
 }
