@@ -10,7 +10,7 @@
  *
  *  2. SHARDED SINGLE JOB -- ONE large AllXY job (many averaging
  *     rounds) is run unsharded on a single machine, then
- *     round-structured and split across the pool. Sharding is what
+ *     round-structured and split across the workers. Sharding is what
  *     lets one big job use more than one machine; the section checks
  *     the 2-way and 4-way merges are bit-identical and reports the
  *     rounds/sec gain over the unsharded baseline.
@@ -64,11 +64,12 @@ struct BatchOutcome
     double seconds = 0.0;
     std::vector<runtime::JobResult> results;
     runtime::ProgramCache::Stats cache;
-    runtime::MachinePool::Stats pool;
+    runtime::PoolStats pool;
 };
 
 /** The job mix: AllXY runs over a few distinct error configurations,
- *  so the pool sees several shards and the cache several programs.
+ *  so the workers rebind between configs and the cache holds several
+ *  programs.
  *  shards = 1 keeps the jobs opaque (the averaging loop stays in the
  *  program), matching the historical batch numbers. */
 std::vector<runtime::JobSpec>
@@ -103,7 +104,7 @@ runBatch(const std::vector<runtime::JobSpec> &batch, unsigned workers)
     out.results = svc.awaitAll(ids);
     out.seconds = secondsSince(start);
     out.cache = svc.cache().stats();
-    out.pool = svc.pool().stats();
+    out.pool = svc.stats().pool;
     return out;
 }
 
@@ -132,7 +133,7 @@ int
 shardedSingleJobSection(std::size_t rounds, unsigned workers,
                         bench::JsonReport &json)
 {
-    bench::banner("shot sharding: one large job across the pool");
+    bench::banner("shot sharding: one large job across the workers");
     std::printf("one AllXY job x %zu rounds on a %u-worker service\n",
                 rounds, workers);
     std::printf("%-22s %-12s %-14s %-10s\n", "variant", "seconds",
@@ -181,8 +182,8 @@ shardedSingleJobSection(std::size_t rounds, unsigned workers,
         return 1;
     }
     std::printf("2-way and 4-way shard merges are bit-identical; the\n"
-                "unsharded run pins one machine while the rest of the\n"
-                "pool idles -- sharding is what turns pool capacity\n"
+                "unsharded run pins one machine while the other\n"
+                "workers idle -- sharding is what turns worker count\n"
                 "into single-job latency.\n");
     return 0;
 }
@@ -342,8 +343,9 @@ main(int argc, char **argv)
     bench::banner("concurrent experiment runtime: jobs/sec vs workers");
     std::printf("batch: %zu AllXY jobs x %zu rounds, host cores: %u\n",
                 jobs, rounds, std::thread::hardware_concurrency());
-    std::printf("%-10s %-12s %-12s %-10s %-14s %-12s\n", "workers",
-                "seconds", "jobs/sec", "speedup", "machines", "cache hits");
+    std::printf("%-10s %-12s %-12s %-10s %-10s %-10s %-12s\n", "workers",
+                "seconds", "jobs/sec", "speedup", "machines", "rebinds",
+                "cache hits");
     bench::rule();
 
     std::vector<runtime::JobSpec> batch = makeBatch(jobs, rounds);
@@ -358,10 +360,11 @@ main(int argc, char **argv)
             baselineResults = out.results;
         }
         widest = workers;
-        std::printf("%-10u %-12.3f %-12.1f %-10.2f %-14zu %-12zu\n",
+        std::printf("%-10u %-12.3f %-12.1f %-10.2f %-10zu %-10zu %-12zu\n",
                     workers, out.seconds, rate,
                     baseline > 0 ? rate / baseline : 1.0,
-                    out.pool.machinesCreated, out.cache.programHits);
+                    out.pool.machinesCreated, out.pool.rebinds,
+                    out.cache.programHits);
         json.metric("jobs_per_sec_" + std::to_string(workers) + "w",
                     rate, "jobs/s");
         // Determinism invariant: identical results at every width.
@@ -374,9 +377,9 @@ main(int argc, char **argv)
     bench::rule();
     std::printf(
         "every width produced bit-identical results (per-job RNG\n"
-        "streams derived from the job seed); the pool constructs one\n"
-        "machine per shard per worker at most, and repeated jobs hit\n"
-        "the compiled-program cache instead of the assembler.\n\n");
+        "streams derived from the job seed); each worker builds one\n"
+        "machine at most and rebinds it between configs, and repeated\n"
+        "jobs hit the compiled-program cache instead of the assembler.\n\n");
 
     unsigned shardWorkers = std::max(
         2u, static_cast<unsigned>(std::min<std::size_t>(maxWorkers, 4)));

@@ -8,7 +8,7 @@
  * the wire before the first id comes back), then streams the results
  * in COMPLETION order (awaitMany: the server pushes each result the
  * moment its job finishes). Afterwards the serving runtime's stats
- * frame -- scheduler, pool, and (wire v3) program/LUT cache -- is
+ * frame -- scheduler, worker machines and program/LUT cache -- is
  * fetched and printed alongside this connection's own link meter.
  *
  *   $ ./example_quma_serve --port 7777 &
@@ -108,8 +108,9 @@ main(int argc, char **argv)
 
     // One job per amplitude-error point. Identical machine config
     // across points would defeat the sweep, so each point's error is
-    // distinct -- which also exercises the pool's keyed sharding and
-    // the program cache on the serving side.
+    // distinct -- which also exercises rebinding the workers'
+    // machines between configs and the program cache on the serving
+    // side.
     std::vector<runtime::JobSpec> specs;
     specs.reserve(points);
     for (std::size_t i = 0; i < points; ++i) {
@@ -178,10 +179,10 @@ main(int argc, char **argv)
                 "%zu failed\n",
                 stats.scheduler.submitted, stats.scheduler.completed,
                 stats.scheduler.failed);
-    std::printf("server pool: %zu machines created, %zu reuse hits, "
-                "%zu resets\n",
-                stats.pool.machinesCreated, stats.pool.reuseHits,
-                stats.pool.machineResets);
+    std::printf("server machines: %zu created, %zu rebinds, "
+                "%zu reuse hits, %zu resets\n",
+                stats.pool.machinesCreated, stats.pool.rebinds,
+                stats.pool.reuseHits, stats.pool.machineResets);
     std::printf("server cache: programs %zu hit / %zu miss "
                 "(%zu evicted), LUTs %zu hit / %zu miss "
                 "(%zu evicted)\n",

@@ -6,9 +6,9 @@
  * speaking the QuMA wire protocol (src/net/README.md), then serves
  * until stdin closes (Ctrl-D, or the end of a piped script). Remote
  * clients -- net::QumaClient, or anything speaking the frame format
- * -- submit jobs, poll, await, and read scheduler/pool stats; each
+ * -- submit jobs, poll, await, and read scheduler/machine stats; each
  * connection is served by its own thread against the one shared
- * machine pool.
+ * service, whose workers each own one machine.
  *
  *   $ ./example_quma_serve [--port N] [--workers N] [--queue N]
  *                          [--metrics-port N] [--trace FILE] [--public]
@@ -219,7 +219,8 @@ main(int argc, char **argv)
                     "\"shardsExecuted\":%zu,\"shardsStolen\":%zu,"
                     "\"roundsStolen\":%zu},"
                     "\"pool\":{\"machinesCreated\":%zu,"
-                    "\"acquisitions\":%zu,\"reuseHits\":%zu},"
+                    "\"acquisitions\":%zu,\"reuseHits\":%zu,"
+                    "\"rebinds\":%zu},"
                     "\"cache\":{\"programHits\":%zu,"
                     "\"programMisses\":%zu},"
                     "\"effectiveQueueCapacity\":%zu,"
@@ -237,7 +238,8 @@ main(int argc, char **argv)
                     st.scheduler.shardsStolen,
                     st.scheduler.roundsStolen,
                     st.pool.machinesCreated, st.pool.acquisitions,
-                    st.pool.reuseHits, st.cache.programHits,
+                    st.pool.reuseHits, st.pool.rebinds,
+                    st.cache.programHits,
                     st.cache.programMisses,
                     st.effectiveQueueCapacity,
                     sv.connectionsAccepted, sv.connectionsActive,

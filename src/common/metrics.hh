@@ -12,7 +12,7 @@
  *  - Gauge: a value that goes both ways (queue depth, leased
  *    machines, an admission EWMA);
  *  - Histogram: fixed-bucket distribution of observations (job
- *    latency, pool lease waits), rendered with the cumulative
+ *    latency), rendered with the cumulative
  *    `_bucket{le=...}` / `_sum` / `_count` triple Prometheus expects.
  *
  * THREADING AND COST. Registration takes the registry mutex;

@@ -104,7 +104,7 @@ AllxyResult runAllxy(const AllxyConfig &config);
  * Run AllXY as a runtime job on any experiment backend -- the local
  * ExperimentService or a remote QumaClient. Results are
  * deterministic in config.seed (the job derives its RNG streams from
- * it), independent of worker count, pool state, or which side of a
+ * it), independent of worker count, machine state, or which side of a
  * wire the runtime sits on.
  */
 AllxyResult runAllxy(const AllxyConfig &config,

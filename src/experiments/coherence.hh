@@ -85,8 +85,8 @@ DecayResult runCpmg(const CoherenceConfig &config, unsigned n_pi);
 /**
  * Service-routed variants: every delay of the sweep becomes its own
  * runtime job (one single-point program plus its two calibration
- * points), so the points execute in parallel across the machine pool
- * and the per-point machines are pulled from one shard. Results are
+ * points), so the points execute in parallel across the workers'
+ * machines, all bound to one config. Results are
  * deterministic in config.seed: point i derives its RNG streams from
  * Rng::derive(config.seed, i), independent of worker count. Note the
  * noise realisation therefore differs from the sequential variant

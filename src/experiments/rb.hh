@@ -65,7 +65,7 @@ RbResult runRb(const RbConfig &config);
 /**
  * Service-routed RB: every sequence length becomes its own runtime
  * job (its random sequences plus calibration points), so the lengths
- * run in parallel across the machine pool. Length index i draws its
+ * run in parallel across the workers' machines. Length index i draws its
  * sequences from Rng::derive(config.seed, i) and its job (noise) seed
  * from Rng::derive(config.seed, 0x1000 + i), making the result
  * deterministic in config.seed and the worker count irrelevant --

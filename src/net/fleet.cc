@@ -11,8 +11,6 @@ namespace {
 /** Shed a trySubmit when the routed backend's machine-saturation
  *  EWMA is at/over this (its scheduler would soft-reject anyway). */
 constexpr double kShedSaturation = 0.9;
-/** Same, for the pool-wait EWMA (seconds). */
-constexpr double kShedPoolWaitSeconds = 0.5;
 /** splitmix64 finalizer: the rendezvous-score mixer. */
 std::uint64_t
 mix64(std::uint64_t x)
@@ -69,7 +67,6 @@ mergeStats(runtime::ServiceStats &acc, const runtime::ServiceStats &s)
     a.failed += x.failed;
     a.cancelled += x.cancelled;
     a.queueHighWater += x.queueHighWater;
-    a.batchedJobs += x.batchedJobs;
     a.shardedJobs += x.shardedJobs;
     a.shardsExecuted += x.shardsExecuted;
     a.saturatedRuns += x.saturatedRuns;
@@ -82,8 +79,6 @@ mergeStats(runtime::ServiceStats &acc, const runtime::ServiceStats &s)
     a.progressNotifications += x.progressNotifications;
     a.machineSaturation =
         std::max(a.machineSaturation, x.machineSaturation);
-    a.poolWaitEwmaSeconds =
-        std::max(a.poolWaitEwmaSeconds, x.poolWaitEwmaSeconds);
     for (std::size_t i = 0; i < a.latency.size(); ++i) {
         a.latency[i].count += x.latency[i].count;
         a.latency[i].p50 = std::max(a.latency[i].p50, x.latency[i].p50);
@@ -95,7 +90,7 @@ mergeStats(runtime::ServiceStats &acc, const runtime::ServiceStats &s)
     ap.machinesCreated += xp.machinesCreated;
     ap.acquisitions += xp.acquisitions;
     ap.reuseHits += xp.reuseHits;
-    ap.evictions += xp.evictions;
+    ap.rebinds += xp.rebinds;
     ap.machineResets += xp.machineResets;
     ap.idleMachines += xp.idleMachines;
     ap.leasedMachines += xp.leasedMachines;
@@ -353,9 +348,7 @@ FleetBackend::backendSaturated(std::size_t index) const
     Member &m = *members[index];
     std::lock_guard<std::mutex> lock(m.statsMu);
     return m.haveStats &&
-           (m.lastStats.scheduler.machineSaturation >= kShedSaturation ||
-            m.lastStats.scheduler.poolWaitEwmaSeconds >=
-                kShedPoolWaitSeconds);
+           m.lastStats.scheduler.machineSaturation >= kShedSaturation;
 }
 
 std::shared_ptr<QumaClient>

@@ -7,7 +7,7 @@
  * ROUTING. Submits route by CONFIG AFFINITY: rendezvous hashing of
  * runtime::configKey(spec.machine) over the healthy, non-draining
  * backends, so one machine configuration lands where its program
- * cache and machine pool are warm, and a membership change only
+ * cache and tapes are warm, and a membership change only
  * remaps the keys that touched it.
  *
  * JOBS. Each backend is reached through one shared QumaClient (its

@@ -527,13 +527,13 @@ encodeStatsFrame(Writer &w, const StatsFrame &stats)
     w.u64(s.failed);
     w.u64(s.cancelled);
     w.u64(s.queueHighWater);
-    w.u64(s.batchedJobs);
+    w.u64(0); // reserved slot (see StatsFrame)
     w.u64(s.shardedJobs);
     w.u64(s.shardsExecuted);
     w.u64(s.saturatedRuns);
     w.u64(s.admissionSoftRejects);
     w.f64(s.machineSaturation);
-    w.f64(s.poolWaitEwmaSeconds);
+    w.f64(0.0); // reserved slot
     for (const auto &d : s.latency)
         encodeLatencyDigest(w, d);
 
@@ -541,7 +541,7 @@ encodeStatsFrame(Writer &w, const StatsFrame &stats)
     w.u64(p.machinesCreated);
     w.u64(p.acquisitions);
     w.u64(p.reuseHits);
-    w.u64(p.evictions);
+    w.u64(p.rebinds);
     w.u64(p.machineResets);
     w.u64(p.idleMachines);
     w.u64(p.leasedMachines);
@@ -568,13 +568,13 @@ decodeStatsFrame(Reader &r)
     s.failed = static_cast<std::size_t>(r.u64());
     s.cancelled = static_cast<std::size_t>(r.u64());
     s.queueHighWater = static_cast<std::size_t>(r.u64());
-    s.batchedJobs = static_cast<std::size_t>(r.u64());
+    r.u64(); // reserved slot
     s.shardedJobs = static_cast<std::size_t>(r.u64());
     s.shardsExecuted = static_cast<std::size_t>(r.u64());
     s.saturatedRuns = static_cast<std::size_t>(r.u64());
     s.admissionSoftRejects = static_cast<std::size_t>(r.u64());
     s.machineSaturation = r.f64();
-    s.poolWaitEwmaSeconds = r.f64();
+    r.f64(); // reserved slot
     for (auto &d : s.latency)
         d = decodeLatencyDigest(r);
 
@@ -582,7 +582,7 @@ decodeStatsFrame(Reader &r)
     p.machinesCreated = static_cast<std::size_t>(r.u64());
     p.acquisitions = static_cast<std::size_t>(r.u64());
     p.reuseHits = static_cast<std::size_t>(r.u64());
-    p.evictions = static_cast<std::size_t>(r.u64());
+    p.rebinds = static_cast<std::size_t>(r.u64());
     p.machineResets = static_cast<std::size_t>(r.u64());
     p.idleMachines = static_cast<std::size_t>(r.u64());
     p.leasedMachines = static_cast<std::size_t>(r.u64());

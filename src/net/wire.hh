@@ -124,7 +124,7 @@ inline constexpr std::uint64_t kConnectionRequestId = 0;
  * materialize one task per shard (gigabytes, under its mutex) --
  * the denial-of-service the decode side must refuse. Generous
  * multiples of every legitimate workload (the paper's largest sweep
- * is 25600 rounds x 42 bins; shards beyond the pool size are
+ * is 25600 rounds x 42 bins; shards beyond the worker count are
  * useless).
  */
 inline constexpr std::uint64_t kMaxWireShards = 4096;
@@ -314,7 +314,14 @@ struct ErrorFrame
     std::string message;
 };
 
-/** Stats reply payload: the serving backend's runtime::stats(). */
+/**
+ * Stats reply payload: the serving backend's runtime::stats(). Two
+ * v4 slots are reserved until the next wire bump: the scheduler's
+ * u64 after queueHighWater and f64 after machineSaturation (once the
+ * lease-batched count and the pool-wait EWMA) are written as 0 and
+ * skipped on decode. The pool slot that carried evictions carries
+ * PoolStats::rebinds.
+ */
 using StatsFrame = runtime::ServiceStats;
 
 /**

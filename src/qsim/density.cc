@@ -37,8 +37,9 @@ forEachBlock1(Complex *data, std::size_t n, std::size_t stride,
 
 DensityMatrix::DensityMatrix(unsigned num_qubits) : nq(num_qubits)
 {
-    if (num_qubits == 0 || num_qubits > 12)
-        fatal("DensityMatrix supports 1..12 qubits, got ", num_qubits);
+    if (num_qubits == 0 || num_qubits > kMaxQubits)
+        fatal("DensityMatrix supports 1..", kMaxQubits, " qubits, got ",
+              num_qubits);
     n = std::size_t{1} << num_qubits;
     rho.assign(n * n, Complex{0, 0});
     rho[0] = 1;

@@ -43,6 +43,9 @@ struct IdleCoeffs
 class DensityMatrix
 {
   public:
+    /** Largest register a density matrix holds (4^12 elements). */
+    static constexpr unsigned kMaxQubits = 12;
+
     /** Initialise n qubits to |0...0><0...0|. */
     explicit DensityMatrix(unsigned num_qubits);
 

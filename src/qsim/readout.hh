@@ -35,6 +35,8 @@ struct ReadoutParams
     double ifHz = 40.0e6;
     /** ADC sampling rate for the digitised trace. */
     double adcRateHz = kAdcSampleRateHz;
+
+    bool operator==(const ReadoutParams &) const = default;
 };
 
 /** A digitised readout trace plus ground-truth bookkeeping. */

@@ -54,6 +54,8 @@ struct TransmonParams
     double rabiRadPerAmpNs = 0.0;
     /** Readout response. */
     ReadoutParams readout;
+
+    bool operator==(const TransmonParams &) const = default;
 };
 
 /**

@@ -6,21 +6,28 @@
 
 namespace quma::core {
 
+namespace {
+
+/** What a controller runs before its first loadProgram. */
+const isa::Program kNoProgram;
+
+} // namespace
+
 ExecutionController::ExecutionController(ExecConfig config,
                                          QuantumPipeline &pipeline)
-    : cfg(config), qp(pipeline), dataMem(config.dataMemoryWords, 0),
-      rng(config.seed)
+    : cfg(config), qp(pipeline), prog(&kNoProgram),
+      dataMem(config.dataMemoryWords, 0), rng(config.seed)
 {
     if (cfg.issueWidth == 0)
         fatal("issue width must be at least 1");
 }
 
 void
-ExecutionController::loadProgram(isa::Program program)
+ExecutionController::loadProgram(const isa::Program &program)
 {
-    prog = std::move(program);
+    prog = &program;
     pcReg = 0;
-    isHalted = prog.empty();
+    isHalted = prog->empty();
     isBlocked = false;
     readyCycle = 0;
 }
@@ -29,7 +36,7 @@ void
 ExecutionController::reset()
 {
     pcReg = 0;
-    isHalted = prog.empty();
+    isHalted = prog->empty();
     isBlocked = false;
     readyCycle = 0;
     stallMode = StallMode::Drawn;
@@ -59,7 +66,7 @@ bool
 ExecutionController::executeOne(Cycle now)
 {
     using isa::Opcode;
-    const isa::Instruction &inst = prog.at(pcReg);
+    const isa::Instruction &inst = prog->at(pcReg);
 
     // Register-operand scoreboard: reading a register that awaits an
     // MD write-back stalls the pipeline.
@@ -245,13 +252,13 @@ ExecutionController::stepAt(Cycle now)
     isBlocked = false;
     if (isHalted || now < readyCycle)
         return;
-    if (pcReg >= prog.size()) {
+    if (pcReg >= prog->size()) {
         isHalted = true;
         return;
     }
     bool progressed = false;
     for (unsigned i = 0; i < cfg.issueWidth; ++i) {
-        if (isHalted || pcReg >= prog.size())
+        if (isHalted || pcReg >= prog->size())
             break;
         if (!executeOne(now)) {
             isBlocked = true;
@@ -271,7 +278,7 @@ ExecutionController::stepAt(Cycle now)
         }
         readyCycle = now + 1 + stall;
     }
-    if (pcReg >= prog.size())
+    if (pcReg >= prog->size())
         isHalted = true;
 }
 

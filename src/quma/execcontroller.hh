@@ -41,6 +41,8 @@ struct ExecConfig
     std::uint64_t seed = 1;
     /** Data memory size in 64-bit words. */
     std::size_t dataMemoryWords = 4096;
+
+    bool operator==(const ExecConfig &) const = default;
 };
 
 /**
@@ -64,6 +66,8 @@ struct ExecStats
     std::size_t stallCyclesInjected = 0;
     std::size_t dispatchRetries = 0;
     std::size_t registerStalls = 0;
+
+    bool operator==(const ExecStats &) const = default;
 };
 
 class ExecutionController
@@ -71,8 +75,11 @@ class ExecutionController
   public:
     ExecutionController(ExecConfig config, QuantumPipeline &pipeline);
 
-    void loadProgram(isa::Program program);
-    const isa::Program &program() const { return prog; }
+    /** Run `program` from its first instruction. The program is
+     *  borrowed, not copied: it must outlive its use (the machine
+     *  owns it). */
+    void loadProgram(const isa::Program &program);
+    const isa::Program &program() const { return *prog; }
 
     RegisterFile &registers() { return regs; }
     const RegisterFile &registers() const { return regs; }
@@ -115,7 +122,7 @@ class ExecutionController
 
     ExecConfig cfg;
     QuantumPipeline &qp;
-    isa::Program prog;
+    const isa::Program *prog;
     RegisterFile regs;
     std::vector<std::int64_t> dataMem;
     Rng rng;

@@ -6,58 +6,108 @@
 #include "common/logging.hh"
 #include "isa/assembler.hh"
 #include "isa/nametable.hh"
+#include "qsim/density.hh"
 #include "quma/tape.hh"
 
 namespace quma::core {
 
-QumaMachine::QumaMachine(MachineConfig config) : cfg(std::move(config))
+namespace {
+
+/** Drive AWG per qubit (round-robin default) and one MDU per qubit. */
+QubitRouting
+routingOf(const MachineConfig &cfg)
 {
-    if (cfg.qubits.empty())
-        fatal("machine needs at least one qubit");
-    if (cfg.numAwgs == 0)
-        fatal("machine needs at least one AWG");
-
-    unsigned nq = static_cast<unsigned>(cfg.qubits.size());
-
-    // Routing: drive AWG per qubit (round-robin default), one MDU
-    // per qubit.
+    const auto nq = static_cast<unsigned>(cfg.qubits.size());
+    QubitRouting routing;
     routing.driveAwg = cfg.driveAwg;
-    if (routing.driveAwg.empty()) {
+    if (routing.driveAwg.empty())
         for (unsigned q = 0; q < nq; ++q)
             routing.driveAwg.push_back(q % cfg.numAwgs);
-    }
-    if (routing.driveAwg.size() != nq)
-        fatal("driveAwg must have one entry per qubit");
-    for (unsigned q = 0; q < nq; ++q)
-        if (routing.driveAwg[q] >= cfg.numAwgs)
-            fatal("driveAwg[", q, "] out of range");
     for (unsigned q = 0; q < nq; ++q)
         routing.mdu.push_back(q);
+    return routing;
+}
 
-    recorder.setEnabled(cfg.traceEnabled);
-
-    // Timing control unit with one pulse queue per AWG and one MD
-    // queue per qubit.
+/** The timing control unit: one pulse queue per AWG and one MD queue
+ *  per qubit. */
+timing::TimingConfig
+timingConfigOf(const MachineConfig &cfg)
+{
     timing::TimingConfig tc = cfg.timing;
     tc.numPulseQueues = cfg.numAwgs;
-    tc.numMdQueues = nq;
-    tcu = std::make_unique<timing::TimingController>(tc);
+    tc.numMdQueues = static_cast<unsigned>(cfg.qubits.size());
+    return tc;
+}
 
+microcode::QControlStore
+controlStoreOf(const MachineConfig &cfg)
+{
     Cycle gate_wait = cfg.gateWaitCycles != 0
                           ? cfg.gateWaitCycles
                           : nsToCycles(static_cast<TimeNs>(cfg.pulseNs));
-    auto store = microcode::QControlStore::standard(gate_wait,
-                                                    cfg.msmtCycles);
-    qp = std::make_unique<QuantumPipeline>(std::move(store), routing,
-                                           *tcu, recorder, cfg.qmbDepth,
-                                           cfg.qmbDrainRate);
-    exec = std::make_unique<ExecutionController>(cfg.exec, *qp);
-    digOut = std::make_unique<measure::DigitalOutputUnit>(
-        std::max(8u, nq), cfg.msmtCarrierHz);
+    return microcode::QControlStore::standard(gate_wait, cfg.msmtCycles);
+}
 
+/** TCU, one per AWG, digital outputs, one MDU per qubit, QMB and
+ *  execution controller (QumaMachine::numEventSources); counted wide
+ *  so no numAwgs can wrap. */
+std::uint64_t
+eventSourcesOf(const MachineConfig &cfg)
+{
+    return std::uint64_t{cfg.numAwgs} + cfg.qubits.size() + 4;
+}
+
+/** a == b apart from the seeds, which reset() re-derives. */
+bool
+sameButSeeds(const MachineConfig &a, MachineConfig b)
+{
+    b.chipSeed = a.chipSeed;
+    b.exec.seed = a.exec.seed;
+    return a == b;
+}
+
+} // namespace
+
+void
+QumaMachine::validate(const MachineConfig &config)
+{
+    const std::size_t nq = config.qubits.size();
+    if (nq == 0 || nq > qsim::DensityMatrix::kMaxQubits)
+        fatal("machine needs 1..", qsim::DensityMatrix::kMaxQubits,
+              " qubits, got ", nq);
+    if (config.numAwgs == 0)
+        fatal("machine needs at least one AWG");
+    if (!config.driveAwg.empty() && config.driveAwg.size() != nq)
+        fatal("driveAwg must have one entry per qubit");
+    for (std::size_t q = 0; q < config.driveAwg.size(); ++q)
+        if (config.driveAwg[q] >= config.numAwgs)
+            fatal("driveAwg[", q, "] out of range");
+    const std::uint64_t sources = eventSourcesOf(config);
+    if (sources > 64)
+        fatal("machine has ", sources,
+              " event sources; the due masks hold at most 64");
+    if (config.exec.issueWidth == 0)
+        fatal("issue width must be at least 1");
+    if (config.qmbDepth == 0 || config.qmbDrainRate == 0)
+        fatal("QMB needs positive depth and drain rate");
+}
+
+QumaMachine::Control::Control(const MachineConfig &cfg,
+                              TraceRecorder &recorder)
+    : routing(routingOf(cfg)), tcu(timingConfigOf(cfg)),
+      qp(controlStoreOf(cfg), routing, tcu, recorder, cfg.qmbDepth,
+         cfg.qmbDrainRate),
+      exec(cfg.exec, qp),
+      digOut(std::max(8u, static_cast<unsigned>(cfg.qubits.size())),
+             cfg.msmtCarrierHz),
+      msmtDelay(cfg.msmtPathDelayCycles >= 0
+                    ? static_cast<Cycle>(cfg.msmtPathDelayCycles)
+                    : cfg.uopDelayCycles + cfg.ctpgDelayCycles)
+{
     // One AWG board per configured unit. Each board's carrier sits
     // ssb away from the (first) served qubit's transition so the
     // calibrated SSB modulation lands on resonance.
+    const auto nq = static_cast<unsigned>(cfg.qubits.size());
     auto seqTable = microcode::UopSequenceTable::standard();
     for (unsigned a = 0; a < cfg.numAwgs; ++a) {
         awg::AwgConfig ac;
@@ -77,55 +127,113 @@ QumaMachine::QumaMachine(MachineConfig config) : cfg(std::move(config))
         ac.ctpg.delayCycles = cfg.ctpgDelayCycles;
         ac.ctpg.carrierHz = carrier;
         ac.ctpg.ssbHz = cfg.ssbHz;
-        awgs.push_back(
-            std::make_unique<awg::AwgModule>(ac, seqTable));
+        awgs.push_back(std::make_unique<awg::AwgModule>(ac, seqTable));
     }
+    nextDue.assign(eventSourcesOf(cfg), 0);
+}
 
-    chipSim = std::make_unique<qsim::TransmonChip>(cfg.qubits,
-                                                   cfg.chipSeed);
-    if (numEventSources() > 64)
-        fatal("machine has ", numEventSources(),
-              " event sources; the due masks hold at most 64");
-    nextDue.assign(numEventSources(), 0);
-    mdWriteMode.assign(nq, {true, 0});
-    msmtDelay = cfg.msmtPathDelayCycles >= 0
-                    ? static_cast<Cycle>(cfg.msmtPathDelayCycles)
-                    : cfg.uopDelayCycles + cfg.ctpgDelayCycles;
+QumaMachine::QumaMachine(MachineConfig config) : cfg(std::move(config))
+{
+    validate(cfg);
+    recorder.setEnabled(cfg.traceEnabled);
+    buildPhysics(cfg);
+    mdWriteMode.assign(cfg.qubits.size(), {true, 0});
+}
 
-    // MDUs are calibrated in uploadStandardCalibration(); create
-    // placeholders lazily there (they need the readout window).
-    wire();
+QumaMachine::~QumaMachine() = default;
+
+void
+QumaMachine::rebind(const MachineConfig &config)
+{
+    validate(config);
+    MachineConfig next = config;
+    if (next.qubits != cfg.qubits || next.msmtCycles != cfg.msmtCycles ||
+        next.mduLatencyCycles != cfg.mduLatencyCycles)
+        buildPhysics(next);
+    if (!sameButSeeds(cfg, next))
+        ctl.reset();
+    cfg = std::move(next);
+    recorder.setEnabled(cfg.traceEnabled);
+    reset(cfg.chipSeed, cfg.exec.seed);
 }
 
 void
-QumaMachine::wire()
+QumaMachine::buildPhysics(const MachineConfig &config)
 {
-    tcu->setPulseSink([this](unsigned queue, Cycle td,
-                             const timing::PulseEvent &ev) {
+    auto chip = std::make_unique<qsim::TransmonChip>(config.qubits,
+                                                     config.chipSeed);
+    // MDUs are calibrated in uploadStandardCalibration(): until then
+    // there are none (they need the readout window).
+    std::vector<std::unique_ptr<measure::Mdu>> units;
+    if (calibrated)
+        units = buildMdus(config);
+    chipSim = std::move(chip);
+    mdus = std::move(units);
+}
+
+std::vector<std::unique_ptr<measure::Mdu>>
+QumaMachine::buildMdus(const MachineConfig &config)
+{
+    std::vector<std::unique_ptr<measure::Mdu>> units;
+    const TimeNs window = cyclesToNs(config.msmtCycles);
+    for (unsigned q = 0; q < config.qubits.size(); ++q) {
+        const qsim::ReadoutParams &readout = config.qubits[q].readout;
+        auto unit = std::make_unique<measure::Mdu>(
+            mduProvider ? mduProvider(readout, window)
+                        : std::make_shared<const measure::MduCalibration>(
+                              measure::calibrateMdu(readout, window)),
+            config.mduLatencyCycles);
+        unit->setResultSink([this, q](const measure::MduResult &r) {
+            onMduResult(q, r);
+        });
+        units.push_back(std::move(unit));
+    }
+    return units;
+}
+
+QumaMachine::Control &
+QumaMachine::control()
+{
+    if (!ctl) {
+        auto c = std::make_unique<Control>(cfg, recorder);
+        wire(*c);
+        if (calibrated)
+            uploadLuts(*c);
+        c->exec.loadProgram(program);
+        ctl = std::move(c);
+    }
+    return *ctl;
+}
+
+void
+QumaMachine::wire(Control &c)
+{
+    c.tcu.setPulseSink([this](unsigned queue, Cycle td,
+                              const timing::PulseEvent &ev) {
         onPulseFired(queue, td, ev);
     });
-    tcu->setMpgSink([this](Cycle td, const timing::MpgEvent &ev) {
+    c.tcu.setMpgSink([this](Cycle td, const timing::MpgEvent &ev) {
         onMpgFired(td, ev);
     });
-    tcu->setMdSink([this](unsigned queue, Cycle td,
-                          const timing::MdEvent &ev) {
+    c.tcu.setMdSink([this](unsigned queue, Cycle td,
+                           const timing::MdEvent &ev) {
         onMdFired(queue, td, ev);
     });
-    tcu->setFireObserver([this](Cycle td, TimingLabel label) {
+    c.tcu.setFireObserver([this](Cycle td, TimingLabel label) {
         recorder.recordLabelFire({td, label});
     });
-    for (unsigned a = 0; a < awgs.size(); ++a) {
-        awgs[a]->setPulseSink([this, a](const signal::DrivePulse &pulse,
-                                        Codeword cw, QubitMask mask) {
+    for (unsigned a = 0; a < c.awgs.size(); ++a) {
+        c.awgs[a]->setPulseSink([this, a](const signal::DrivePulse &pulse,
+                                          Codeword cw, QubitMask mask) {
             onDrivePulse(a, pulse, cw, mask);
         });
-        awgs[a]->setTriggerObserver(
+        c.awgs[a]->setTriggerObserver(
             [this, a](Codeword cw, Cycle td, QubitMask mask) {
                 recorder.recordCodeword({td, a, cw, mask});
             });
     }
-    digOut->setPulseSink([this](unsigned qubit,
-                                const signal::MeasurementPulse &pulse) {
+    c.digOut.setPulseSink([this](unsigned qubit,
+                                 const signal::MeasurementPulse &pulse) {
         onMeasurementPulse(qubit, pulse);
     });
 }
@@ -134,13 +242,23 @@ void
 QumaMachine::uploadStandardCalibration(const LutProvider &provider,
                                        const MduProvider &mdu_provider)
 {
-    unsigned nq = static_cast<unsigned>(cfg.qubits.size());
+    lutProvider = provider;
+    mduProvider = mdu_provider;
+    mdus = buildMdus(cfg);
+    calibrated = true;
+    if (ctl)
+        uploadLuts(*ctl);
+}
 
-    for (unsigned a = 0; a < awgs.size(); ++a) {
+void
+QumaMachine::uploadLuts(Control &c)
+{
+    const auto nq = static_cast<unsigned>(cfg.qubits.size());
+    for (unsigned a = 0; a < c.awgs.size(); ++a) {
         // Calibrate against the first qubit the board serves.
         double gain = cfg.qubits[0].rabiRadPerAmpNs;
         for (unsigned q = 0; q < nq; ++q) {
-            if (routing.driveAwg[q] == a) {
+            if (c.routing.driveAwg[q] == a) {
                 gain = cfg.qubits[q].rabiRadPerAmpNs;
                 break;
             }
@@ -152,37 +270,25 @@ QumaMachine::uploadStandardCalibration(const LutProvider &provider,
         cp.amplitudeError = cfg.amplitudeError;
         cp.msmtPulseNs =
             static_cast<double>(cyclesToNs(cfg.msmtCycles));
-        if (provider)
-            awg::uploadLut(awgs[a]->waveMemory(), *provider(cp));
+        if (lutProvider)
+            awg::uploadLut(c.awgs[a]->waveMemory(), *lutProvider(cp));
         else
-            awg::buildStandardLut(awgs[a]->waveMemory(), cp);
+            awg::buildStandardLut(c.awgs[a]->waveMemory(), cp);
     }
-
-    mdus.clear();
-    const TimeNs window = cyclesToNs(cfg.msmtCycles);
-    for (unsigned q = 0; q < nq; ++q) {
-        const qsim::ReadoutParams &readout = cfg.qubits[q].readout;
-        auto unit = std::make_unique<measure::Mdu>(
-            mdu_provider ? mdu_provider(readout, window)
-                         : std::make_shared<const measure::MduCalibration>(
-                               measure::calibrateMdu(readout, window)),
-            cfg.mduLatencyCycles);
-        unit->setResultSink([this, q](const measure::MduResult &r) {
-            onMduResult(q, r);
-        });
-        mdus.push_back(std::move(unit));
-    }
-    calibrated = true;
 }
 
 void
-QumaMachine::loadProgram(isa::Program program)
+QumaMachine::loadProgram(isa::Program loaded)
 {
-    exec->loadProgram(std::move(program));
+    program = std::move(loaded);
     // Re-arm the deterministic domain and re-initialise the chip so
-    // a machine can run successive programs.
-    tcu->reset();
-    qp->reset();
+    // a machine can run successive programs. A stale control half is
+    // left stale: its rebuild loads the kept program.
+    if (ctl) {
+        ctl->exec.loadProgram(program);
+        ctl->tcu.reset();
+        ctl->qp.reset();
+    }
     chipSim->newRound();
     recorder.clear();
     ran = false;
@@ -204,8 +310,9 @@ QumaMachine::configureDataCollection(std::size_t k)
 awg::AwgModule &
 QumaMachine::awgModule(unsigned i)
 {
-    quma_assert(i < awgs.size(), "AWG index out of range");
-    return *awgs[i];
+    Control &c = control();
+    quma_assert(i < c.awgs.size(), "AWG index out of range");
+    return *c.awgs[i];
 }
 
 measure::Mdu &
@@ -217,18 +324,19 @@ QumaMachine::mdu(unsigned qubit)
 }
 
 const timing::TimingViolations &
-QumaMachine::violations() const
+QumaMachine::violations()
 {
-    return tcu->violations();
+    return control().tcu.violations();
 }
 
 MachineStats
-QumaMachine::stats() const
+QumaMachine::stats()
 {
+    Control &c = control();
     MachineStats s;
-    s.queues = tcu->queueStats();
-    s.exec = exec->stats();
-    s.microInstsIssued = qp->microInstsIssued();
+    s.queues = c.tcu.queueStats();
+    s.exec = c.exec.stats();
+    s.microInstsIssued = c.qp.microInstsIssued();
     s.cyclesVisited = cyclesVisited;
     return s;
 }
@@ -236,15 +344,17 @@ QumaMachine::stats() const
 void
 QumaMachine::reset()
 {
-    tcu->reset();
-    qp->reset();
-    for (auto &a : awgs)
-        a->reset();
-    digOut->reset();
+    if (ctl) {
+        ctl->tcu.reset();
+        ctl->qp.reset();
+        for (auto &a : ctl->awgs)
+            a->reset();
+        ctl->digOut.reset();
+        ctl->exec.reset();
+    }
     for (auto &m : mdus)
         m->reset();
     chipSim->reseed(cfg.chipSeed);
-    exec->reset();
     // Back to UNCONFIGURED, exactly like a fresh machine: a stale bin
     // count would survive into the next run's auto-configuration.
     collector.reset();
@@ -259,7 +369,8 @@ QumaMachine::reset(std::uint64_t chip_seed, std::uint64_t exec_seed)
 {
     cfg.chipSeed = chip_seed;
     cfg.exec.seed = exec_seed;
-    exec->reseed(exec_seed);
+    if (ctl)
+        ctl->exec.reseed(exec_seed);
     reset();
 }
 
@@ -269,7 +380,7 @@ QumaMachine::onPulseFired(unsigned queue, Cycle td,
 {
     recorder.recordUopFire({td, queue, ev.uop, ev.mask});
     wokenMask |= std::uint64_t{1} << srcAwg(queue);
-    awgs[queue]->fireUop(ev.uop, td, ev.mask);
+    ctl->awgs[queue]->fireUop(ev.uop, td, ev.mask);
 }
 
 void
@@ -280,7 +391,7 @@ QumaMachine::onMpgFired(Cycle td, const timing::MpgEvent &ev)
     // window with the gate pulses at the chip; delivery is scheduled
     // so it stays ordered with the other deterministic events.
     wokenMask |= std::uint64_t{1} << srcDigOut();
-    digOut->fire(ev.mask, td + msmtDelay, ev.durationCycles);
+    ctl->digOut.fire(ev.mask, td + ctl->msmtDelay, ev.durationCycles);
 }
 
 void
@@ -338,7 +449,7 @@ void
 QumaMachine::onMduResult(unsigned qubit, const measure::MduResult &r)
 {
     auto [overwrite, bit] = mdWriteMode[qubit];
-    exec->registers().writeBack(r.destReg, r.bit ? 1 : 0, overwrite,
+    ctl->exec.registers().writeBack(r.destReg, r.bit ? 1 : 0, overwrite,
                                 bit);
     collector.addSample(r.s);
     collector.addBit(r.bit);
@@ -352,10 +463,10 @@ void
 QumaMachine::reportWedge(Cycle now) const
 {
     fatal("machine wedged at cycle ", now, ": execution controller ",
-          exec->halted() ? "halted" : "blocked", ", QMB backlog ",
-          qp->backlog(), ", timing violations: late points ",
-          tcu->violations().latePoints, ", stale events ",
-          tcu->violations().staleEvents,
+          ctl->exec.halted() ? "halted" : "blocked", ", QMB backlog ",
+          ctl->qp.backlog(), ", timing violations: late points ",
+          ctl->tcu.violations().latePoints, ", stale events ",
+          ctl->tcu.violations().staleEvents,
           " (a stale MD drops its register write-back)");
 }
 
@@ -370,7 +481,11 @@ QumaMachine::run(Cycle max_cycles)
     if (collector.numBins() == 0)
         collector.configure(1);
 
-    const unsigned nAwg = static_cast<unsigned>(awgs.size());
+    Control &c = control();
+    timing::TimingController &tcu = c.tcu;
+    QuantumPipeline &qp = c.qp;
+    ExecutionController &exec = c.exec;
+    const unsigned nAwg = static_cast<unsigned>(c.awgs.size());
     const unsigned nMdu = static_cast<unsigned>(mdus.size());
     const unsigned sDig = srcDigOut();
     const unsigned sMdu0 = srcMdu(0);
@@ -388,13 +503,13 @@ QumaMachine::run(Cycle max_cycles)
     // cache: with ~10 sources that beats any indexed structure.
     constexpr Cycle kIdle = ~Cycle{0};
     const unsigned nSrc = numEventSources();
-    Cycle *const cache = nextDue.data();
-    auto refresh = [cache](unsigned src, std::optional<Cycle> c,
+    Cycle *const cache = c.nextDue.data();
+    auto refresh = [cache](unsigned src, std::optional<Cycle> at,
                            Cycle now) {
-        cache[src] = c ? std::max(*c, now + 1) : kIdle;
+        cache[src] = at ? std::max(*at, now + 1) : kIdle;
     };
 
-    tcu->start(0);
+    tcu.start(0);
     cyclesVisited = 0;
     Cycle now = 0;
     bool drained = false;
@@ -409,35 +524,35 @@ QumaMachine::run(Cycle max_cycles)
         // opening that cycle. Sinks fired along the way extend
         // wokenMask, and every wake target sits later in this fixed
         // order than its waker, so one pass suffices.
-        tcu->advanceTo(now);
+        tcu.advanceTo(now);
         for (unsigned a = 0; a < nAwg; ++a)
             if ((due | wokenMask) & (std::uint64_t{1} << (1 + a)))
-                awgs[a]->advanceTo(now);
+                c.awgs[a]->advanceTo(now);
         if ((due | wokenMask) & (std::uint64_t{1} << sDig))
-            digOut->advanceTo(now);
+            c.digOut.advanceTo(now);
         for (unsigned q = 0; q < nMdu; ++q)
             if ((due | wokenMask) & (std::uint64_t{1} << (sMdu0 + q)))
                 mdus[q]->advanceTo(now);
 
         // Non-deterministic domain: drain and execute.
-        qp->drainAt(now);
-        exec->stepAt(now);
+        qp.drainAt(now);
+        exec.stepAt(now);
 
         // Refresh every touched source. The TCU goes after the
         // pipeline in state terms: drainAt may have pushed new time
         // points.
         const std::uint64_t touched = due | wokenMask;
-        refresh(kSrcTcu, tcu->nextDueCycle(), now);
+        refresh(kSrcTcu, tcu.nextDueCycle(), now);
         for (unsigned a = 0; a < nAwg; ++a)
             if (touched & (std::uint64_t{1} << (1 + a)))
-                refresh(1 + a, awgs[a]->nextEventCycle(), now);
+                refresh(1 + a, c.awgs[a]->nextEventCycle(), now);
         if (touched & (std::uint64_t{1} << sDig))
-            refresh(sDig, digOut->nextEventCycle(), now);
+            refresh(sDig, c.digOut.nextEventCycle(), now);
         for (unsigned q = 0; q < nMdu; ++q)
             if (touched & (std::uint64_t{1} << (sMdu0 + q)))
                 refresh(sMdu0 + q, mdus[q]->nextEventCycle(), now);
-        refresh(sQp, qp->nextEventCycle(), now);
-        refresh(sExec, exec->nextEventCycle(), now);
+        refresh(sQp, qp.nextEventCycle(), now);
+        refresh(sExec, exec.nextEventCycle(), now);
 
         Cycle next = kIdle;
         due = 0;
@@ -452,8 +567,8 @@ QumaMachine::run(Cycle max_cycles)
         // A blocked producer is woken by whatever event frees it; if
         // nothing is scheduled at all, decide between done and wedged.
         if (next == kIdle) {
-            drained = exec->halted() && qp->empty() &&
-                      tcu->allQueuesEmpty();
+            drained = exec.halted() && qp.empty() &&
+                      tcu.allQueuesEmpty();
             if (drained)
                 break;
             reportWedge(now);
@@ -466,7 +581,7 @@ QumaMachine::run(Cycle max_cycles)
     RunResult result;
     result.cyclesRun = drained ? now : max_cycles;
     result.halted = drained;
-    result.violations = tcu->violations();
+    result.violations = tcu.violations();
     return result;
 }
 

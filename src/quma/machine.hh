@@ -94,6 +94,8 @@ struct MachineConfig
     std::uint64_t chipSeed = 0x9b1d;
     /** Record a full execution trace (Tables 2-5, Figures 3/5). */
     bool traceEnabled = false;
+
+    bool operator==(const MachineConfig &) const = default;
 };
 
 /** Summary of one run. */
@@ -121,7 +123,7 @@ struct RunResult
     }
 };
 
-/** Observable machine counters (pool saturation, pipeline health). */
+/** Observable machine counters (queue saturation, pipeline health). */
 struct MachineStats
 {
     timing::TimingUnitStats queues;
@@ -129,20 +131,66 @@ struct MachineStats
     std::size_t microInstsIssued = 0;
     /** Cycles the most recent run's event loop visited. */
     std::size_t cyclesVisited = 0;
+
+    bool operator==(const MachineStats &) const = default;
 };
 
+/**
+ * The machine is two halves. The PHYSICS half is the chip and the
+ * MDUs: all a control-schedule replay touches. The CONTROL half is
+ * the execution controller, pipeline, timing control unit, digital
+ * outputs and the AWGs with their LUTs: what a full run adds. The
+ * physics half is built with the machine; the control half is built
+ * on first use, from the config (seeds included) and the program
+ * loadProgram kept, so a machine that only replays never builds it.
+ */
 class QumaMachine
 {
   public:
     explicit QumaMachine(MachineConfig config);
+    ~QumaMachine();
+    /** Its components' sinks hold `this`. */
+    QumaMachine(const QumaMachine &) = delete;
+    QumaMachine &operator=(const QumaMachine &) = delete;
+
+    /**
+     * Throw FatalError unless `config` describes a buildable machine:
+     * 1..DensityMatrix::kMaxQubits qubits, at least one AWG, a drive
+     * AWG per qubit in range, at most 64 event sources, and a
+     * positive issue width, QMB depth and drain rate. Checks the
+     * structure only and builds nothing, so a hostile config (say a
+     * million AWGs) is rejected at once.
+     */
+    static void validate(const MachineConfig &config);
 
     const MachineConfig &config() const { return cfg; }
+
+    /**
+     * Turn this machine into a machine of `config`, as uploading new
+     * LUT entries re-targets the paper's control hardware without
+     * replacing it. Contract: a machine rebound A -> B is observably
+     * identical to QumaMachine(B) given the same calibration upload
+     * -- run, recordRun, replay, stats and the trace all match bit
+     * for bit. Seeds come from `config` too.
+     *
+     *  - The config is validated first; a rejected config throws and
+     *    leaves the machine bound to A, untouched.
+     *  - The physics half is rebuilt only when its inputs (qubits,
+     *    msmtCycles, mduLatencyCycles) differ, into locals committed
+     *    once both chip and MDUs are built.
+     *  - Any difference but the seeds drops the control half; the
+     *    next full run rebuilds it, uploading through the LUT
+     *    provider the machine was calibrated with.
+     *  - The machine is then rewound as by reset(). Rebinding to the
+     *    current config therefore builds nothing: it is reset().
+     */
+    void rebind(const MachineConfig &config);
 
     /**
      * Supplier of pre-rendered LUT content for a calibration. When
      * set, uploadStandardCalibration copies the returned entries
      * instead of rendering them -- the runtime's program cache uses
-     * this to share one rendered LUT across a machine pool.
+     * this to share one rendered LUT across its workers' machines.
      */
     using LutProvider = std::function<std::shared_ptr<
         const std::map<Codeword, awg::StoredPulse>>(
@@ -158,11 +206,16 @@ class QumaMachine
         std::function<std::shared_ptr<const measure::MduCalibration>(
             const qsim::ReadoutParams &, TimeNs)>;
 
-    /** Upload the Table 1 LUTs and calibrate every MDU. */
+    /**
+     * Upload the Table 1 LUTs and calibrate every MDU. The machine
+     * keeps both providers: a control half built later uploads its
+     * LUTs through the same one.
+     */
     void uploadStandardCalibration(const LutProvider &provider = {},
                                    const MduProvider &mdu_provider = {});
 
-    /** Load an assembled program into the instruction cache. */
+    /** Load an assembled program into the instruction cache. The
+     *  machine keeps it; the execution controller runs it in place. */
     void loadProgram(isa::Program program);
     /** Assemble and load. */
     void loadAssembly(const std::string &source);
@@ -203,7 +256,7 @@ class QumaMachine
      * collected data and RNG streams are rewound, so a subsequent
      * loadProgram + run reproduces a fresh machine's results bit for
      * bit. Uploaded calibration (LUTs, MDU weights) is preserved --
-     * this is what makes pooled machines cheap to reuse.
+     * this is what makes a machine cheap to reuse. Builds nothing.
      */
     void reset();
 
@@ -211,29 +264,67 @@ class QumaMachine
      * reset(), additionally re-deriving the stochastic domains from
      * new seeds (chip/readout noise and execution stall injection).
      * The runtime uses this to give every job its own deterministic
-     * RNG streams regardless of which pooled machine runs it.
+     * RNG streams regardless of which worker's machine runs it.
      */
     void reset(std::uint64_t chip_seed, std::uint64_t exec_seed);
 
-    // --- component access (tests, benches, examples) ---
-    RegisterFile &registers() { return exec->registers(); }
-    ExecutionController &execController() { return *exec; }
-    QuantumPipeline &pipeline() { return *qp; }
-    timing::TimingController &timingUnit() { return *tcu; }
+    // --- component access (tests, benches, examples); the control
+    //     half's accessors build it first ---
+    RegisterFile &registers() { return control().exec.registers(); }
+    ExecutionController &execController() { return control().exec; }
+    QuantumPipeline &pipeline() { return control().qp; }
+    timing::TimingController &timingUnit() { return control().tcu; }
     awg::AwgModule &awgModule(unsigned i);
     measure::Mdu &mdu(unsigned qubit);
-    measure::DigitalOutputUnit &digitalOutputs() { return *digOut; }
+    measure::DigitalOutputUnit &digitalOutputs()
+    {
+        return control().digOut;
+    }
     measure::DataCollectionUnit &dataCollector() { return collector; }
     qsim::TransmonChip &chip() { return *chipSim; }
     TraceRecorder &trace() { return recorder; }
 
-    const timing::TimingViolations &violations() const;
+    /** The timing unit's violations (builds a stale control half). */
+    const timing::TimingViolations &violations();
 
-    /** Queue-saturation and pipeline counters for this run. */
-    MachineStats stats() const;
+    /** Queue-saturation and pipeline counters for this run (builds a
+     *  stale control half, whose counters are then zero). */
+    MachineStats stats();
 
   private:
-    void wire();
+    /** The control half; see the class comment. */
+    struct Control
+    {
+        Control(const MachineConfig &cfg, TraceRecorder &recorder);
+        /** The pipeline and controller hold references into it. */
+        Control(const Control &) = delete;
+        Control &operator=(const Control &) = delete;
+
+        QubitRouting routing;
+        timing::TimingController tcu;
+        QuantumPipeline qp;
+        ExecutionController exec;
+        measure::DigitalOutputUnit digOut;
+        std::vector<std::unique_ptr<awg::AwgModule>> awgs;
+        /** Resolved measurement path delay (cycles). */
+        Cycle msmtDelay = 0;
+        /** Cached next due cycle per event source (kIdle when
+         *  none); run() refreshes only the sources it touched each
+         *  cycle. */
+        std::vector<Cycle> nextDue;
+    };
+
+    /** The control half, built first if stale. */
+    Control &control();
+    /** Build the physics half of `config` (chip, and the MDUs once
+     *  calibrated) and commit it only when all of it is built. */
+    void buildPhysics(const MachineConfig &config);
+    /** One calibrated MDU per qubit of `config`, result sinks wired. */
+    std::vector<std::unique_ptr<measure::Mdu>>
+    buildMdus(const MachineConfig &config);
+    /** Upload the Table 1 LUTs into the control half's AWGs. */
+    void uploadLuts(Control &c);
+    void wire(Control &c);
     void onPulseFired(unsigned queue, Cycle td,
                       const timing::PulseEvent &ev);
     void onMpgFired(Cycle td, const timing::MpgEvent &ev);
@@ -262,26 +353,25 @@ class QumaMachine
     unsigned numEventSources() const { return srcExec() + 1; }
 
     MachineConfig cfg;
-    QubitRouting routing;
     TraceRecorder recorder;
+    /** The program loadProgram kept; the execution controller runs
+     *  it in place, and a rebuilt control half loads it. */
+    isa::Program program;
+    /** Providers of the calibration upload (empty: render and
+     *  calibrate locally). */
+    LutProvider lutProvider;
+    MduProvider mduProvider;
 
-    std::unique_ptr<timing::TimingController> tcu;
-    std::unique_ptr<QuantumPipeline> qp;
-    std::unique_ptr<ExecutionController> exec;
-    std::unique_ptr<measure::DigitalOutputUnit> digOut;
-    std::vector<std::unique_ptr<awg::AwgModule>> awgs;
-    std::vector<std::unique_ptr<measure::Mdu>> mdus;
+    /** Physics half. */
     std::unique_ptr<qsim::TransmonChip> chipSim;
+    std::vector<std::unique_ptr<measure::Mdu>> mdus;
+    /** Control half; null while stale. */
+    std::unique_ptr<Control> ctl;
     measure::DataCollectionUnit collector;
 
     /** Pending write-back mode (overwrite, bit) per MDU. */
     std::vector<std::pair<bool, unsigned>> mdWriteMode;
-    /** Resolved measurement path delay (cycles). */
-    Cycle msmtDelay = 0;
 
-    /** Cached next due cycle per event source (kIdle when none);
-     *  run() refreshes only the sources it touched each cycle. */
-    std::vector<Cycle> nextDue;
     /** Sources poked by a cross-component sink this cycle; their
      *  advanceTo must run even if their cached due is later. */
     std::uint64_t wokenMask = 0;

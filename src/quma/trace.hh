@@ -28,6 +28,8 @@ struct UopFireRecord
     unsigned awg = 0;
     std::uint8_t uop = 0;
     QubitMask mask = 0;
+
+    bool operator==(const UopFireRecord &) const = default;
 };
 
 /** A codeword trigger arriving at a CTPG (after the u-op delay). */
@@ -37,6 +39,8 @@ struct CodewordRecord
     unsigned awg = 0;
     Codeword codeword = 0;
     QubitMask mask = 0;
+
+    bool operator==(const CodewordRecord &) const = default;
 };
 
 /** An analog pulse leaving a CTPG (after its fixed delay). */
@@ -47,6 +51,8 @@ struct PulseRecord
     Codeword codeword = 0;
     QubitMask mask = 0;
     double durationNs = 0;
+
+    bool operator==(const PulseRecord &) const = default;
 };
 
 /** An MPG event firing at its timing label (paper Table 5 "CW 7"). */
@@ -55,6 +61,8 @@ struct MpgFireRecord
     Cycle td = 0;
     QubitMask mask = 0;
     Cycle durationCycles = 0;
+
+    bool operator==(const MpgFireRecord &) const = default;
 };
 
 /** A measurement window arriving at the chip. */
@@ -66,6 +74,8 @@ struct MeasurementRecord
     Cycle durationCycles = 0;
     /** Ground truth sampled by the chip (for validation only). */
     bool trueOutcome = false;
+
+    bool operator==(const MeasurementRecord &) const = default;
 };
 
 /** An MD result write-back. */
@@ -76,6 +86,8 @@ struct MduResultRecord
     double s = 0.0;
     bool bit = false;
     RegIndex destReg = 0;
+
+    bool operator==(const MduResultRecord &) const = default;
 };
 
 /** A timing label broadcast. */
@@ -83,6 +95,8 @@ struct LabelFireRecord
 {
     Cycle td = 0;
     TimingLabel label = 0;
+
+    bool operator==(const LabelFireRecord &) const = default;
 };
 
 /** A QuMIS microinstruction entering the QMB. */
@@ -90,6 +104,8 @@ struct MicroInstRecord
 {
     Cycle cycle = 0;
     isa::Instruction inst;
+
+    bool operator==(const MicroInstRecord &) const = default;
 };
 
 class TraceRecorder

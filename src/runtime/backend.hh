@@ -6,7 +6,7 @@
  *
  * Three implementations exist today:
  *
- *  - runtime::ExperimentService executes jobs in-process (the pooled
+ *  - runtime::ExperimentService executes jobs in-process (the worker
  *    machines live in this address space);
  *  - net::QumaClient forwards the same calls over a wire connection
  *    to a QumaServer driving a remote backend;
@@ -33,19 +33,18 @@
 #include <vector>
 
 #include "runtime/job.hh"
-#include "runtime/machine_pool.hh"
 #include "runtime/program_cache.hh"
 #include "runtime/scheduler.hh"
 #include "runtime/trace.hh"
 
 namespace quma::runtime {
 
-/** One-call snapshot across all three runtime layers (the payload of
- *  a wire StatsReply). */
+/** One-call snapshot across the runtime's layers (the payload of a
+ *  wire StatsReply). */
 struct ServiceStats
 {
     JobScheduler::Stats scheduler;
-    MachinePool::Stats pool;
+    PoolStats pool;
     ProgramCache::Stats cache;
     std::size_t effectiveQueueCapacity = 0;
 };
@@ -109,7 +108,7 @@ class IExperimentBackend
     virtual void subscribeProgress(JobId id,
                                    ProgressCallback callback) = 0;
 
-    /** Scheduler / pool / cache snapshot of the backend. */
+    /** Scheduler / machine / cache snapshot of the backend. */
     virtual ServiceStats stats() const = 0;
     /** The buffered job-lifecycle trace, in traceNowNanos() time. */
     virtual TraceDump traceDump() const = 0;

@@ -3,15 +3,15 @@
  * The unit of work of the concurrent experiment runtime: one job is
  * one host-PC session of the paper's §8 flow (upload calibration,
  * load a program, run, collect averages), described as data so it can
- * be queued, sharded onto a pooled machine, and executed by any
- * worker.
+ * be queued, sharded, and executed by any worker on its machine.
  *
  * Determinism contract: a job's result is a pure function of its
  * JobSpec. The runtime derives the chip-noise and stall-injection RNG
- * streams from the job seed (Rng::derive), resets the pooled machine
- * before running, and never shares mutable state between jobs -- so
- * the same spec produces the same JobResult regardless of worker
- * count, scheduling order, or which pooled machine it lands on.
+ * streams from the job seed (Rng::derive), rebinds and resets the
+ * worker's machine before running, and never shares mutable state
+ * between jobs -- so the same spec produces the same JobResult
+ * regardless of worker count, scheduling order, or which worker's
+ * machine it lands on.
  */
 
 #ifndef QUMA_RUNTIME_JOB_HH
@@ -96,8 +96,8 @@ struct JobSpec
     /** Pre-assembled program; bypasses the cache when set. */
     std::optional<isa::Program> program;
 
-    /** Machine configuration; shards the pool (seeds are ignored --
-     *  the job seed below replaces them). */
+    /** Machine configuration; a worker rebinds its machine to it
+     *  (seeds are ignored -- the job seed below replaces them). */
     core::MachineConfig machine;
 
     /** Data-collection bins K (0 = leave unconfigured). */
@@ -126,13 +126,13 @@ struct JobSpec
     /**
      * Requested shard count for a round-structured job: the scheduler
      * splits the N rounds into this many contiguous ranges and runs
-     * them as parallel tasks on pooled machines. 0 = auto (one shard
+     * them as parallel tasks on the workers' machines. 0 = auto (one shard
      * per worker); 1 = a single shard. Always clamped by
      * minRoundsPerShard. The merged result is bit-identical for every
      * shard count.
      */
     std::size_t shards = 1;
-    /** Smallest round range worth a pool lease (clamps `shards`). */
+    /** Smallest round range worth a task (clamps `shards`). */
     std::size_t minRoundsPerShard = 8;
 
     /** Scheduling class (see JobPriority). */

@@ -22,7 +22,7 @@
  *    randomness is a pure function of (job seed, round index) --
  *    never of which machine ran it, or of which rounds preceded it on
  *    that machine -- any contiguous partition of the rounds across
- *    pooled machines replays the exact same per-round draws, which is
+ *    workers' machines replays the exact same per-round draws, which is
  *    what makes shard merges bit-identical (see runtime/README.md,
  *    "Determinism contract").
  */

@@ -2,14 +2,14 @@
  * @file
  * Compiled-program and calibration cache.
  *
- * Two memoization layers sit between job submission and a pooled
+ * Two memoization layers sit between job submission and a worker's
  * machine:
  *
  *  - the PROGRAM layer maps assembly source text to the assembled
  *    isa::Program, so a sweep that submits the same (or few distinct)
  *    programs pays the assembler once;
  *  - the LUT layer maps calibration parameters to the rendered
- *    Table 1 waveform entries, so calibrating the Nth pooled machine
+ *    Table 1 waveform entries, so calibrating the Nth machine
  *    with the same qubit parameters copies stored samples instead of
  *    re-rendering envelopes and SSB modulation; it also maps a
  *    (readout, window) pair to its MDU calibration, shared read-only

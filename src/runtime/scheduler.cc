@@ -14,12 +14,8 @@ namespace {
 
 /** Completions per priority class kept for percentile estimation. */
 constexpr std::size_t kLatencySampleWindow = 512;
-/** Max same-config tasks executed on one pool lease. */
-constexpr std::size_t kLeaseBatchLimit = 8;
 /** Saturation EWMA above this tightens trySubmit's bound. */
 constexpr double kSaturationThreshold = 0.5;
-/** EWMA smoothing of the per-acquisition pool-wait samples. */
-constexpr double kPoolWaitAlpha = 0.25;
 
 bool
 queueSaturated(const timing::QueueSaturation &q)
@@ -50,9 +46,8 @@ machineSaturated(const core::MachineStats &s)
 
 } // namespace
 
-JobScheduler::JobScheduler(SchedulerConfig config, MachinePool &pool_,
-                           ProgramCache &cache_)
-    : cfg(config), pool(pool_), cache(cache_), tracer(config.trace)
+JobScheduler::JobScheduler(SchedulerConfig config, ProgramCache &cache_)
+    : cfg(config), cache(cache_), tracer(config.trace)
 {
     if (cfg.workers == 0)
         fatal("JobScheduler needs at least one worker");
@@ -473,9 +468,6 @@ JobScheduler::bindMetrics(metrics::MetricsRegistry &registry)
     ms.cancelled = registry.counter(
         "quma_jobs_cancelled_total",
         "Jobs cancelled while still fully queued.");
-    ms.batchedJobs = registry.counter(
-        "quma_tasks_lease_batched_total",
-        "Tasks that reused the previous task's machine lease.");
     ms.shardedJobs = registry.counter(
         "quma_jobs_sharded_total",
         "Jobs split into more than one shard.");
@@ -499,6 +491,25 @@ JobScheduler::bindMetrics(metrics::MetricsRegistry &registry)
         "quma_rounds_replayed_total",
         "Rounds served by control-schedule replay of a verified "
         "physics tape instead of a full machine run.");
+    ms.poolAcquisitions = registry.counter(
+        "quma_pool_acquisitions_total",
+        "Tasks that bound their worker's machine (reuse hits + "
+        "builds + rebinds).");
+    ms.poolReuseHits = registry.counter(
+        "quma_pool_reuse_hits_total",
+        "Tasks whose config the worker's machine was already bound "
+        "to.");
+    ms.poolMachinesCreated = registry.counter(
+        "quma_pool_machines_created_total",
+        "Machines constructed, calibration upload included (at most "
+        "one per worker).");
+    ms.poolRebinds = registry.counter(
+        "quma_pool_rebinds_total",
+        "Worker machines rebound to a task of another config.");
+    ms.poolMachineResets = registry.counter(
+        "quma_pool_machine_resets_total",
+        "QumaMachine::reset() calls: one per round, one per tape "
+        "check.");
     static constexpr const char *kClassNames[3] = {"batch", "normal",
                                                    "high"};
     for (std::size_t cls = 0; cls < ms.latency.size(); ++cls)
@@ -533,12 +544,15 @@ JobScheduler::bindMetrics(metrics::MetricsRegistry &registry)
                          std::lock_guard<std::mutex> lock(mu);
                          return saturationEwma;
                      });
-    registry.gaugeFn("quma_pool_wait_ewma_seconds",
-                     "EWMA of pool-acquisition waits (admission "
-                     "signal 2).",
-                     {}, [this] {
+    registry.gaugeFn("quma_pool_machines_idle",
+                     "Built worker machines between tasks.", {}, [this] {
+                         PoolStats p = poolStats();
+                         return static_cast<double>(p.idleMachines);
+                     });
+    registry.gaugeFn("quma_pool_machines_leased",
+                     "Built worker machines running a task.", {}, [this] {
                          std::lock_guard<std::mutex> lock(mu);
-                         return poolWaitEwma;
+                         return static_cast<double>(pool.leasedMachines);
                      });
 }
 
@@ -555,10 +569,18 @@ JobScheduler::stats() const
     std::lock_guard<std::mutex> lock(mu);
     Stats s = counters;
     s.machineSaturation = saturationEwma;
-    s.poolWaitEwmaSeconds = poolWaitEwma;
     for (std::size_t cls = 0; cls < s.latency.size(); ++cls)
         s.latency[cls] = latencyDigestLocked(cls);
     return s;
+}
+
+PoolStats
+JobScheduler::poolStats() const
+{
+    std::lock_guard<std::mutex> lock(mu);
+    PoolStats p = pool;
+    p.idleMachines = p.machinesCreated - p.leasedMachines;
+    return p;
 }
 
 std::vector<JobId>
@@ -578,13 +600,9 @@ JobScheduler::effectiveQueueCapacity() const
 std::size_t
 JobScheduler::effectiveCapacityLocked() const
 {
-    // Two independent congestion signals tighten admission: the
-    // machines running their timing queues into backpressure, and
-    // workers blocking on the pool for a machine. Either means more
-    // queue depth would buy latency, not throughput.
-    bool congested = saturationEwma > kSaturationThreshold ||
-                     poolWaitEwma > cfg.poolWaitThresholdSeconds;
-    if (!congested)
+    // Machines running their timing queues into backpressure mean
+    // more queue depth would buy latency, not throughput.
+    if (saturationEwma <= kSaturationThreshold)
         return cfg.queueCapacity;
     auto tightened = static_cast<std::size_t>(
         static_cast<double>(cfg.queueCapacity) *
@@ -602,13 +620,6 @@ JobScheduler::noteSaturationLocked(bool saturated)
     }
     saturationEwma = (1.0 - cfg.saturationAlpha) * saturationEwma +
                      cfg.saturationAlpha * (saturated ? 1.0 : 0.0);
-}
-
-void
-JobScheduler::notePoolWaitLocked(double seconds)
-{
-    poolWaitEwma =
-        (1.0 - kPoolWaitAlpha) * poolWaitEwma + kPoolWaitAlpha * seconds;
 }
 
 void
@@ -935,6 +946,7 @@ JobScheduler::runShard(const JobSpec &spec, const std::string &key,
             const std::uint64_t execSeed =
                 Rng::derive(spec.seed, streams.exec);
             machine.reset(chipSeed, execSeed);
+            ++sample.machineResets;
             if (!tapeSettled) {
                 ProgramCache::TapeLookup found =
                     cache.tape(spec.assembly, key, spec.maxCycles);
@@ -945,6 +957,7 @@ JobScheduler::runShard(const JobSpec &spec, const std::string &key,
                     cache.storeTape(spec.assembly, key, tape,
                                     spec.maxCycles);
                     machine.reset(chipSeed, execSeed);
+                    ++sample.machineResets;
                 }
                 tapeSettled = tape || found.verify || found.rejected;
                 if (tape)
@@ -1073,6 +1086,8 @@ JobScheduler::noteRunLocked(const RunSample &sample)
     counters.eventsDispatched += sample.eventsDispatched;
     counters.staleEventDrops += sample.staleDrops;
     counters.roundsReplayed += sample.roundsReplayed;
+    pool.machineResets += sample.machineResets;
+    ms.poolMachineResets.inc(static_cast<double>(sample.machineResets));
     ms.eventsDispatched.inc(
         static_cast<double>(sample.eventsDispatched));
     ms.roundsReplayed.inc(static_cast<double>(sample.roundsReplayed));
@@ -1096,6 +1111,10 @@ JobScheduler::takeLocked(std::size_t slot)
 void
 JobScheduler::workerLoop()
 {
+    // This worker's machine: built at its first task, rebound to each
+    // task whose config differs from the one it is bound to.
+    std::unique_ptr<core::QumaMachine> machine;
+    std::string boundKey;
     std::unique_lock<std::mutex> lock(mu);
     for (;;) {
         cvWork.wait(lock, [this] {
@@ -1116,86 +1135,79 @@ JobScheduler::workerLoop()
                 continue; // raced with the victim finishing
             task = *stolen;
         }
-        const std::string key = entries.at(task.id).key;
-        MachinePool::Lease lease;
-        std::size_t ranOnLease = 0;
-        // One iteration per task run on this lease: the first task
-        // acquires it, later ones are same-config batch picks.
-        for (;;) {
-            const Entry &entry = entries.at(task.id);
-            std::shared_ptr<const JobSpec> spec = entry.spec;
-            const RoundRange range = entry.shardRanges[task.shard];
-            ++inFlight;
-            lock.unlock();
-            cvSpace.notify_one();
-            // A shard started at victim size is a steal candidate:
-            // wake idle workers so they can carve it up.
-            if (range.size() >= stealFloor())
-                cvWork.notify_all();
+        const Entry &entry = entries.at(task.id);
+        std::shared_ptr<const JobSpec> spec = entry.spec;
+        const std::string key = entry.key;
+        const RoundRange range = entry.shardRanges[task.shard];
+        ++inFlight;
+        lock.unlock();
+        cvSpace.notify_one();
+        // A shard started at victim size is a steal candidate: wake
+        // idle workers so they can carve it up.
+        if (range.size() >= stealFloor())
+            cvWork.notify_all();
 
-            if (ranOnLease == 0) {
-                double acquireWait = 0.0;
-                try {
-                    lease = pool.acquireKeyed(key, spec->machine,
-                                              &acquireWait);
-                } catch (const std::exception &ex) {
-                    // Machine construction rejected the config: fail
-                    // THIS task; letting the exception leave the
-                    // thread would terminate the whole service.
-                    ShardPartial p;
-                    p.range = range;
-                    p.error =
-                        std::string("machine unavailable: ") + ex.what();
-                    lock.lock();
-                    deliverShardLocked(task.id, task.shard, std::move(p));
-                    --inFlight;
-                    cvDone.notify_all();
-                    break;
-                }
-                // One pool-wait sample per acquisition (batched tasks
-                // reuse the lease and pay no wait -- that is the point
-                // of batching, so they contribute no sample). The
-                // sample is the time acquire spent BLOCKED on a fully
-                // leased pool, not the cost of constructing a cold
-                // machine.
-                lock.lock();
-                notePoolWaitLocked(acquireWait);
-                lock.unlock();
+        bool built = false;
+        bool rebound = false;
+        std::string unavailable;
+        try {
+            if (!machine) {
+                auto m = std::make_unique<core::QumaMachine>(spec->machine);
+                m->uploadStandardCalibration(cache.lutProvider(),
+                                             cache.mduProvider());
+                machine = std::move(m);
+                built = true;
+            } else if (key != boundKey) {
+                machine->rebind(spec->machine);
+                rebound = true;
             }
-            traceRecord(task.id, TracePhase::Leased, task.shard);
-            RunSample sample;
-            traceRecord(task.id, TracePhase::ShardStart, task.shard);
-            ShardPartial partial = runShard(*spec, key, lease.machine(),
-                                            task.id, task.shard, range,
-                                            sample);
-            traceRecord(task.id, TracePhase::ShardFinish, task.shard);
-            lock.lock();
-            ++counters.shardsExecuted;
-            ms.shardsExecuted.inc();
-            deliverShardLocked(task.id, task.shard, std::move(partial));
-            noteRunLocked(sample);
-            ++ranOnLease;
+            boundKey = key;
+        } catch (const std::exception &ex) {
+            // The config was rejected: fail THIS task and keep the
+            // machine bound to its old config. Letting the exception
+            // leave the thread would terminate the whole service.
+            unavailable = std::string("machine unavailable: ") + ex.what();
+        }
+
+        lock.lock();
+        ++pool.acquisitions;
+        ms.poolAcquisitions.inc();
+        if (!unavailable.empty()) {
+            ShardPartial p;
+            p.range = range;
+            p.error = std::move(unavailable);
+            deliverShardLocked(task.id, task.shard, std::move(p));
             --inFlight;
             cvDone.notify_all();
-
-            // Lease batching: when the task the priority policy
-            // would pick next wants this machine configuration, run
-            // it on the same lease without a pool round-trip.
-            if (stop || queue.empty() || ranOnLease >= kLeaseBatchLimit)
-                break;
-            std::size_t next = pickBestLocked();
-            if (entries.at(queue[next].id).key != key)
-                break;
-            task = takeLocked(next);
-            ++counters.batchedJobs;
-            ms.batchedJobs.inc();
+            continue;
         }
-        // Still holding the lock from the loop exit; release the
-        // lease outside it (reset + pool hand-back take the pool
-        // mutex, not ours).
+        if (built) {
+            ++pool.machinesCreated;
+            ms.poolMachinesCreated.inc();
+        } else if (rebound) {
+            ++pool.rebinds;
+            ms.poolRebinds.inc();
+        } else {
+            ++pool.reuseHits;
+            ms.poolReuseHits.inc();
+        }
+        ++pool.leasedMachines;
         lock.unlock();
-        lease.release();
+
+        traceRecord(task.id, TracePhase::Leased, task.shard);
+        RunSample sample;
+        traceRecord(task.id, TracePhase::ShardStart, task.shard);
+        ShardPartial partial = runShard(*spec, key, *machine, task.id,
+                                        task.shard, range, sample);
+        traceRecord(task.id, TracePhase::ShardFinish, task.shard);
         lock.lock();
+        --pool.leasedMachines;
+        ++counters.shardsExecuted;
+        ms.shardsExecuted.inc();
+        deliverShardLocked(task.id, task.shard, std::move(partial));
+        noteRunLocked(sample);
+        --inFlight;
+        cvDone.notify_all();
     }
 }
 

@@ -14,16 +14,19 @@
  * ONE TASK KIND. Every job is split by partitionRounds() into
  * contiguous round ranges, one task per shard; an opaque job
  * (JobSpec::rounds == 0) is one shard of one round. Every task runs
- * through the same per-round loop on a pooled machine, and the worker
+ * through the same per-round loop on its worker's machine, and the worker
  * finishing a job's last shard merges the per-round collector sums in
  * global round order. The stream choice of runtime/keys.hh
  * (roundStreams) plus the order-preserving merge make the merged
  * result bit-identical for every shard count and worker count.
  *
- * BATCHING. After a task, while the worker still holds its machine
- * lease, it runs the next BEST task immediately if that task needs
- * the same machine configuration -- the common case when a sweep (or
- * a sharded job) fans out into many same-shaped tasks.
+ * MACHINES. Each worker owns one QumaMachine, built at its first
+ * task and rebound (QumaMachine::rebind) to each task whose machine
+ * configuration differs from the one it is bound to. A rebind keeps
+ * the chip and MDUs when their inputs match and defers the control
+ * hardware until a full run needs it, so a sweep over many configs
+ * costs no machine builds and its replayed rounds build no control
+ * hardware. A worker never waits for a machine.
  *
  * NOTIFICATION. subscribe(id, cb) registers a one-shot completion
  * callback, delivered by a dedicated notifier thread in completion
@@ -78,8 +81,8 @@
 #include <vector>
 
 #include "common/metrics.hh"
+#include "quma/machine.hh"
 #include "runtime/job.hh"
-#include "runtime/machine_pool.hh"
 #include "runtime/program_cache.hh"
 #include "runtime/trace.hh"
 
@@ -99,6 +102,30 @@ inline constexpr const char *kCancelledJobError =
  */
 inline constexpr const char *kShutdownJobError =
     "scheduler shut down before the job ran";
+
+/**
+ * Counters of the workers' machines (ServiceStats::pool). Every task
+ * is one acquisition, served by a build, a rebind or a reuse hit --
+ * or failed, when the build or rebind rejected its config.
+ */
+struct PoolStats
+{
+    /** Machines constructed, calibration upload included (at most
+     *  one per worker). */
+    std::size_t machinesCreated = 0;
+    /** Tasks that bound their worker's machine. */
+    std::size_t acquisitions = 0;
+    /** Tasks whose config the machine was already bound to. */
+    std::size_t reuseHits = 0;
+    /** QumaMachine::rebind calls (a task of another config). */
+    std::size_t rebinds = 0;
+    /** QumaMachine::reset calls: one per round, one per tape check. */
+    std::size_t machineResets = 0;
+    /** Built machines between tasks. */
+    std::size_t idleMachines = 0;
+    /** Built machines running a task. */
+    std::size_t leasedMachines = 0;
+};
 
 struct SchedulerConfig
 {
@@ -134,15 +161,6 @@ struct SchedulerConfig
     double congestedQueueFraction = 0.25;
     /** EWMA smoothing of the per-run saturation samples. */
     double saturationAlpha = 0.25;
-    /**
-     * Second admission signal: workers sample how long each pool
-     * acquisition blocked waiting for a machine, and an EWMA of those
-     * waits above this threshold (seconds) tightens trySubmit's
-     * effective bound exactly like queue saturation does. Jobs
-     * waiting on machines mean pool capacity -- not queue depth -- is
-     * the bottleneck, so adding depth would add latency only.
-     */
-    double poolWaitThresholdSeconds = 0.02;
     /**
      * Completions remembered by finishedIds(), newest-N ring. Bounds
      * the completion-order observable separately from result
@@ -198,8 +216,6 @@ class JobScheduler
         /** Jobs cancelled while still queued (counted in failed). */
         std::size_t cancelled = 0;
         std::size_t queueHighWater = 0;
-        /** Tasks that reused the previous task's lease (batching). */
-        std::size_t batchedJobs = 0;
         /** Jobs split into more than one shard. */
         std::size_t shardedJobs = 0;
         /** Tasks executed: every shard, opaque jobs included. */
@@ -224,15 +240,12 @@ class JobScheduler
         std::size_t progressNotifications = 0;
         /** Saturation EWMA at the time of the snapshot. */
         double machineSaturation = 0.0;
-        /** Pool-acquisition wait EWMA (seconds) at the snapshot. */
-        double poolWaitEwmaSeconds = 0.0;
         /** Submit->finish latency per priority class, indexed by
          *  the JobPriority value (Batch, Normal, High). */
         std::array<LatencyDigest, 3> latency{};
     };
 
-    JobScheduler(SchedulerConfig config, MachinePool &pool,
-                 ProgramCache &cache);
+    JobScheduler(SchedulerConfig config, ProgramCache &cache);
     ~JobScheduler();
 
     JobScheduler(const JobScheduler &) = delete;
@@ -335,12 +348,15 @@ class JobScheduler
     void subscribeProgress(JobId id, ProgressCallback callback);
 
     Stats stats() const;
+    /** Counters of the workers' machines. */
+    PoolStats poolStats() const;
 
     /**
      * Register this scheduler's metric families with `registry`:
-     * lifecycle counters (quma_jobs_*_total), point-in-time gauges
-     * (queue depth, in-flight, effective capacity, admission EWMAs)
-     * and the per-priority submit->finish latency histogram
+     * lifecycle counters (quma_jobs_*_total), the workers' machine
+     * counters (quma_pool_*), point-in-time gauges (queue depth,
+     * in-flight, effective capacity, saturation EWMA) and the
+     * per-priority submit->finish latency histogram
      * quma_job_latency_seconds. Counter/histogram updates ride the
      * existing increment sites at a few relaxed atomics each; gauges
      * are callback series evaluated at scrape time. The scheduler
@@ -362,7 +378,7 @@ class JobScheduler
 
     /**
      * The task bound trySubmit currently admits against: the full
-     * queueCapacity while the pooled machines keep up, tightened to
+     * queueCapacity while the machines keep up, tightened to
      * congestedQueueFraction of it (floored at the worker count)
      * while their queue-saturation EWMA exceeds the threshold.
      */
@@ -460,6 +476,7 @@ class JobScheduler
         std::size_t eventsDispatched = 0;
         std::size_t staleDrops = 0;
         std::size_t roundsReplayed = 0;
+        std::size_t machineResets = 0;
 
         void
         absorb(const core::MachineStats &s, bool machine_saturated)
@@ -510,7 +527,6 @@ class JobScheduler
     std::size_t pickBestLocked() const;
     long effectivePriorityLocked(const Entry &entry) const;
     void noteSaturationLocked(bool saturated);
-    void notePoolWaitLocked(double seconds);
     void noteLatencyLocked(const Entry &entry);
     LatencyDigest latencyDigestLocked(std::size_t cls) const;
     std::size_t effectiveCapacityLocked() const;
@@ -526,7 +542,6 @@ class JobScheduler
         metrics::Counter completed;
         metrics::Counter failed;
         metrics::Counter cancelled;
-        metrics::Counter batchedJobs;
         metrics::Counter shardedJobs;
         metrics::Counter shardsExecuted;
         metrics::Counter saturatedRuns;
@@ -534,6 +549,11 @@ class JobScheduler
         metrics::Counter roundsStolen;
         metrics::Counter eventsDispatched;
         metrics::Counter roundsReplayed;
+        metrics::Counter poolAcquisitions;
+        metrics::Counter poolReuseHits;
+        metrics::Counter poolMachinesCreated;
+        metrics::Counter poolRebinds;
+        metrics::Counter poolMachineResets;
         /** Submit->finish latency, one series per priority class. */
         std::array<metrics::Histogram, 3> latency;
     };
@@ -547,7 +567,6 @@ class JobScheduler
     }
 
     const SchedulerConfig cfg;
-    MachinePool &pool;
     ProgramCache &cache;
     JobTraceRecorder *const tracer;
     Instruments ms;
@@ -571,10 +590,10 @@ class JobScheduler
     bool stop = false;
     bool started = false;
     Stats counters;
+    /** Machine counters; idleMachines is derived at snapshot. */
+    PoolStats pool;
     /** EWMA of machine queue saturation over recent runs. */
     double saturationEwma = 0.0;
-    /** EWMA of pool-acquisition waits (seconds). */
-    double poolWaitEwma = 0.0;
     /** Sliding windows of submit->finish latencies per class. */
     std::array<std::vector<double>, 3> latencyWindow;
     std::array<std::size_t, 3> latencyWindowNext{};

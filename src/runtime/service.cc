@@ -72,7 +72,6 @@ schedulerConfigOf(const ServiceConfig &cfg, JobTraceRecorder *trace)
     sc.agingQuantum = cfg.agingQuantum;
     sc.congestedQueueFraction = cfg.congestedQueueFraction;
     sc.saturationAlpha = cfg.saturationAlpha;
-    sc.poolWaitThresholdSeconds = cfg.poolWaitThresholdSeconds;
     sc.minStealRounds = cfg.minStealRounds;
     sc.progressInterval = cfg.progressInterval;
     sc.finishedHistoryLimit = cfg.finishedHistoryLimit;
@@ -82,18 +81,14 @@ schedulerConfigOf(const ServiceConfig &cfg, JobTraceRecorder *trace)
 } // namespace
 
 ExperimentService::ExperimentService(ServiceConfig config)
-    : poolStore(config.poolCapacity ? config.poolCapacity
-                                    : config.workers + 2,
-                &cacheStore),
-      traceStore(config.traceCapacity),
+    : traceStore(config.traceCapacity),
       recoveryReport(config.journalPath.empty()
                          ? RecoveryReport{}
                          : recoverJournal(config.journalPath)),
       compactionReport(maybeCompact(config, recoveryReport)),
       journalStore(openJournal(config, recoveryReport,
                                compactionReport)),
-      sched(schedulerConfigOf(config, &traceStore), poolStore,
-            cacheStore),
+      sched(schedulerConfigOf(config, &traceStore), cacheStore),
       instanceNameStore(config.instanceName)
 {
     // Re-drive what the crashed process never finished. One atomic
@@ -194,7 +189,7 @@ ExperimentService::stats() const
 {
     ServiceStats s;
     s.scheduler = sched.stats();
-    s.pool = poolStore.stats();
+    s.pool = sched.poolStats();
     s.cache = cacheStore.stats();
     s.effectiveQueueCapacity = sched.effectiveQueueCapacity();
     return s;
@@ -204,7 +199,6 @@ void
 ExperimentService::bindMetrics(metrics::MetricsRegistry &registry)
 {
     cacheStore.bindMetrics(registry);
-    poolStore.bindMetrics(registry);
     sched.bindMetrics(registry);
     registry.gaugeFn("quma_trace_events",
                      "Job-lifecycle trace events currently buffered.",

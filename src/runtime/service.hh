@@ -2,9 +2,9 @@
  * @file
  * ExperimentService: the facade of the concurrent experiment runtime.
  *
- * Owns the three layers -- ProgramCache (compilation/calibration
- * memoization), MachinePool (sharded reusable machines), JobScheduler
- * (bounded queue + workers) -- wired together, and exposes the small
+ * Owns the two layers -- ProgramCache (compilation/calibration
+ * memoization) and JobScheduler (bounded queue + workers, one machine
+ * per worker) -- wired together, and exposes the small
  * submit / poll / await surface experiments and services program
  * against:
  *
@@ -22,7 +22,6 @@
 #include "common/metrics.hh"
 #include "runtime/backend.hh"
 #include "runtime/journal.hh"
-#include "runtime/machine_pool.hh"
 #include "runtime/program_cache.hh"
 #include "runtime/scheduler.hh"
 #include "runtime/trace.hh"
@@ -33,8 +32,6 @@ struct ServiceConfig
 {
     unsigned workers = 2;
     std::size_t queueCapacity = 256;
-    /** Pool capacity; 0 = workers + 2 (one spare per config flip). */
-    std::size_t poolCapacity = 0;
     bool startPaused = false;
     std::size_t maxRetainedResults = 65536;
     /** Priority aging: one class step per this many newer
@@ -44,8 +41,6 @@ struct ServiceConfig
      *  SchedulerConfig for the saturation knobs). */
     double congestedQueueFraction = 0.25;
     double saturationAlpha = 0.25;
-    /** Pool-wait admission signal (see SchedulerConfig). */
-    double poolWaitThresholdSeconds = 0.02;
     /** Work-stealing victim floor (see SchedulerConfig). */
     std::size_t minStealRounds = 4;
     /** Per-job progress-notification rate limit (see
@@ -85,7 +80,7 @@ struct ServiceConfig
 
 /**
  * The in-process IExperimentBackend: jobs run on this address
- * space's machine pool. net::QumaClient is the remote counterpart,
+ * space's worker machines. net::QumaClient is the remote counterpart,
  * and experiment fan-outs accept either through the interface.
  */
 class ExperimentService : public IExperimentBackend
@@ -141,7 +136,6 @@ class ExperimentService : public IExperimentBackend
     void drain() { sched.drain(); }
 
     ProgramCache &cache() { return cacheStore; }
-    MachinePool &pool() { return poolStore; }
     JobScheduler &scheduler() { return sched; }
 
     /**
@@ -175,7 +169,7 @@ class ExperimentService : public IExperimentBackend
         return recoveredIdsStore;
     }
 
-    /** Snapshot of all three layers (what StatsFrame serializes). */
+    /** Snapshot of every layer (what StatsFrame serializes). */
     ServiceStats stats() const override;
 
     /**
@@ -192,7 +186,6 @@ class ExperimentService : public IExperimentBackend
     void subscribeJournal(JobId id);
 
     ProgramCache cacheStore;
-    MachinePool poolStore;
     /** Before sched: SchedulerConfig::trace points here. */
     JobTraceRecorder traceStore;
     /** Recovery runs before the journal reopens for appending (both

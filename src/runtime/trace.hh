@@ -53,7 +53,8 @@ enum class TracePhase : std::uint8_t
     Admitted = 1,
     /** Job's tasks entered the priority queue. */
     Queued = 2,
-    /** A worker bound one of the job's tasks to a machine lease. */
+    /** A worker bound its machine to one of the job's tasks (built,
+     *  rebound or reused as it was). */
     Leased = 3,
     /** One shard (an opaque job has one, shard 0) started running. */
     ShardStart = 4,

@@ -64,7 +64,7 @@ TimingController::pushTimePoint(Cycle interval, TimingLabel label)
     quma_assert(interval > 0, "time point needs a positive interval");
     TimePoint tp{interval, label};
     // A full queue rejects the push and counts it (backpressure is
-    // the saturation signal the pool scheduler watches).
+    // the saturation signal the job scheduler watches).
     if (!timingQueue.push(tp))
         return false;
     Cycle due = tailDue + interval;

@@ -43,6 +43,8 @@ struct TimingConfig
     unsigned numPulseQueues = 3;
     /** One MD queue per measurement discrimination unit. */
     unsigned numMdQueues = 1;
+
+    bool operator==(const TimingConfig &) const = default;
 };
 
 /** Saturation counters of one bounded queue. */
@@ -53,12 +55,14 @@ struct QueueSaturation
     std::size_t capacity = 0;
     /** Stale payloads silently dropped by popMatching. */
     std::size_t staleDropped = 0;
+
+    bool operator==(const QueueSaturation &) const = default;
 };
 
 /**
  * Saturation counters of every queue in the unit. A non-zero
  * pushFailed means the producer hit backpressure (the push is retried
- * by the pipeline, so no event is lost -- but a pool scheduler
+ * by the pipeline, so no event is lost -- but a job scheduler
  * watching these knows the machine is running at queue capacity).
  */
 struct TimingUnitStats
@@ -89,6 +93,8 @@ struct TimingUnitStats
             total += s.staleDropped;
         return total;
     }
+
+    bool operator==(const TimingUnitStats &) const = default;
 };
 
 /** Counters for the hazards described above. */

@@ -380,11 +380,11 @@ TEST(Wire, StatsFrameRoundTrip)
     stats.scheduler.cancelled = 1;
     stats.scheduler.shardedJobs = 2;
     stats.scheduler.machineSaturation = 0.75;
-    stats.scheduler.poolWaitEwmaSeconds = 0.003;
     stats.scheduler.latency[1] = {5, 0.01, 0.02, 0.05};
     stats.scheduler.latency[2] = {2, 0.001, 0.002, 0.004};
     stats.pool.machinesCreated = 3;
     stats.pool.reuseHits = 7;
+    stats.pool.rebinds = 5;
     stats.pool.machineResets = 9;
     stats.cache.programHits = 11;
     stats.cache.programMisses = 4;
@@ -396,18 +396,21 @@ TEST(Wire, StatsFrameRoundTrip)
 
     Writer w;
     encodeStatsFrame(w, stats);
+    // The v4 layout: 11 u64 + 2 f64 scheduler slots (two of them
+    // reserved), 3 latency digests, 7 pool, 6 cache, 1 capacity.
+    EXPECT_EQ(w.bytes().size(), 13u * 8 + 3 * 32 + 7 * 8 + 6 * 8 + 8);
     Reader r(w.bytes());
     StatsFrame back = decodeStatsFrame(r);
     EXPECT_NO_THROW(r.expectEnd());
     EXPECT_EQ(back.scheduler.submitted, 10u);
     EXPECT_EQ(back.scheduler.cancelled, 1u);
     EXPECT_EQ(back.scheduler.machineSaturation, 0.75);
-    EXPECT_EQ(back.scheduler.poolWaitEwmaSeconds, 0.003);
     EXPECT_EQ(back.scheduler.latency[1].count, 5u);
     EXPECT_EQ(back.scheduler.latency[1].p95, 0.02);
     EXPECT_EQ(back.scheduler.latency[2].max, 0.004);
     EXPECT_EQ(back.pool.machinesCreated, 3u);
     EXPECT_EQ(back.pool.reuseHits, 7u);
+    EXPECT_EQ(back.pool.rebinds, 5u);
     EXPECT_EQ(back.pool.machineResets, 9u);
     EXPECT_EQ(back.cache.programHits, 11u);
     EXPECT_EQ(back.cache.programMisses, 4u);
@@ -671,6 +674,48 @@ TEST(Loopback, StatsFrameReflectsServedWork)
     EXPECT_GT(high.max, 0.0);
     EXPECT_GE(high.p95, high.p50);
     EXPECT_GE(stats.pool.machinesCreated, 1u);
+}
+
+/**
+ * numAwgs travels as a plain u32: a remote job asking for a million
+ * AWGs must be rejected by config validation before anything is
+ * built, fail only itself, and leave the worker's machine bound to
+ * its previous config -- the next job runs bit-identically to a
+ * fresh service.
+ */
+TEST(Loopback, HostileMachineConfigFailsOnlyItsJob)
+{
+    setLogQuiet(true);
+    ExperimentService service({.workers = 1});
+    auto listener = std::make_unique<LoopbackListener>();
+    LoopbackListener *accept_side = listener.get();
+    QumaServer server(service, std::move(listener));
+    QumaClient client(accept_side->connect());
+
+    EXPECT_FALSE(client.runSync(shotJob(2, 0x51)).failed());
+    JobSpec hostile = shotJob(2, 0x52);
+    hostile.machine.numAwgs = 1u << 20;
+    auto start = std::chrono::steady_clock::now();
+    JobResult rejected = client.runSync(hostile);
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(1));
+    EXPECT_TRUE(rejected.failed());
+    EXPECT_NE(rejected.error.find("machine unavailable"),
+              std::string::npos)
+        << rejected.error;
+
+    const JobSpec next = shotJob(2, 0x53);
+    JobResult served = client.runSync(next);
+    ASSERT_FALSE(served.failed());
+    ExperimentService fresh({.workers = 1});
+    EXPECT_EQ(served, fresh.runSync(next));
+    // The rejected rebind left the machine bound to the first job's
+    // config, so the third job reused it as it was.
+    StatsFrame stats = client.stats();
+    EXPECT_EQ(stats.pool.machinesCreated, 1u);
+    EXPECT_EQ(stats.pool.rebinds, 0u);
+    EXPECT_EQ(stats.pool.reuseHits, 1u);
+    setLogQuiet(false);
 }
 
 TEST(Loopback, StatsFrameCarriesCacheCounters)

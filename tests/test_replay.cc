@@ -7,17 +7,21 @@
  * with measurement feedback, or whose timing breaks under stalls,
  * must keep the full path. A replayed idle step or drive on a
  * static-frame qubit applies the factors or gate its tape stores; on
- * a drifting frame it computes them from the current detuning.
+ * a drifting frame it computes them from the current detuning. A
+ * machine rebound to another config must run, record, check and
+ * replay exactly as a fresh machine of that config.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/rng.hh"
 #include "compiler/codegen.hh"
 #include "experiments/allxy.hh"
@@ -833,6 +837,279 @@ TEST(Replay, ARejectionIsCheckedAgainOnlyUnderALargerBudget)
     // A racing check's late rejection does not evict the tape.
     cache.storeTape(src, cfg, nullptr, 100);
     EXPECT_EQ(cache.tape(src, cfg, 10).tape, tape);
+}
+
+// ------------------------------------------------------------ rebind
+
+/** Everything a caller can observe of one program on one machine: a
+ *  full run on the seeds the machine holds (no reset first, as a
+ *  fresh machine runs), then a recorded run, the stall check and a
+ *  replay of the tape it accepts, each after its own reset. */
+struct Observed
+{
+    core::RunResult run;
+    std::vector<double> sums;
+    std::vector<double> bits;
+    core::MachineStats stats;
+    core::TraceRecorder trace;
+    core::PhysicsTape recorded;
+    std::shared_ptr<const core::PhysicsTape> verified;
+    core::RunResult replayed;
+    std::vector<double> replaySums;
+    std::vector<double> replayBits;
+    core::MachineStats replayStats;
+};
+
+Observed
+observe(core::QumaMachine &machine, const isa::Program &program)
+{
+    constexpr std::size_t kBins = 2;
+    constexpr Cycle kBudget = 10'000'000;
+    Observed o;
+    machine.configureDataCollection(kBins);
+    machine.loadProgram(program);
+    o.run = machine.run(kBudget);
+    o.sums = machine.dataCollector().binSums();
+    o.bits = machine.dataCollector().bitBinSums();
+    o.stats = machine.stats();
+    o.trace = machine.trace();
+
+    machine.reset(22, 32);
+    machine.configureDataCollection(kBins);
+    machine.loadProgram(program);
+    machine.recordRun(o.recorded, kBudget);
+
+    machine.reset(23, 33);
+    o.verified = core::verifyTape(machine, program, kBins, kBudget);
+    if (o.verified) {
+        machine.reset(24, 34);
+        machine.configureDataCollection(kBins);
+        machine.loadProgram(program);
+        o.replayed = machine.replay(*o.verified);
+        o.replaySums = machine.dataCollector().binSums();
+        o.replayBits = machine.dataCollector().bitBinSums();
+        o.replayStats = machine.stats();
+    }
+    return o;
+}
+
+bool
+sameTrace(const core::TraceRecorder &a, const core::TraceRecorder &b)
+{
+    return a.uopFires() == b.uopFires() && a.codewords() == b.codewords() &&
+           a.pulses() == b.pulses() && a.mpgFires() == b.mpgFires() &&
+           a.measurements() == b.measurements() &&
+           a.mduResults() == b.mduResults() &&
+           a.labelFires() == b.labelFires() &&
+           a.microInsts() == b.microInsts();
+}
+
+void
+expectSame(const Observed &got, const Observed &want, const std::string &what)
+{
+    SCOPED_TRACE(what);
+    EXPECT_EQ(got.run, want.run);
+    EXPECT_EQ(got.sums, want.sums);
+    EXPECT_EQ(got.bits, want.bits);
+    EXPECT_EQ(got.stats, want.stats);
+    EXPECT_TRUE(sameTrace(got.trace, want.trace));
+    EXPECT_TRUE(got.recorded.sameRun(want.recorded));
+    ASSERT_EQ(got.verified != nullptr, want.verified != nullptr);
+    if (!want.verified)
+        return;
+    EXPECT_TRUE(got.verified->sameRun(*want.verified));
+    EXPECT_EQ(got.replayed, want.replayed);
+    EXPECT_EQ(got.replaySums, want.replaySums);
+    EXPECT_EQ(got.replayBits, want.replayBits);
+    EXPECT_EQ(got.replayStats, want.replayStats);
+}
+
+/** Run `program` on a machine of `a`, rebind it to `b`, and require
+ *  everything observable to match a fresh machine of `b`. True when
+ *  the stall check accepted a tape, so a replay was compared too. */
+bool
+expectRebindIsFresh(const core::MachineConfig &a,
+                    const core::MachineConfig &b,
+                    const isa::Program &program, const std::string &what)
+{
+    core::QumaMachine rebound(a);
+    rebound.uploadStandardCalibration();
+    observe(rebound, program);
+    rebound.rebind(b);
+    core::QumaMachine fresh(b);
+    fresh.uploadStandardCalibration();
+    const Observed want = observe(fresh, program);
+    expectSame(observe(rebound, program), want, what);
+    return want.verified != nullptr;
+}
+
+/** One edit per MachineConfig field (qubits several ways), each a
+ *  config the random programs still run on. Applied in list order,
+ *  any subset stays valid. */
+std::vector<std::pair<std::string,
+                      std::function<void(core::MachineConfig &)>>>
+fieldEdits()
+{
+    using C = core::MachineConfig;
+    return {
+        {"two qubits",
+         [](C &c) { c.qubits.push_back(qsim::paperQubitParams()); }},
+        {"qubit freq", [](C &c) { c.qubits[0].freqHz += 2e6; }},
+        {"qubit t1", [](C &c) { c.qubits[0].t1Ns = 20000; }},
+        {"drifting frame",
+         [](C &c) { c.qubits[0].quasiStaticDetuningSigmaHz = 2e5; }},
+        {"rabi gain", [](C &c) { c.qubits[0].rabiRadPerAmpNs *= 1.02; }},
+        {"readout noise", [](C &c) { c.qubits[0].readout.noiseSigma = 2; }},
+        {"numAwgs", [](C &c) { c.numAwgs = 2; }},
+        {"driveAwg",
+         [](C &c) { c.driveAwg.assign(c.qubits.size(), c.numAwgs - 1); }},
+        {"ssbHz", [](C &c) { c.ssbHz = -40e6; }},
+        {"pulseNs", [](C &c) { c.pulseNs = 16.0; }},
+        {"gateWaitCycles", [](C &c) { c.gateWaitCycles = 5; }},
+        {"amplitudeError", [](C &c) { c.amplitudeError = 0.05; }},
+        {"carrierDetuningHz", [](C &c) { c.carrierDetuningHz = 1e6; }},
+        {"uopDelayCycles", [](C &c) { c.uopDelayCycles = 3; }},
+        {"ctpgDelayCycles", [](C &c) { c.ctpgDelayCycles = 12; }},
+        {"mduLatencyCycles", [](C &c) { c.mduLatencyCycles = 80; }},
+        {"msmtCycles", [](C &c) { c.msmtCycles = 200; }},
+        {"msmtPathDelayCycles", [](C &c) { c.msmtPathDelayCycles = 20; }},
+        {"czDurationNs", [](C &c) { c.czDurationNs = 60; }},
+        {"msmtCarrierHz", [](C &c) { c.msmtCarrierHz = 6.8e9; }},
+        {"issueWidth", [](C &c) { c.exec.issueWidth = 2; }},
+        {"stall injection off",
+         [](C &c) { c.exec.stallInjection = false; }},
+        {"stallProbability", [](C &c) { c.exec.stallProbability = 0.2; }},
+        {"maxStallCycles", [](C &c) { c.exec.maxStallCycles = 9; }},
+        {"dataMemoryWords", [](C &c) { c.exec.dataMemoryWords = 64; }},
+        {"timing queues",
+         [](C &c) {
+             c.timing.timingQueueCapacity = 4;
+             c.timing.pulseQueueCapacity = 4;
+         }},
+        {"qmbDepth", [](C &c) { c.qmbDepth = 4; }},
+        {"qmbDrainRate", [](C &c) { c.qmbDrainRate = 2; }},
+        {"chipSeed", [](C &c) { c.chipSeed = 77; }},
+        {"trace on", [](C &c) { c.traceEnabled = true; }},
+    };
+}
+
+TEST(Rebind, EachFieldChangedAloneMatchesAFreshMachine)
+{
+    Rng rng(0x4eb1);
+    const core::MachineConfig base = stallingConfig();
+    std::size_t replayed = 0;
+    for (const auto &[name, edit] : fieldEdits()) {
+        core::MachineConfig changed = base;
+        edit(changed);
+        const isa::Program program = randomProgram(rng);
+        replayed += expectRebindIsFresh(base, changed, program,
+                                        name + " (A -> B)");
+        replayed += expectRebindIsFresh(changed, base, program,
+                                        name + " (B -> A)");
+    }
+    EXPECT_GT(replayed, 10u);
+}
+
+TEST(Rebind, RandomConfigPairsMatchAFreshMachine)
+{
+    const auto edits = fieldEdits();
+    Rng rng(0x4eb2);
+    auto randomConfig = [&] {
+        core::MachineConfig c = stallingConfig();
+        for (const auto &[name, edit] : edits)
+            if (rng.bernoulli(0.3))
+                edit(c);
+        return c;
+    };
+    std::size_t replayed = 0;
+    for (int pair = 0; pair < 20; ++pair) {
+        const core::MachineConfig a = randomConfig();
+        const core::MachineConfig b = randomConfig();
+        replayed += expectRebindIsFresh(a, b, randomProgram(rng),
+                                        "pair " + std::to_string(pair));
+    }
+    EXPECT_GT(replayed, 3u);
+}
+
+TEST(Rebind, ToTheCurrentConfigIsAReset)
+{
+    Rng rng(0x4eb3);
+    const isa::Program program = randomProgram(rng);
+    core::QumaMachine machine(stallingConfig());
+    machine.uploadStandardCalibration();
+    observe(machine, program);
+    const qsim::TransmonChip *chip = &machine.chip();
+    machine.rebind(machine.config());
+    EXPECT_EQ(&machine.chip(), chip); // nothing rebuilt
+    // The seeds machine.config() holds are its last reset's; the
+    // config it was built with brings back its own.
+    machine.rebind(stallingConfig());
+    core::QumaMachine fresh(stallingConfig());
+    fresh.uploadStandardCalibration();
+    expectSame(observe(machine, program), observe(fresh, program),
+               "same config");
+}
+
+TEST(Rebind, ARejectedConfigLeavesTheMachineAsItWas)
+{
+    setLogQuiet(true);
+    using C = core::MachineConfig;
+    const std::vector<
+        std::pair<std::string, std::function<void(C &)>>>
+        invalid = {
+            {"no qubits", [](C &c) { c.qubits.clear(); }},
+            {"13 qubits",
+             [](C &c) { c.qubits.assign(13, qsim::paperQubitParams()); }},
+            {"no AWG", [](C &c) { c.numAwgs = 0; }},
+            {"a million AWGs", [](C &c) { c.numAwgs = 1u << 20; }},
+            {"AWG count wraps",
+             [](C &c) { c.numAwgs = ~0u; }},
+            {"driveAwg out of range", [](C &c) { c.driveAwg = {3}; }},
+            {"driveAwg short",
+             [](C &c) {
+                 c.qubits.push_back(qsim::paperQubitParams());
+                 c.driveAwg = {0};
+             }},
+            {"issue width 0", [](C &c) { c.exec.issueWidth = 0; }},
+            {"QMB depth 0", [](C &c) { c.qmbDepth = 0; }},
+            // Pass validation, fail the physics build: the chip...
+            {"T2 > 2 T1",
+             [](C &c) {
+                 c.qubits.push_back(qsim::paperQubitParams());
+                 c.qubits[1].t2Ns = 3 * c.qubits[1].t1Ns;
+             }},
+            // ...or the MDUs, after the chip built.
+            {"empty readout window",
+             [](C &c) {
+                 c.qubits.push_back(qsim::paperQubitParams());
+                 c.msmtCycles = 0;
+             }},
+        };
+    Rng rng(0x4eb4);
+    const isa::Program program = randomProgram(rng);
+    core::QumaMachine fresh(stallingConfig());
+    fresh.uploadStandardCalibration();
+    const Observed want = observe(fresh, program);
+    for (const auto &[name, edit] : invalid) {
+        core::QumaMachine machine(stallingConfig());
+        machine.uploadStandardCalibration();
+        observe(machine, program);
+        C bad = stallingConfig();
+        edit(bad);
+        EXPECT_THROW(machine.rebind(bad), FatalError) << name;
+        // Back on A's own seeds, it runs as a fresh machine of A.
+        machine.reset(stallingConfig().chipSeed,
+                      stallingConfig().exec.seed);
+        EXPECT_THROW(
+            {
+                core::QumaMachine built(bad);
+                built.uploadStandardCalibration();
+            },
+            FatalError)
+            << name;
+        expectSame(observe(machine, program), want, name);
+    }
+    setLogQuiet(false);
 }
 
 } // namespace

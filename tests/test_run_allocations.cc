@@ -3,13 +3,16 @@
  * Heap allocations of the machine's run loop. A warm machine (built,
  * calibrated and run once) must execute a program without touching
  * the heap: run() and a control-schedule replay() of the same job
- * make zero allocations. Its own executable, because it replaces the
- * global operator new.
+ * make zero allocations, and so does a replay after a rebind that
+ * kept the physics half -- a replay builds no control hardware. A
+ * rejected config builds nothing. Its own executable, because it
+ * replaces the global operator new.
  */
 
 #include <gtest/gtest.h>
 
 #include "common/alloc_count.hh"
+#include "common/logging.hh"
 #include "common/rng.hh"
 #include "experiments/allxy.hh"
 #include "isa/assembler.hh"
@@ -88,6 +91,54 @@ TEST(RunAllocations, WarmReplayAllocatesNothing)
             EXPECT_EQ(made, 0u);
         }
     }
+}
+
+TEST(RunAllocations, ReplayAfterARebindBuildsNoControlHalf)
+{
+    runtime::JobSpec job = allxyJobOf(16);
+    isa::Program program = isa::Assembler().assemble(job.assembly);
+    core::MachineConfig other = job.machine;
+    other.amplitudeError = 0.03;
+    core::QumaMachine machine(job.machine);
+    machine.uploadStandardCalibration();
+    machine.rebind(other);
+    auto tape = core::verifyTape(machine, program, job.bins, job.maxCycles);
+    ASSERT_NE(tape, nullptr);
+
+    auto replayAllocations = [&] {
+        machine.reset(Rng::derive(job.seed, runtime::kChipStream),
+                      Rng::derive(job.seed, runtime::kExecStream));
+        machine.configureDataCollection(job.bins);
+        machine.loadProgram(program);
+        std::size_t before = allocations();
+        core::RunResult r = machine.replay(*tape);
+        std::size_t made = allocations() - before;
+        EXPECT_TRUE(r.halted);
+        return made;
+    };
+    replayAllocations(); // warm-up: sizes the replay scratch
+    // Only the amplitude error differs: both rebinds keep the chip
+    // and MDUs and drop the control half, which the replay must not
+    // rebuild.
+    machine.rebind(job.machine);
+    machine.rebind(other);
+    EXPECT_EQ(replayAllocations(), 0u);
+}
+
+TEST(RunAllocations, RejectingAHugeConfigBuildsNothing)
+{
+    setLogQuiet(true);
+    core::MachineConfig hostile;
+    hostile.numAwgs = 1u << 20;
+    std::size_t before = allocations();
+    EXPECT_THROW(core::QumaMachine{hostile}, FatalError);
+    EXPECT_LT(allocations() - before, 64u);
+
+    core::QumaMachine machine{core::MachineConfig{}};
+    before = allocations();
+    EXPECT_THROW(machine.rebind(hostile), FatalError);
+    EXPECT_LT(allocations() - before, 64u);
+    setLogQuiet(false);
 }
 
 } // namespace

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests of the concurrent experiment runtime: program/LUT caching,
- * machine-pool sharding and reuse, bounded-queue scheduling, lease
- * batching, failure reporting, and -- the core invariant -- result
+ * per-worker machines rebound between configs, bounded-queue
+ * scheduling, failure reporting, and -- the core invariant -- result
  * determinism independent of worker count and scheduling order.
  */
 
@@ -138,50 +138,6 @@ TEST(ProgramCache, CachedMduCalibrationIntegratesLikeAnOwnOne)
               self.dataCollector().bitBinSums());
 }
 
-TEST(MachinePool, ReusesIdleMachinesOfTheSameShard)
-{
-    MachinePool pool(2);
-    core::MachineConfig cfg;
-    {
-        auto lease = pool.acquire(cfg);
-        EXPECT_TRUE(lease.valid());
-    }
-    { auto lease = pool.acquire(cfg); }
-    auto s = pool.stats();
-    EXPECT_EQ(s.machinesCreated, 1u);
-    EXPECT_EQ(s.reuseHits, 1u);
-    EXPECT_EQ(s.idleMachines, 1u);
-    EXPECT_EQ(s.leasedMachines, 0u);
-}
-
-TEST(MachinePool, ShardsByConfiguration)
-{
-    MachinePool pool(4);
-    core::MachineConfig one;
-    core::MachineConfig two;
-    two.qubits.assign(2, qsim::paperQubitParams());
-    { auto a = pool.acquire(one); }
-    { auto b = pool.acquire(two); }
-    // A third acquire of either config reuses its own shard.
-    { auto c = pool.acquire(two); }
-    auto s = pool.stats();
-    EXPECT_EQ(s.machinesCreated, 2u);
-    EXPECT_EQ(s.reuseHits, 1u);
-}
-
-TEST(MachinePool, EvictsForeignIdleMachineWhenFull)
-{
-    MachinePool pool(1);
-    core::MachineConfig one;
-    core::MachineConfig two;
-    two.qubits.assign(2, qsim::paperQubitParams());
-    { auto a = pool.acquire(one); }
-    { auto b = pool.acquire(two); } // evicts the idle config-one unit
-    auto s = pool.stats();
-    EXPECT_EQ(s.evictions, 1u);
-    EXPECT_EQ(s.machinesCreated, 2u);
-}
-
 TEST(Scheduler, RunsJobsAndReportsResults)
 {
     ExperimentService svc({.workers = 2});
@@ -216,7 +172,7 @@ TEST(Scheduler, BoundedQueueRejectsWhenFull)
     EXPECT_EQ(svc.scheduler().stats().queueHighWater, 2u);
 }
 
-TEST(Scheduler, BatchesSameConfigJobsOnOneLease)
+TEST(Scheduler, SameConfigJobsReuseTheWorkersMachine)
 {
     ExperimentService svc({.workers = 1, .startPaused = true});
     std::vector<JobId> ids;
@@ -226,10 +182,15 @@ TEST(Scheduler, BatchesSameConfigJobsOnOneLease)
     svc.drain();
     for (JobId id : ids)
         EXPECT_FALSE(svc.await(id).failed());
-    // One worker, one config: after the first job the rest ride the
-    // same pool lease.
-    EXPECT_EQ(svc.scheduler().stats().batchedJobs, 3u);
-    EXPECT_EQ(svc.pool().stats().machinesCreated, 1u);
+    // One worker, one config: the first job builds the worker's
+    // machine and the rest run on it as it is.
+    PoolStats pool = svc.stats().pool;
+    EXPECT_EQ(pool.machinesCreated, 1u);
+    EXPECT_EQ(pool.reuseHits, 3u);
+    EXPECT_EQ(pool.rebinds, 0u);
+    EXPECT_EQ(pool.acquisitions, 4u);
+    EXPECT_EQ(pool.idleMachines, 1u);
+    EXPECT_EQ(pool.leasedMachines, 0u);
 }
 
 TEST(Scheduler, FailedJobCarriesTheError)
@@ -283,7 +244,7 @@ TEST(Scheduler, BoundedResultRetentionAgesOutOldJobs)
 
 /**
  * The runtime's core invariant: a job set's results depend only on
- * the job specs, not on worker count, pool capacity, lease batching,
+ * the job specs, not on worker count, which machine a job lands on,
  * or queue order. 1, 2 and 8 workers must aggregate identically.
  */
 TEST(Scheduler, DeterministicAcrossWorkerCounts)
@@ -362,24 +323,48 @@ TEST(Sharding, ShardMergeIsBitIdenticalAcrossSplitsAndWorkers)
 }
 
 /**
- * A job's result as a single QumaMachine session of its program on
- * the opaque streams -- what an opaque job must reproduce bit for bit
- * now that it runs as a one-round shard.
+ * A job computed directly on one fresh machine: every round on the
+ * streams roundStreams() picks, its collector sums added in round
+ * order as the scheduler's merge adds them. The reference a job must
+ * reproduce whichever worker's (rebound) machine ran its rounds.
  */
 JobResult
-directReplay(const JobSpec &job)
+directRun(const JobSpec &job)
 {
+    const std::size_t bins = job.bins ? job.bins : 1;
+    const isa::Program program = isa::Assembler().assemble(job.assembly);
     core::QumaMachine machine(job.machine);
     machine.uploadStandardCalibration();
-    machine.reset(Rng::derive(job.seed, kChipStream),
-                  Rng::derive(job.seed, kExecStream));
-    machine.configureDataCollection(job.bins);
-    machine.loadProgram(isa::Assembler().assemble(job.assembly));
+    std::vector<double> sums(bins, 0.0);
+    std::vector<double> bitSums(bins, 0.0);
+    std::vector<std::size_t> cnt(bins, 0);
+    std::vector<std::size_t> bitCnt(bins, 0);
     JobResult r;
-    r.run = machine.run(job.maxCycles);
-    r.averages = machine.dataCollector().averages();
-    r.bitAverages = machine.dataCollector().bitAverages();
-    r.sampleCount = machine.dataCollector().sampleCount();
+    const std::size_t rounds = std::max<std::size_t>(job.rounds, 1);
+    for (std::size_t round = 0; round < rounds; ++round) {
+        const RoundStreams streams = roundStreams(job.rounds, round);
+        machine.reset(Rng::derive(job.seed, streams.chip),
+                      Rng::derive(job.seed, streams.exec));
+        machine.configureDataCollection(bins);
+        machine.loadProgram(program);
+        r.run.accumulate(machine.run(job.maxCycles), round == 0);
+        const auto &dc = machine.dataCollector();
+        for (std::size_t b = 0; b < bins; ++b) {
+            sums[b] += dc.binSums()[b];
+            bitSums[b] += dc.bitBinSums()[b];
+            cnt[b] += dc.binCounts()[b];
+            bitCnt[b] += dc.bitBinCounts()[b];
+        }
+        r.sampleCount += dc.sampleCount();
+    }
+    r.averages.assign(bins, 0.0);
+    r.bitAverages.assign(bins, 0.0);
+    for (std::size_t b = 0; b < bins; ++b) {
+        if (cnt[b] > 0)
+            r.averages[b] = sums[b] / static_cast<double>(cnt[b]);
+        if (bitCnt[b] > 0)
+            r.bitAverages[b] = bitSums[b] / static_cast<double>(bitCnt[b]);
+    }
     return r;
 }
 
@@ -413,7 +398,7 @@ TEST(Sharding, StealingKeepsMergesBitIdentical)
 
     for (std::size_t rounds : {std::size_t{0}, std::size_t{32}}) {
         JobResult pinned = rounds ? run(rounds, 1, 1)
-                                  : directReplay(jobOf(0, 1));
+                                  : directRun(jobOf(0, 1));
         ASSERT_FALSE(pinned.failed());
         EXPECT_EQ(pinned.sampleCount, 32u);
         for (std::size_t shards : {std::size_t{1}, std::size_t{2},
@@ -422,6 +407,54 @@ TEST(Sharding, StealingKeepsMergesBitIdentical)
                 EXPECT_EQ(pinned, run(rounds, shards, workers))
                     << "rounds=" << rounds << " shards=" << shards
                     << " workers=" << workers;
+    }
+}
+
+/**
+ * More configs than workers: eight AllXY points, each its own
+ * amplitude error, run opaque and as 4-shard jobs with stealing on
+ * 1, 2 and 4 workers. Each worker builds one machine and rebinds it
+ * between points, and every result matches a direct run on a fresh
+ * machine of its own config.
+ */
+TEST(Scheduler, MoreConfigsThanWorkersRebindEachWorkersMachine)
+{
+    for (std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+        std::vector<JobSpec> jobs;
+        std::vector<JobResult> direct;
+        for (unsigned i = 0; i < 8; ++i) {
+            experiments::AllxyConfig cfg;
+            cfg.rounds = 8;
+            cfg.shards = shards;
+            cfg.amplitudeError = 0.01 * static_cast<double>(i);
+            cfg.seed = 0x8c0 + i;
+            JobSpec job = experiments::allxyJob(cfg);
+            job.minRoundsPerShard = 2;
+            ASSERT_EQ(job.rounds, shards == 1 ? 0u : 8u);
+            direct.push_back(directRun(job));
+            jobs.push_back(std::move(job));
+        }
+        for (unsigned workers : {1u, 2u, 4u}) {
+            ServiceConfig sc;
+            sc.workers = workers;
+            sc.minStealRounds = 2;
+            ExperimentService svc(sc);
+            std::vector<JobId> ids;
+            for (const JobSpec &job : jobs)
+                ids.push_back(svc.submit(job));
+            std::vector<JobResult> got = svc.awaitAll(ids);
+            for (std::size_t i = 0; i < jobs.size(); ++i)
+                EXPECT_EQ(got[i], direct[i])
+                    << "point " << i << " shards=" << shards
+                    << " workers=" << workers;
+            PoolStats pool = svc.stats().pool;
+            EXPECT_GE(pool.machinesCreated, 1u);
+            EXPECT_LE(pool.machinesCreated, workers);
+            EXPECT_GT(pool.rebinds, 0u);
+            EXPECT_EQ(pool.acquisitions, pool.machinesCreated +
+                                             pool.rebinds +
+                                             pool.reuseHits);
+        }
     }
 }
 
@@ -708,7 +741,7 @@ TEST(ServiceExperiments, CoherenceSweepPointsRunAsParallelJobs)
     // Population decays from ~1: the first point must read excited.
     EXPECT_GT(t1.population.front(), 0.5);
     // One job per sweep point went through the scheduler, all four
-    // machine leases came from the same shard.
+    // on machines bound to the same config.
     EXPECT_EQ(svc.scheduler().stats().completed, 4u);
 
     // And the sweep is reproducible on a different worker count.
@@ -745,52 +778,6 @@ TEST(Latency, PerPriorityDigestsTrackCompletions)
     EXPECT_GE(normal.max, normal.p95);
     EXPECT_GT(highLat.max, 0.0);
     EXPECT_EQ(batch.max, 0.0);
-}
-
-TEST(Admission, PoolWaitIsASecondCongestionSignal)
-{
-    // Deterministically starve the worker: the test leases the
-    // pool's only machine BEFORE the (paused) worker starts, so the
-    // worker's acquire must block; with the threshold at zero, the
-    // recorded wait counts as congestion and tightens the trySubmit
-    // bound.
-    ServiceConfig sc;
-    sc.workers = 1;
-    sc.queueCapacity = 16;
-    sc.poolCapacity = 1;
-    sc.poolWaitThresholdSeconds = 0.0;
-    sc.startPaused = true;
-    ExperimentService svc(sc);
-    MachinePool::Lease hog = svc.pool().acquire(core::MachineConfig{});
-    JobId id = svc.submit(shotJob(2, 0xa00));
-    svc.start();
-    // The worker's acquisition has begun (counter bumps before any
-    // blocking); it cannot proceed until the hogged machine returns.
-    while (svc.pool().stats().acquisitions < 2)
-        std::this_thread::yield();
-    // Past the counter the worker has only to enter the pool's wait;
-    // give it ample time so the release finds it blocked.
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    hog.release();
-    ASSERT_FALSE(svc.await(id).failed());
-
-    EXPECT_GT(svc.scheduler().stats().poolWaitEwmaSeconds, 0.0);
-    // Congested: tightened to congestedQueueFraction * 16 = 4,
-    // floored at the single worker.
-    EXPECT_EQ(svc.scheduler().effectiveQueueCapacity(), 4u);
-
-    // A generous pool (default: workers + 2) keeps the signal below
-    // any reasonable threshold and admission wide open -- and a cold
-    // pool does NOT read as congestion: machine construction is
-    // excluded from the wait sample.
-    ServiceConfig relaxed;
-    relaxed.workers = 2;
-    relaxed.queueCapacity = 16;
-    relaxed.poolWaitThresholdSeconds = 0.0;
-    ExperimentService easy(relaxed);
-    ASSERT_FALSE(easy.runSync(shotJob(4, 0xa10)).failed());
-    EXPECT_EQ(easy.scheduler().stats().poolWaitEwmaSeconds, 0.0);
-    EXPECT_EQ(easy.scheduler().effectiveQueueCapacity(), 16u);
 }
 
 TEST(Scheduler, FinishedHistoryIsABoundedRing)
