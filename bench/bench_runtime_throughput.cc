@@ -20,9 +20,8 @@
  *     started: the High job's completion position and latency show
  *     the queue-jump the priority policy buys.
  *
- *  4. METRICS OVERHEAD -- the same batch run four ways: without
- *     observability, bound to a live MetricsRegistry, bound to a
- *     disabled registry (the no-op handle path), and with
+ *  4. METRICS OVERHEAD -- the same batch run three ways: without
+ *     observability, bound to a live MetricsRegistry, and live with
  *     job-lifecycle tracing enabled. The jobs/sec ratios pin the
  *     "near-zero overhead" claim of docs/observability.md.
  *
@@ -242,31 +241,25 @@ priorityLatencySection(std::size_t backlog, std::size_t rounds,
 /** How a metrics-overhead variant instruments the service. */
 enum class Observability
 {
-    None,             // no registry bound, tracing off
-    DisabledRegistry, // bound, but every handle is a no-op
-    LiveRegistry,     // bound and counting
-    LiveWithTrace,    // counting, plus the lifecycle trace recorder
+    None,          // no registry bound, tracing off
+    LiveRegistry,  // bound: counters read at render, latency observed
+    LiveWithTrace, // bound, plus the lifecycle trace recorder
 };
 
 double
 observedBatchRate(const std::vector<runtime::JobSpec> &batch,
                   unsigned workers, Observability mode)
 {
-    // The registry must outlive the service: gauge callbacks capture
+    // The registry must outlive the service: its callbacks capture
     // component pointers and are evaluated at render time.
-    metrics::MetricsRegistry registry(
-        mode == Observability::LiveRegistry ||
-        mode == Observability::LiveWithTrace);
-    metrics::MetricsRegistry disabled(false);
+    metrics::MetricsRegistry registry;
 
     runtime::ServiceConfig sc;
     sc.workers = workers;
     sc.queueCapacity = batch.size() + 1;
     runtime::ExperimentService svc(sc);
     if (mode != Observability::None)
-        svc.bindMetrics(mode == Observability::DisabledRegistry
-                            ? disabled
-                            : registry);
+        svc.bindMetrics(registry);
     if (mode == Observability::LiveWithTrace)
         svc.trace().enable();
 
@@ -299,7 +292,6 @@ metricsOverheadSection(std::size_t jobs, std::size_t rounds,
     };
     const Variant variants[] = {
         {"plain (unbound)", "plain", Observability::None},
-        {"disabled registry", "disabled", Observability::DisabledRegistry},
         {"live registry", "live", Observability::LiveRegistry},
         {"live + job tracing", "traced", Observability::LiveWithTrace},
     };
@@ -320,8 +312,8 @@ metricsOverheadSection(std::size_t jobs, std::size_t rounds,
     }
     bench::rule();
     std::printf(
-        "instrumentation is a relaxed atomic add per event and the\n"
-        "disabled paths are a null-check: all variants should sit\n"
+        "counters are read at render time and a latency observation\n"
+        "is a few relaxed atomics per job: all variants should sit\n"
         "within run-to-run noise of the plain rate.\n");
 }
 

@@ -34,6 +34,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -186,23 +187,26 @@ main(int argc, char **argv)
         return 2;
     }
 
-    metrics::MetricsRegistry registry(metricsPortArg != nullptr);
+    // Built only when somebody asked to scrape; declared before the
+    // gateway whose callbacks it renders.
+    std::optional<metrics::MetricsRegistry> registry;
 
     auto listener = std::make_unique<net::TcpListener>(port, !open);
     std::uint16_t bound = listener->port();
     net::QumaGateway gateway(std::move(backends), std::move(listener),
                              gc);
-    gateway.bindMetrics(registry);
 
     std::unique_ptr<net::MetricsEndpoint> metricsEndpoint;
     std::uint16_t metricsBound = 0;
     if (metricsPortArg) {
+        registry.emplace();
+        gateway.bindMetrics(*registry);
         auto mp = static_cast<std::uint16_t>(
             std::strtoul(metricsPortArg, nullptr, 10));
         auto mlistener = std::make_unique<net::TcpListener>(mp, !open);
         metricsBound = mlistener->port();
         metricsEndpoint = std::make_unique<net::MetricsEndpoint>(
-            registry, std::move(mlistener));
+            *registry, std::move(mlistener));
         metricsEndpoint->addHandler(
             "/healthz", "application/json", [&gateway] {
                 net::QumaGateway::Stats s = gateway.stats();

@@ -50,6 +50,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "common/metrics.hh"
@@ -108,10 +109,10 @@ main(int argc, char **argv)
     const char *captureDir = argValue(argc, argv, "--capture");
     const char *instanceName = argValue(argc, argv, "--name");
 
-    // The registry is declared BEFORE the components whose gauge
-    // callbacks it will render (and is only enabled when somebody
-    // asked to scrape): the components outlive its last render.
-    quma::metrics::MetricsRegistry registry(metricsPortArg != nullptr);
+    // The registry is declared BEFORE the components whose callbacks
+    // it will render (and is only built when somebody asked to
+    // scrape): the components outlive its last render.
+    std::optional<metrics::MetricsRegistry> registry;
 
     runtime::ServiceConfig sc;
     sc.workers = workers;
@@ -132,7 +133,6 @@ main(int argc, char **argv)
         sc.journalFsync = *policy;
     }
     runtime::ExperimentService service(sc);
-    service.bindMetrics(registry);
     if (traceFile)
         service.trace().enable();
     if (journalFile) {
@@ -159,7 +159,6 @@ main(int argc, char **argv)
     auto listener = std::make_unique<net::TcpListener>(port, !open);
     std::uint16_t bound = listener->port();
     net::QumaServer server(service, std::move(listener), server_cfg);
-    server.bindMetrics(registry);
     if (captureDir)
         std::printf("capture: wire traffic -> %s/conn-<N>.qcap\n",
                     captureDir);
@@ -169,13 +168,18 @@ main(int argc, char **argv)
     std::unique_ptr<net::MetricsEndpoint> metricsEndpoint;
     std::uint16_t metricsBound = 0;
     if (metricsPortArg) {
+        // Counters read each component's lifetime totals, so binding
+        // after journal recovery still counts the recovered jobs.
+        registry.emplace();
+        service.bindMetrics(*registry);
+        server.bindMetrics(*registry);
         auto mp = static_cast<std::uint16_t>(
             std::strtoul(metricsPortArg, nullptr, 10));
         auto mlistener =
             std::make_unique<net::TcpListener>(mp, !open);
         metricsBound = mlistener->port();
         metricsEndpoint = std::make_unique<net::MetricsEndpoint>(
-            registry, std::move(mlistener));
+            *registry, std::move(mlistener));
 
         // The introspection surface: three live pages next to
         // /metrics. Handlers render on the endpoint's acceptor

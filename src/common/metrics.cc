@@ -25,13 +25,6 @@ AtomicDouble::add(double v)
     }
 }
 
-void
-AtomicDouble::set(double v)
-{
-    bits.store(std::bit_cast<std::uint64_t>(v),
-               std::memory_order_relaxed);
-}
-
 double
 AtomicDouble::get() const
 {
@@ -67,8 +60,6 @@ latencyBucketsSeconds()
     return {0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
             0.1,   0.25,   0.5,   1.0,  2.5,   5.0, 10.0};
 }
-
-MetricsRegistry::MetricsRegistry(bool enabled) : on(enabled) {}
 
 MetricsRegistry::~MetricsRegistry() = default;
 
@@ -223,42 +214,6 @@ MetricsRegistry::familyLocked(const std::string &name,
     return f;
 }
 
-Counter
-MetricsRegistry::counter(const std::string &name,
-                         const std::string &help, const Labels &labels)
-{
-    Counter handle;
-    if (!on)
-        return handle;
-    std::lock_guard<std::mutex> lock(mu);
-    Family &f = familyLocked(name, help, Kind::Counter, labels);
-    Series &s = f.series[labelKey(labels)];
-    if (!s.counter) {
-        s.labels = labels;
-        s.counter = std::make_unique<detail::CounterCell>();
-    }
-    handle.cell = s.counter.get();
-    return handle;
-}
-
-Gauge
-MetricsRegistry::gauge(const std::string &name, const std::string &help,
-                       const Labels &labels)
-{
-    Gauge handle;
-    if (!on)
-        return handle;
-    std::lock_guard<std::mutex> lock(mu);
-    Family &f = familyLocked(name, help, Kind::Gauge, labels);
-    Series &s = f.series[labelKey(labels)];
-    if (!s.gauge) {
-        s.labels = labels;
-        s.gauge = std::make_unique<detail::GaugeCell>();
-    }
-    handle.cell = s.gauge.get();
-    return handle;
-}
-
 Histogram
 MetricsRegistry::histogram(const std::string &name,
                            const std::string &help,
@@ -266,8 +221,6 @@ MetricsRegistry::histogram(const std::string &name,
                            const Labels &labels)
 {
     Histogram handle;
-    if (!on)
-        return handle;
     for (std::size_t i = 0; i < upper_bounds.size(); ++i) {
         if (!std::isfinite(upper_bounds[i]))
             fatal("histogram '", name,
@@ -298,8 +251,6 @@ MetricsRegistry::gaugeFn(const std::string &name,
                          const std::string &help, const Labels &labels,
                          std::function<double()> fn)
 {
-    if (!on)
-        return;
     if (!fn)
         fatal("metric '", name, "': callback series needs a callable");
     std::lock_guard<std::mutex> lock(mu);
@@ -315,8 +266,6 @@ MetricsRegistry::counterFn(const std::string &name,
                            const Labels &labels,
                            std::function<double()> fn)
 {
-    if (!on)
-        return;
     if (!fn)
         fatal("metric '", name, "': callback series needs a callable");
     std::lock_guard<std::mutex> lock(mu);
@@ -326,18 +275,9 @@ MetricsRegistry::counterFn(const std::string &name,
     s.fn = std::move(fn);
 }
 
-std::size_t
-MetricsRegistry::familyCount() const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    return families.size();
-}
-
 std::string
 MetricsRegistry::renderPrometheus() const
 {
-    if (!on)
-        return "";
     std::lock_guard<std::mutex> lock(mu);
     std::string out;
     out.reserve(4096);
@@ -388,48 +328,39 @@ MetricsRegistry::renderPrometheus() const
         out += '\n';
 
         for (const auto &[key, series] : family.series) {
+            // Counters and gauges are callbacks; the rest are
+            // histogram cells.
             if (series.fn) {
                 sampleLine(name, key, series.fn());
                 continue;
             }
-            switch (family.kind) {
-            case Kind::Counter:
-                sampleLine(name, key, series.counter->value.get());
-                break;
-            case Kind::Gauge:
-                sampleLine(name, key, series.gauge->value.get());
-                break;
-            case Kind::Histogram: {
-                const detail::HistogramCell &h = *series.histogram;
-                std::uint64_t cumulative = 0;
-                for (std::size_t i = 0; i < h.bounds.size(); ++i) {
-                    cumulative += h.bucketCounts[i].load(
-                        std::memory_order_relaxed);
-                    std::string bucketLabels = key;
-                    if (!bucketLabels.empty())
-                        bucketLabels += ',';
-                    bucketLabels +=
-                        "le=\"" + formatValue(h.bounds[i]) + '"';
-                    sampleLine(name + "_bucket", bucketLabels,
-                               static_cast<double>(cumulative));
-                }
-                cumulative += h.bucketCounts[h.bounds.size()].load(
+            const detail::HistogramCell &h = *series.histogram;
+            std::uint64_t cumulative = 0;
+            for (std::size_t i = 0; i < h.bounds.size(); ++i) {
+                cumulative += h.bucketCounts[i].load(
                     std::memory_order_relaxed);
-                std::string infLabels = key;
-                if (!infLabels.empty())
-                    infLabels += ',';
-                infLabels += "le=\"+Inf\"";
-                sampleLine(name + "_bucket", infLabels,
+                std::string bucketLabels = key;
+                if (!bucketLabels.empty())
+                    bucketLabels += ',';
+                bucketLabels +=
+                    "le=\"" + formatValue(h.bounds[i]) + '"';
+                sampleLine(name + "_bucket", bucketLabels,
                            static_cast<double>(cumulative));
-                sampleLine(name + "_sum", key, h.sum.get());
-                // _count from the SAME accumulation as the +Inf
-                // bucket: the two must be equal in every scrape,
-                // even one racing live observations.
-                sampleLine(name + "_count", key,
-                           static_cast<double>(cumulative));
-                break;
             }
-            }
+            cumulative += h.bucketCounts[h.bounds.size()].load(
+                std::memory_order_relaxed);
+            std::string infLabels = key;
+            if (!infLabels.empty())
+                infLabels += ',';
+            infLabels += "le=\"+Inf\"";
+            sampleLine(name + "_bucket", infLabels,
+                       static_cast<double>(cumulative));
+            sampleLine(name + "_sum", key, h.sum.get());
+            // _count from the SAME accumulation as the +Inf
+            // bucket: the two must be equal in every scrape,
+            // even one racing live observations.
+            sampleLine(name + "_count", key,
+                       static_cast<double>(cumulative));
         }
     }
     return out;

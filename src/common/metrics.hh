@@ -5,32 +5,30 @@
  *
  * A registry holds metric FAMILIES (name + help + type), each fanned
  * out into SERIES by label values -- the Prometheus data model. Three
- * instrument kinds cover everything the runtime counts:
+ * kinds cover everything the runtime exports:
  *
- *  - Counter: monotonically increasing event count (jobs completed,
+ *  - counter: monotonically increasing event count (jobs completed,
  *    frames served, bytes moved);
- *  - Gauge: a value that goes both ways (queue depth, leased
+ *  - gauge: a value that goes both ways (queue depth, leased
  *    machines, an admission EWMA);
- *  - Histogram: fixed-bucket distribution of observations (job
+ *  - histogram: fixed-bucket distribution of observations (job
  *    latency), rendered with the cumulative
  *    `_bucket{le=...}` / `_sum` / `_count` triple Prometheus expects.
  *
- * THREADING AND COST. Registration takes the registry mutex;
- * instrument HANDLES returned by it are plain pointers into
- * registry-owned cells, and every hot-path operation (inc / set /
- * observe) is a handful of relaxed atomic ops -- no lock, no
- * allocation. A default-constructed handle (and every handle from a
- * DISABLED registry) is a no-op, which is how instrumented code runs
- * at full speed when nobody is scraping: the instrumentation sites
- * always exist, the registry decides whether they cost anything
- * (pinned by the metrics-overhead section of
- * bench_runtime_throughput).
+ * COUNTERS AND GAUGES ARE READ, NOT PUSHED. Every counter and gauge
+ * is a callback series (counterFn / gaugeFn) evaluated at render
+ * time. Each component already keeps its counts in its own Stats
+ * struct under its own lock; its bindMetrics() registers callbacks
+ * that read those fields, so the Stats field is the only record of a
+ * count and a scrape always equals stats(). An unbound component
+ * costs nothing. A callback must be thread-safe and must not call
+ * back into this registry (it runs under the registry mutex).
  *
- * CALLBACK SERIES (gaugeFn / counterFn) are evaluated at render time
- * -- the natural fit for point-in-time values a subsystem already
- * computes under its own lock (queue depth, idle machines). The
- * callback must be thread-safe and must not call back into this
- * registry.
+ * HISTOGRAMS are the one pushed kind: a distribution has no Stats
+ * field to read. histogram() returns a HANDLE, a plain pointer into
+ * a registry-owned cell; observe() is a handful of relaxed atomic
+ * ops -- no lock, no allocation -- and a default-constructed handle
+ * is a no-op.
  *
  * RENDERING. renderPrometheus() emits text exposition format v0.0.4:
  * families sorted by name, series sorted by label values, label
@@ -76,18 +74,7 @@ struct AtomicDouble
     std::atomic<std::uint64_t> bits{0};
 
     void add(double v);
-    void set(double v);
     double get() const;
-};
-
-struct CounterCell
-{
-    AtomicDouble value;
-};
-
-struct GaugeCell
-{
-    AtomicDouble value;
 };
 
 struct HistogramCell
@@ -106,48 +93,6 @@ struct HistogramCell
 
 } // namespace detail
 
-/** Monotone event counter handle (no-op when default-constructed). */
-class Counter
-{
-  public:
-    void
-    inc(double v = 1.0)
-    {
-        if (cell)
-            cell->value.add(v);
-    }
-    double value() const { return cell ? cell->value.get() : 0.0; }
-    bool bound() const { return cell != nullptr; }
-
-  private:
-    friend class MetricsRegistry;
-    detail::CounterCell *cell = nullptr;
-};
-
-/** Point-in-time value handle (no-op when default-constructed). */
-class Gauge
-{
-  public:
-    void
-    set(double v)
-    {
-        if (cell)
-            cell->value.set(v);
-    }
-    void
-    add(double v)
-    {
-        if (cell)
-            cell->value.add(v);
-    }
-    double value() const { return cell ? cell->value.get() : 0.0; }
-    bool bound() const { return cell != nullptr; }
-
-  private:
-    friend class MetricsRegistry;
-    detail::GaugeCell *cell = nullptr;
-};
-
 /** Fixed-bucket distribution handle (no-op when default-constructed). */
 class Histogram
 {
@@ -164,8 +109,6 @@ class Histogram
         return cell ? cell->observations.load(std::memory_order_relaxed)
                     : 0;
     }
-    double sum() const { return cell ? cell->sum.get() : 0.0; }
-    bool bound() const { return cell != nullptr; }
 
   private:
     friend class MetricsRegistry;
@@ -181,30 +124,17 @@ std::vector<double> latencyBucketsSeconds();
 class MetricsRegistry
 {
   public:
-    /**
-     * @param enabled false = every instrument this registry hands
-     *        out is a no-op and renderPrometheus() returns "" --
-     *        the zero-cost configuration the overhead bench pins.
-     */
-    explicit MetricsRegistry(bool enabled = true);
+    MetricsRegistry() = default;
     ~MetricsRegistry();
 
     MetricsRegistry(const MetricsRegistry &) = delete;
     MetricsRegistry &operator=(const MetricsRegistry &) = delete;
 
-    bool enabled() const { return on; }
-
     /**
-     * Register (or re-fetch) the counter series `name`+`labels`.
+     * Register (or re-fetch) the histogram series `name`+`labels`.
      * Re-registering an identical series returns a handle to the
      * SAME cell; registering `name` with a different type or a
-     * different label-name set fatal()s.
-     */
-    Counter counter(const std::string &name, const std::string &help,
-                    const Labels &labels = {});
-    Gauge gauge(const std::string &name, const std::string &help,
-                const Labels &labels = {});
-    /**
+     * different label-name set fatal()s (as for every kind).
      * @param upper_bounds strictly increasing finite bucket bounds
      *        (+Inf is implicit and always appended). Every series of
      *        one family must use the same bounds.
@@ -215,21 +145,17 @@ class MetricsRegistry
                         const Labels &labels = {});
 
     /**
-     * Callback series: `fn` is evaluated at every render, under no
-     * registry lock ordering guarantees beyond "during
-     * renderPrometheus()". The fn must be thread-safe and must not
-     * touch this registry.
+     * Callback series: `fn` is evaluated at every render, under the
+     * registry mutex. The fn must be thread-safe and must not touch
+     * this registry. Re-registering a series replaces its callback.
      */
     void gaugeFn(const std::string &name, const std::string &help,
                  const Labels &labels, std::function<double()> fn);
     void counterFn(const std::string &name, const std::string &help,
                    const Labels &labels, std::function<double()> fn);
 
-    /** Text exposition format v0.0.4; "" when disabled. */
+    /** Text exposition format v0.0.4. */
     std::string renderPrometheus() const;
-
-    /** Registered family count (diagnostics/tests). */
-    std::size_t familyCount() const;
 
     // --- grammar helpers (exposed for the format tests) ---
     /** [a-zA-Z_:][a-zA-Z0-9_:]* */
@@ -247,9 +173,9 @@ class MetricsRegistry
     struct Series
     {
         Labels labels;
-        std::unique_ptr<detail::CounterCell> counter;
-        std::unique_ptr<detail::GaugeCell> gauge;
+        /** Set for histogram series only. */
         std::unique_ptr<detail::HistogramCell> histogram;
+        /** Set for counter and gauge series only. */
         std::function<double()> fn;
     };
 
@@ -273,7 +199,6 @@ class MetricsRegistry
     static void checkLabels(const std::string &name,
                             const Labels &labels);
 
-    const bool on;
     mutable std::mutex mu;
     /** std::map: families render sorted by name. */
     std::map<std::string, Family> families;

@@ -40,10 +40,8 @@ randomTraceId()
 
 } // namespace
 
-QumaClient::QumaClient(std::unique_ptr<ByteStream> stream_,
-                       double link_bytes_per_second)
-    : stream(std::move(stream_)), meter(link_bytes_per_second),
-      traceIdValue(randomTraceId())
+QumaClient::QumaClient(std::unique_ptr<ByteStream> stream_)
+    : stream(std::move(stream_)), traceIdValue(randomTraceId())
 {
     if (!stream)
         fatal("QumaClient needs a connected stream");
@@ -215,7 +213,7 @@ QumaClient::readerLoop()
             {
                 std::lock_guard<std::mutex> lock(mu);
                 meter.record(sizeof(header) + body.size(), false);
-                ms.repliesReceived.inc();
+                ++repliesReceived;
                 if (fh.requestId == kConnectionRequestId) {
                     // A frame answering no request is the server
                     // talking about the CONNECTION (version mismatch
@@ -291,20 +289,27 @@ QumaClient::sendRequest(MsgType type, const Writer &payload,
         throw;
     }
     std::lock_guard<std::mutex> lock(mu);
+    // One upload per request: the meter's uploads count requests.
     meter.record(frame.size(), true);
-    ms.requestsSent.inc();
     return rid;
 }
 
 void
 QumaClient::bindMetrics(metrics::MetricsRegistry &registry)
 {
-    ms.requestsSent = registry.counter(
-        "quma_client_requests_sent_total",
-        "Request frames put on the wire by this client.");
-    ms.repliesReceived = registry.counter(
-        "quma_client_replies_received_total",
-        "Reply frames routed by this client's reader.");
+    registry.counterFn("quma_client_requests_sent_total",
+                       "Request frames put on the wire by this client.",
+                       {}, [this] {
+                           std::lock_guard<std::mutex> lock(mu);
+                           return static_cast<double>(
+                               meter.stats().uploads);
+                       });
+    registry.counterFn("quma_client_replies_received_total",
+                       "Reply frames routed by this client's reader.",
+                       {}, [this] {
+                           std::lock_guard<std::mutex> lock(mu);
+                           return static_cast<double>(repliesReceived);
+                       });
     registry.gaugeFn("quma_client_inflight_requests",
                      "Requests awaiting their reply slot.", {},
                      [this] {

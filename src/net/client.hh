@@ -99,12 +99,8 @@ class QumaClient final : public runtime::IExperimentBackend
         std::uint64_t resultNanos = 0;
     };
 
-    /**
-     * Speak the wire protocol over an established stream.
-     * @param link_bytes_per_second modeled rate for linkStats()
-     */
-    explicit QumaClient(std::unique_ptr<ByteStream> stream,
-                        double link_bytes_per_second = 30.0e6);
+    /** Speak the wire protocol over an established stream. */
+    explicit QumaClient(std::unique_ptr<ByteStream> stream);
 
     /** Convenience: connect over TCP (dotted-quad host). */
     QumaClient(const std::string &host, std::uint16_t port);
@@ -229,7 +225,9 @@ class QumaClient final : public runtime::IExperimentBackend
 
     /**
      * Register this client's series with `registry` (quma_client_*
-     * family). The client must outlive the registry's last render.
+     * family): callbacks read the link meter and reply count under
+     * the client mutex at render time. The client must outlive the
+     * registry's last render.
      */
     void bindMetrics(metrics::MetricsRegistry &registry);
 
@@ -307,7 +305,8 @@ class QumaClient final : public runtime::IExperimentBackend
     void noteSubmitAcked(std::uint64_t span_id, runtime::JobId id);
     void noteResultDecoded(runtime::JobId id);
 
-    /** Guards slots, nextRequestId, meter, readerDown. */
+    /** Guards slots, nextRequestId, meter, repliesReceived,
+     *  readerDown. */
     mutable std::mutex mu;
     /** Serializes frame writes (frames must not interleave). */
     mutable std::mutex sendMu;
@@ -323,6 +322,9 @@ class QumaClient final : public runtime::IExperimentBackend
     mutable bool readerDown = false;
     mutable std::string readerFailure;
     mutable core::LinkMeter meter;
+    /** Reply frames routed by the reader. Not the meter's downloads:
+     *  progress pushes are downloads too. */
+    std::size_t repliesReceived = 0;
     /** subscribeProgress() callbacks waiting for their job's next
      *  subscribe() (guarded by mu). */
     std::unordered_map<runtime::JobId, std::vector<ProgressCallback>>
@@ -340,15 +342,6 @@ class QumaClient final : public runtime::IExperimentBackend
     std::unordered_map<std::uint64_t, ClientSpan> pendingSpans;
     /** Acked (job id known): keyed by job. */
     std::unordered_map<runtime::JobId, ClientSpan> ackedSpans;
-
-    /** Metric handles; no-ops until bound. Mutable: the const
-     *  request surface still counts its traffic. */
-    struct Instruments
-    {
-        metrics::Counter requestsSent;
-        metrics::Counter repliesReceived;
-    };
-    mutable Instruments ms;
 
     std::thread reader;
 };

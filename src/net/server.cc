@@ -143,8 +143,7 @@ QumaServer::ConnState::closeStream()
 QumaServer::QumaServer(runtime::IExperimentBackend &backend_,
                        std::unique_ptr<Listener> listener_,
                        ServerConfig config)
-    : backend(backend_), listener(std::move(listener_)), cfg(config),
-      meter(cfg.linkBytesPerSecond)
+    : backend(backend_), listener(std::move(listener_)), cfg(config)
 {
     if (!listener)
         fatal("QumaServer needs a listener");

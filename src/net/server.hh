@@ -91,8 +91,6 @@ namespace quma::net {
 
 struct ServerConfig
 {
-    /** Modeled link rate for the wire-traffic accounting. */
-    double linkBytesPerSecond = 30.0e6;
     /**
      * Per-connection cap on reply frames queued for the writer. A
      * client that issues requests without ever reading replies would

@@ -82,11 +82,9 @@ ProgramCache::assemble(const std::string &source)
         auto it = programs.find(source);
         if (it != programs.end()) {
             ++counters.programHits;
-            ms.hits.inc();
             return it->second;
         }
         ++counters.programMisses;
-        ms.misses.inc();
     }
 
     // Assemble outside the lock: compiles of distinct sources run in
@@ -101,7 +99,6 @@ ProgramCache::assemble(const std::string &source)
     auto resident = insertBounded(programs, programOrder, maxPrograms,
                                   source, program, &evicted);
     counters.programEvictions += evicted;
-    ms.evictions.inc(static_cast<double>(evicted));
     return resident;
 }
 
@@ -114,11 +111,9 @@ ProgramCache::lut(const awg::CalibrationParams &params)
         auto it = luts.find(key);
         if (it != luts.end()) {
             ++counters.lutHits;
-            ms.lutHits.inc();
             return it->second;
         }
         ++counters.lutMisses;
-        ms.lutMisses.inc();
     }
 
     auto entries =
@@ -130,7 +125,6 @@ ProgramCache::lut(const awg::CalibrationParams &params)
     auto resident =
         insertBounded(luts, lutOrder, maxLuts, key, entries, &evicted);
     counters.lutEvictions += evicted;
-    ms.lutEvictions.inc(static_cast<double>(evicted));
     return resident;
 }
 
@@ -181,11 +175,9 @@ ProgramCache::tape(const std::string &source, const std::string &config_key,
     auto it = tapes.find(key);
     if (it != tapes.end() && it->second.tape) {
         ++counters.tapeHits;
-        ms.tapeHits.inc();
         return {it->second.tape, false};
     }
     ++counters.tapeMisses;
-    ms.tapeMisses.inc();
     if (it == tapes.end()) {
         insertBounded(tapes, tapeOrder, kMaxTapes, key, TapeSlot{});
         return {};
@@ -214,10 +206,8 @@ ProgramCache::storeTape(const std::string &source,
         slot.tape = std::move(tape);
         return;
     }
-    if (!slot.checked) {
+    if (!slot.checked)
         ++counters.tapeRejections;
-        ms.tapeRejections.inc();
-    }
     slot.checked = true;
     slot.rejectedUnder = std::max(slot.rejectedUnder, max_cycles);
 }
@@ -246,34 +236,42 @@ ProgramCache::lutCount() const
 void
 ProgramCache::bindMetrics(metrics::MetricsRegistry &registry)
 {
-    ms.hits = registry.counter(
-        "quma_cache_program_hits_total",
-        "assemble() calls served from the program layer.");
-    ms.misses = registry.counter(
-        "quma_cache_program_misses_total",
-        "assemble() calls that ran the assembler.");
-    ms.evictions = registry.counter(
-        "quma_cache_program_evictions_total",
-        "Programs aged out of the bounded program layer (FIFO).");
-    ms.lutHits = registry.counter(
-        "quma_cache_lut_hits_total",
-        "Calibration uploads served from the LUT layer.");
-    ms.lutMisses = registry.counter(
-        "quma_cache_lut_misses_total",
-        "Calibration uploads that re-rendered the waveform tables.");
-    ms.lutEvictions = registry.counter(
-        "quma_cache_lut_evictions_total",
-        "LUT sets aged out of the bounded LUT layer (FIFO).");
-    ms.tapeHits = registry.counter(
-        "quma_cache_tape_hits_total",
-        "Tape lookups served a verified physics tape (rounds replay).");
-    ms.tapeMisses = registry.counter(
-        "quma_cache_tape_misses_total",
-        "Tape lookups with no tape: first sighting, check due, or a "
-        "rejected (program, config) pair.");
-    ms.tapeRejections = registry.counter(
-        "quma_cache_tape_rejections_total",
-        "(program, config) pairs the replay check rejected.");
+    // Each counter reads its Stats field under mu at render time.
+    auto counter = [this, &registry](const char *name, const char *help,
+                                     std::size_t Stats::*field) {
+        registry.counterFn(name, help, {}, [this, field] {
+            std::lock_guard<std::mutex> lock(mu);
+            return static_cast<double>(counters.*field);
+        });
+    };
+    counter("quma_cache_program_hits_total",
+            "assemble() calls served from the program layer.",
+            &Stats::programHits);
+    counter("quma_cache_program_misses_total",
+            "assemble() calls that ran the assembler.",
+            &Stats::programMisses);
+    counter("quma_cache_program_evictions_total",
+            "Programs aged out of the bounded program layer (FIFO).",
+            &Stats::programEvictions);
+    counter("quma_cache_lut_hits_total",
+            "Calibration uploads served from the LUT layer.",
+            &Stats::lutHits);
+    counter("quma_cache_lut_misses_total",
+            "Calibration uploads that re-rendered the waveform tables.",
+            &Stats::lutMisses);
+    counter("quma_cache_lut_evictions_total",
+            "LUT sets aged out of the bounded LUT layer (FIFO).",
+            &Stats::lutEvictions);
+    counter("quma_cache_tape_hits_total",
+            "Tape lookups served a verified physics tape (rounds replay).",
+            &Stats::tapeHits);
+    counter("quma_cache_tape_misses_total",
+            "Tape lookups with no tape: first sighting, check due, or a "
+            "rejected (program, config) pair.",
+            &Stats::tapeMisses);
+    counter("quma_cache_tape_rejections_total",
+            "(program, config) pairs the replay check rejected.",
+            &Stats::tapeRejections);
     registry.gaugeFn("quma_cache_programs_resident",
                      "Programs currently held by the program layer.",
                      {}, [this] {
@@ -283,21 +281,6 @@ ProgramCache::bindMetrics(metrics::MetricsRegistry &registry)
         "quma_cache_luts_resident",
         "LUT sets currently held by the calibration layer.", {},
         [this] { return static_cast<double>(lutCount()); });
-}
-
-void
-ProgramCache::clear()
-{
-    std::lock_guard<std::mutex> lock(mu);
-    programs.clear();
-    programOrder.clear();
-    luts.clear();
-    lutOrder.clear();
-    mduCals.clear();
-    mduOrder.clear();
-    tapes.clear();
-    tapeOrder.clear();
-    counters = Stats{};
 }
 
 } // namespace quma::runtime

@@ -122,7 +122,6 @@ class ProgramCache
                    Cycle max_cycles);
 
     Stats stats() const;
-    void clear();
 
     /** Programs currently resident in the program layer. */
     std::size_t programCount() const;
@@ -131,8 +130,9 @@ class ProgramCache
 
     /**
      * Register this cache's series with `registry` (quma_cache_*
-     * family). The cache must outlive the registry's last render:
-     * gauge callbacks read live cache state.
+     * family): callbacks that read the Stats fields and resident
+     * counts under the cache mutex at render time. The cache must
+     * outlive the registry's last render.
      */
     void bindMetrics(metrics::MetricsRegistry &registry);
 
@@ -166,21 +166,6 @@ class ProgramCache
     std::unordered_map<std::string, TapeSlot> tapes;
     std::deque<std::string> tapeOrder;
     Stats counters;
-
-    /** Metric handles; default-constructed (no-op) until bound. */
-    struct Instruments
-    {
-        metrics::Counter hits;
-        metrics::Counter misses;
-        metrics::Counter evictions;
-        metrics::Counter lutHits;
-        metrics::Counter lutMisses;
-        metrics::Counter lutEvictions;
-        metrics::Counter tapeHits;
-        metrics::Counter tapeMisses;
-        metrics::Counter tapeRejections;
-    };
-    Instruments ms;
 };
 
 } // namespace quma::runtime

@@ -16,6 +16,9 @@ namespace {
 constexpr std::size_t kLatencySampleWindow = 512;
 /** Saturation EWMA above this tightens trySubmit's bound. */
 constexpr double kSaturationThreshold = 0.5;
+/** trySubmit's bound while congested, as a queueCapacity fraction
+ *  (floored at the worker count). */
+constexpr double kCongestedQueueFraction = 0.25;
 
 bool
 queueSaturated(const timing::QueueSaturation &q)
@@ -85,7 +88,6 @@ JobScheduler::~JobScheduler()
             e.shardRanges.clear();
             e.progress.clear();
             ++counters.failed;
-            ms.failed.inc();
             // Shutdown failures notify too: a subscriber is promised
             // exactly one callback per job, however the job ends.
             queueNotificationsLocked(t.id, e.result);
@@ -290,10 +292,8 @@ JobScheduler::enqueueLocked(JobSpec &&spec)
     for (const RoundRange &range : e.shardRanges)
         e.progress.push_back({range.begin, range.end, false});
     e.shardsRemaining = e.shardRanges.size();
-    if (e.shardRanges.size() > 1) {
+    if (e.shardRanges.size() > 1)
         ++counters.shardedJobs;
-        ms.shardedJobs.inc();
-    }
     e.spec = std::make_shared<const JobSpec>(std::move(spec));
     for (std::size_t s = 0; s < e.shardRanges.size(); ++s)
         queue.push_back({id, static_cast<std::uint32_t>(s)});
@@ -301,7 +301,6 @@ JobScheduler::enqueueLocked(JobSpec &&spec)
     counters.queueHighWater =
         std::max(counters.queueHighWater, queue.size());
     ++counters.submitted;
-    ms.submitted.inc();
     // Every enqueue passed its gate (queue-space wait or admission
     // control) and entered the queue in the same breath; the three
     // lifecycle points coincide by construction here, but stay
@@ -352,12 +351,9 @@ JobScheduler::trySubmit(JobSpec spec)
     std::size_t bound = effectiveCapacityLocked();
     if (stop || queue.size() >= bound) {
         ++counters.rejected;
-        ms.rejected.inc();
         if (!stop && bound < cfg.queueCapacity &&
-            queue.size() < cfg.queueCapacity) {
+            queue.size() < cfg.queueCapacity)
             ++counters.admissionSoftRejects;
-            ms.admissionSoftRejects.inc();
-        }
         return std::nullopt;
     }
     JobId id = enqueueLocked(std::move(spec));
@@ -434,7 +430,6 @@ JobScheduler::cancel(JobId id)
         return false;
     std::erase_if(queue, [id](const Task &t) { return t.id == id; });
     ++counters.cancelled;
-    ms.cancelled.inc();
     JobResult r;
     r.error = kCancelledJobError;
     // A cancelled job never ran: recording its queue-residence as a
@@ -449,71 +444,89 @@ JobScheduler::cancel(JobId id)
 void
 JobScheduler::bindMetrics(metrics::MetricsRegistry &registry)
 {
-    ms.submitted = registry.counter(
-        "quma_jobs_submitted_total",
-        "Jobs accepted by a submit path (one per assigned job id).");
-    ms.rejected = registry.counter(
-        "quma_submit_rejected_total",
-        "trySubmit rejections, hard-bound and admission together.");
-    ms.admissionSoftRejects = registry.counter(
-        "quma_admission_soft_rejects_total",
-        "trySubmit rejections below the hard queue bound (the "
-        "stats-driven admission controller said no).");
-    ms.completed = registry.counter(
-        "quma_jobs_completed_total",
-        "Jobs finished with a successful result.");
-    ms.failed = registry.counter(
-        "quma_jobs_failed_total",
-        "Jobs finished Failed (errors, cancellations, shutdown).");
-    ms.cancelled = registry.counter(
-        "quma_jobs_cancelled_total",
-        "Jobs cancelled while still fully queued.");
-    ms.shardedJobs = registry.counter(
-        "quma_jobs_sharded_total",
-        "Jobs split into more than one shard.");
-    ms.shardsExecuted = registry.counter(
-        "quma_shards_executed_total",
-        "Tasks executed: every shard, opaque jobs included.");
-    ms.saturatedRuns = registry.counter(
-        "quma_saturated_runs_total",
-        "Runs whose machine reported timing-queue backpressure.");
-    ms.shardsStolen = registry.counter(
-        "quma_shards_stolen_total",
-        "Shards created by splitting a running shard's unclaimed "
-        "round tail onto an idle worker.");
-    ms.roundsStolen = registry.counter(
-        "quma_rounds_stolen_total",
-        "Rounds moved between workers by shard stealing.");
-    ms.eventsDispatched = registry.counter(
-        "quma_machine_cycles_visited_total",
-        "Cycles visited by the event loops of machines running jobs.");
-    ms.roundsReplayed = registry.counter(
-        "quma_rounds_replayed_total",
-        "Rounds served by control-schedule replay of a verified "
-        "physics tape instead of a full machine run.");
-    ms.poolAcquisitions = registry.counter(
-        "quma_pool_acquisitions_total",
-        "Tasks that bound their worker's machine (reuse hits + "
-        "builds + rebinds).");
-    ms.poolReuseHits = registry.counter(
-        "quma_pool_reuse_hits_total",
-        "Tasks whose config the worker's machine was already bound "
-        "to.");
-    ms.poolMachinesCreated = registry.counter(
-        "quma_pool_machines_created_total",
-        "Machines constructed, calibration upload included (at most "
-        "one per worker).");
-    ms.poolRebinds = registry.counter(
-        "quma_pool_rebinds_total",
-        "Worker machines rebound to a task of another config.");
-    ms.poolMachineResets = registry.counter(
-        "quma_pool_machine_resets_total",
-        "QumaMachine::reset() calls: one per round, one per tape "
-        "check.");
+    // Each counter reads its Stats or PoolStats field under mu at
+    // render time (not stats(), which sorts the latency windows).
+    auto stat = [this](std::size_t Stats::*field) {
+        return [this, field] {
+            std::lock_guard<std::mutex> lock(mu);
+            return static_cast<double>(counters.*field);
+        };
+    };
+    auto poolStat = [this](std::size_t PoolStats::*field) {
+        return [this, field] {
+            std::lock_guard<std::mutex> lock(mu);
+            return static_cast<double>(pool.*field);
+        };
+    };
+    auto counter = [&registry](const char *name, const char *help,
+                               std::function<double()> fn) {
+        registry.counterFn(name, help, {}, std::move(fn));
+    };
+    counter("quma_jobs_submitted_total",
+            "Jobs accepted by a submit path (one per assigned job id).",
+            stat(&Stats::submitted));
+    counter("quma_submit_rejected_total",
+            "trySubmit rejections, hard-bound and admission together.",
+            stat(&Stats::rejected));
+    counter("quma_admission_soft_rejects_total",
+            "trySubmit rejections below the hard queue bound (the "
+            "stats-driven admission controller said no).",
+            stat(&Stats::admissionSoftRejects));
+    counter("quma_jobs_completed_total",
+            "Jobs finished with a successful result.",
+            stat(&Stats::completed));
+    counter("quma_jobs_failed_total",
+            "Jobs finished Failed (errors, cancellations, shutdown).",
+            stat(&Stats::failed));
+    counter("quma_jobs_cancelled_total",
+            "Jobs cancelled while still fully queued.",
+            stat(&Stats::cancelled));
+    counter("quma_jobs_sharded_total",
+            "Jobs split into more than one shard.",
+            stat(&Stats::shardedJobs));
+    counter("quma_shards_executed_total",
+            "Tasks executed: every shard, opaque jobs included.",
+            stat(&Stats::shardsExecuted));
+    counter("quma_saturated_runs_total",
+            "Runs whose machine reported timing-queue backpressure.",
+            stat(&Stats::saturatedRuns));
+    counter("quma_shards_stolen_total",
+            "Shards created by splitting a running shard's unclaimed "
+            "round tail onto an idle worker.",
+            stat(&Stats::shardsStolen));
+    counter("quma_rounds_stolen_total",
+            "Rounds moved between workers by shard stealing.",
+            stat(&Stats::roundsStolen));
+    counter("quma_machine_cycles_visited_total",
+            "Cycles visited by the event loops of machines running jobs.",
+            stat(&Stats::eventsDispatched));
+    counter("quma_rounds_replayed_total",
+            "Rounds served by control-schedule replay of a verified "
+            "physics tape instead of a full machine run.",
+            stat(&Stats::roundsReplayed));
+    counter("quma_pool_acquisitions_total",
+            "Tasks that bound their worker's machine (reuse hits + "
+            "builds + rebinds).",
+            poolStat(&PoolStats::acquisitions));
+    counter("quma_pool_reuse_hits_total",
+            "Tasks whose config the worker's machine was already bound "
+            "to.",
+            poolStat(&PoolStats::reuseHits));
+    counter("quma_pool_machines_created_total",
+            "Machines constructed, calibration upload included (at most "
+            "one per worker).",
+            poolStat(&PoolStats::machinesCreated));
+    counter("quma_pool_rebinds_total",
+            "Worker machines rebound to a task of another config.",
+            poolStat(&PoolStats::rebinds));
+    counter("quma_pool_machine_resets_total",
+            "QumaMachine::reset() calls: one per round, one per tape "
+            "check.",
+            poolStat(&PoolStats::machineResets));
     static constexpr const char *kClassNames[3] = {"batch", "normal",
                                                    "high"};
-    for (std::size_t cls = 0; cls < ms.latency.size(); ++cls)
-        ms.latency[cls] = registry.histogram(
+    for (std::size_t cls = 0; cls < latencyHistogram.size(); ++cls)
+        latencyHistogram[cls] = registry.histogram(
             "quma_job_latency_seconds",
             "Submit->finish latency by priority class.",
             metrics::latencyBucketsSeconds(),
@@ -550,10 +563,8 @@ JobScheduler::bindMetrics(metrics::MetricsRegistry &registry)
                          return static_cast<double>(p.idleMachines);
                      });
     registry.gaugeFn("quma_pool_machines_leased",
-                     "Built worker machines running a task.", {}, [this] {
-                         std::lock_guard<std::mutex> lock(mu);
-                         return static_cast<double>(pool.leasedMachines);
-                     });
+                     "Built worker machines running a task.", {},
+                     poolStat(&PoolStats::leasedMachines));
 }
 
 std::size_t
@@ -606,7 +617,7 @@ JobScheduler::effectiveCapacityLocked() const
         return cfg.queueCapacity;
     auto tightened = static_cast<std::size_t>(
         static_cast<double>(cfg.queueCapacity) *
-        cfg.congestedQueueFraction);
+        kCongestedQueueFraction);
     tightened = std::max<std::size_t>(tightened, cfg.workers);
     return std::min(tightened, cfg.queueCapacity);
 }
@@ -614,10 +625,8 @@ JobScheduler::effectiveCapacityLocked() const
 void
 JobScheduler::noteSaturationLocked(bool saturated)
 {
-    if (saturated) {
+    if (saturated)
         ++counters.saturatedRuns;
-        ms.saturatedRuns.inc();
-    }
     saturationEwma = (1.0 - cfg.saturationAlpha) * saturationEwma +
                      cfg.saturationAlpha * (saturated ? 1.0 : 0.0);
 }
@@ -630,7 +639,7 @@ JobScheduler::noteLatencyLocked(const Entry &entry)
                                       entry.submittedAt)
             .count();
     auto cls = static_cast<std::size_t>(entry.priority);
-    ms.latency[cls].observe(seconds);
+    latencyHistogram[cls].observe(seconds);
     ++latencyCount[cls];
     latencyMax[cls] = std::max(latencyMax[cls], seconds);
     std::vector<double> &window = latencyWindow[cls];
@@ -726,13 +735,10 @@ JobScheduler::finishLocked(JobId id, JobResult &&result,
     e.shardRanges.clear();
     e.progress.clear();
     activeSharded.erase(id);
-    if (failed) {
+    if (failed)
         ++counters.failed;
-        ms.failed.inc();
-    } else {
+    else
         ++counters.completed;
-        ms.completed.inc();
-    }
     traceRecord(id, TracePhase::Finished);
     // A finished job's progress subscriptions end here; the queued
     // progress notifications (including the forced 100% one) are
@@ -1073,9 +1079,7 @@ JobScheduler::stealLocked()
     e.progress.push_back({mid, oldEnd, true});
     ++e.shardsRemaining;
     ++counters.shardsStolen;
-    ms.shardsStolen.inc();
     counters.roundsStolen += stolen;
-    ms.roundsStolen.inc(static_cast<double>(stolen));
     return Task{bestId, shardIdx};
 }
 
@@ -1087,10 +1091,6 @@ JobScheduler::noteRunLocked(const RunSample &sample)
     counters.staleEventDrops += sample.staleDrops;
     counters.roundsReplayed += sample.roundsReplayed;
     pool.machineResets += sample.machineResets;
-    ms.poolMachineResets.inc(static_cast<double>(sample.machineResets));
-    ms.eventsDispatched.inc(
-        static_cast<double>(sample.eventsDispatched));
-    ms.roundsReplayed.inc(static_cast<double>(sample.roundsReplayed));
 }
 
 JobScheduler::Task
@@ -1171,7 +1171,6 @@ JobScheduler::workerLoop()
 
         lock.lock();
         ++pool.acquisitions;
-        ms.poolAcquisitions.inc();
         if (!unavailable.empty()) {
             ShardPartial p;
             p.range = range;
@@ -1181,16 +1180,12 @@ JobScheduler::workerLoop()
             cvDone.notify_all();
             continue;
         }
-        if (built) {
+        if (built)
             ++pool.machinesCreated;
-            ms.poolMachinesCreated.inc();
-        } else if (rebound) {
+        else if (rebound)
             ++pool.rebinds;
-            ms.poolRebinds.inc();
-        } else {
+        else
             ++pool.reuseHits;
-            ms.poolReuseHits.inc();
-        }
         ++pool.leasedMachines;
         lock.unlock();
 
@@ -1203,7 +1198,6 @@ JobScheduler::workerLoop()
         lock.lock();
         --pool.leasedMachines;
         ++counters.shardsExecuted;
-        ms.shardsExecuted.inc();
         deliverShardLocked(task.id, task.shard, std::move(partial));
         noteRunLocked(sample);
         --inFlight;

@@ -156,9 +156,6 @@ struct SchedulerConfig
      * tie with fresh High work.
      */
     std::size_t agingQuantum = 64;
-    /** Effective bound while congested, as a queueCapacity fraction
-     *  (floored at the worker count). */
-    double congestedQueueFraction = 0.25;
     /** EWMA smoothing of the per-run saturation samples. */
     double saturationAlpha = 0.25;
     /**
@@ -357,11 +354,12 @@ class JobScheduler
      * counters (quma_pool_*), point-in-time gauges (queue depth,
      * in-flight, effective capacity, saturation EWMA) and the
      * per-priority submit->finish latency histogram
-     * quma_job_latency_seconds. Counter/histogram updates ride the
-     * existing increment sites at a few relaxed atomics each; gauges
-     * are callback series evaluated at scrape time. The scheduler
-     * must outlive the registry's last render. Idempotent (handles
-     * re-bind to the same cells).
+     * quma_job_latency_seconds. Counters and gauges are callback
+     * series that read the Stats/PoolStats fields under the
+     * scheduler mutex at scrape time, so they are lifetime totals
+     * equal to stats() however late the bind; only the histogram is
+     * observed on the completion path. The scheduler must outlive
+     * the registry's last render. Idempotent.
      */
     void bindMetrics(metrics::MetricsRegistry &registry);
 
@@ -378,9 +376,10 @@ class JobScheduler
 
     /**
      * The task bound trySubmit currently admits against: the full
-     * queueCapacity while the machines keep up, tightened to
-     * congestedQueueFraction of it (floored at the worker count)
-     * while their queue-saturation EWMA exceeds the threshold.
+     * queueCapacity while the machines keep up, tightened to a
+     * quarter of it (kCongestedQueueFraction, floored at the worker
+     * count) while their queue-saturation EWMA exceeds the
+     * threshold.
      */
     std::size_t effectiveQueueCapacity() const;
 
@@ -531,33 +530,6 @@ class JobScheduler
     LatencyDigest latencyDigestLocked(std::size_t cls) const;
     std::size_t effectiveCapacityLocked() const;
 
-    /** Exported-metric handles, no-ops until bindMetrics(). The
-     *  names mirror Stats; see docs/observability.md for the
-     *  catalogue. */
-    struct Instruments
-    {
-        metrics::Counter submitted;
-        metrics::Counter rejected;
-        metrics::Counter admissionSoftRejects;
-        metrics::Counter completed;
-        metrics::Counter failed;
-        metrics::Counter cancelled;
-        metrics::Counter shardedJobs;
-        metrics::Counter shardsExecuted;
-        metrics::Counter saturatedRuns;
-        metrics::Counter shardsStolen;
-        metrics::Counter roundsStolen;
-        metrics::Counter eventsDispatched;
-        metrics::Counter roundsReplayed;
-        metrics::Counter poolAcquisitions;
-        metrics::Counter poolReuseHits;
-        metrics::Counter poolMachinesCreated;
-        metrics::Counter poolRebinds;
-        metrics::Counter poolMachineResets;
-        /** Submit->finish latency, one series per priority class. */
-        std::array<metrics::Histogram, 3> latency;
-    };
-
     /** tracer->record guarded by the null check at every site. */
     void traceRecord(JobId id, TracePhase phase,
                      std::uint32_t shard = 0) const
@@ -569,7 +541,9 @@ class JobScheduler
     const SchedulerConfig cfg;
     ProgramCache &cache;
     JobTraceRecorder *const tracer;
-    Instruments ms;
+    /** Submit->finish latency, one series per priority class; no-ops
+     *  until bindMetrics(). */
+    std::array<metrics::Histogram, 3> latencyHistogram;
 
     mutable std::mutex mu;
     std::condition_variable cvWork;

@@ -37,9 +37,8 @@ struct ServiceConfig
     /** Priority aging: one class step per this many newer
      *  submissions (0 = pure class order, no aging). */
     std::size_t agingQuantum = 64;
-    /** Machine-stats-driven admission control for trySubmit (see
-     *  SchedulerConfig for the saturation knobs). */
-    double congestedQueueFraction = 0.25;
+    /** Smoothing of the machine-saturation EWMA that drives
+     *  trySubmit's admission control (see SchedulerConfig). */
     double saturationAlpha = 0.25;
     /** Work-stealing victim floor (see SchedulerConfig). */
     std::size_t minStealRounds = 4;

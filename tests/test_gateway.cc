@@ -721,7 +721,7 @@ TEST(Gateway, StatsRequestAnswersWithMergedFleetView)
 
     // And the gateway's own metrics bind/render cleanly, with the
     // per-backend identity labels.
-    metrics::MetricsRegistry registry(true);
+    metrics::MetricsRegistry registry;
     gw->bindMetrics(registry);
     std::string text = registry.renderPrometheus();
     EXPECT_NE(text.find("quma_gateway_results_forwarded_total 8"),

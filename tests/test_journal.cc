@@ -852,7 +852,7 @@ TEST(ServiceJournal, CorruptAndRecoveryCountersAreExported)
         bytes.push_back(0xA5); // torn tail
         writeFileBytes(path, bytes);
     }
-    metrics::MetricsRegistry registry(true);
+    metrics::MetricsRegistry registry;
     ServiceConfig sc;
     sc.startPaused = true; // recovered jobs stay queued: cheap test
     sc.journalPath = path;
@@ -870,6 +870,38 @@ TEST(ServiceJournal, CorruptAndRecoveryCountersAreExported)
               std::string::npos);
     EXPECT_NE(text.find("quma_journal_fsyncs_total"),
               std::string::npos);
+    std::remove(path.c_str());
+}
+
+/**
+ * Recovery submits in the service constructor, before any registry
+ * can be bound: the scrape must still count those jobs, because a
+ * counter reads the scheduler's lifetime total, not a tally kept
+ * since the bind.
+ */
+TEST(ServiceJournal, RecoveredJobsAreCountedInTheScrape)
+{
+    const std::string path = tempPath("recovered-metrics");
+    ServiceConfig sc;
+    sc.startPaused = true; // nothing runs: destruction == crash
+    sc.journalPath = path;
+    {
+        ExperimentService svc(sc);
+        svc.submit(matrixJob(1, 31));
+        svc.submit(matrixJob(1, 32));
+        svc.journal()->sync();
+    }
+    // Declared first: the journal's fsync histogram handle points
+    // into the registry, so the registry must outlive the service.
+    metrics::MetricsRegistry registry;
+    ExperimentService svc(sc);
+    ASSERT_EQ(svc.recoveredIds().size(), 2u);
+    svc.bindMetrics(registry);
+    const std::string text = registry.renderPrometheus();
+    EXPECT_EQ(svc.stats().scheduler.submitted, 2u);
+    EXPECT_NE(text.find("\nquma_jobs_submitted_total 2\n"),
+              std::string::npos)
+        << text;
     std::remove(path.c_str());
 }
 

@@ -3,12 +3,16 @@
  * Tests of the observability layer: MetricsRegistry semantics, the
  * Prometheus text-exposition invariants (name/label grammar,
  * escaping, cumulative buckets, +Inf == _count, deterministic
- * ordering), the disabled zero-cost mode, the HTTP /metrics
- * endpoint, and the metrics/trace wiring through the runtime.
+ * ordering), the HTTP /metrics endpoint, and the metrics wiring
+ * through the runtime (every counter equals its Stats field).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <iterator>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -24,6 +28,13 @@ namespace quma {
 namespace {
 
 using metrics::MetricsRegistry;
+
+/** A callback that always reads `v`. */
+std::function<double()>
+constant(double v)
+{
+    return [v] { return v; };
+}
 
 // --- grammar ----------------------------------------------------------------
 
@@ -76,55 +87,39 @@ TEST(MetricsGrammar, ValueFormatting)
 
 // --- registration semantics -------------------------------------------------
 
-TEST(MetricsRegistry, CounterAccumulates)
-{
-    MetricsRegistry reg;
-    metrics::Counter c = reg.counter("quma_test_total", "help");
-    EXPECT_TRUE(c.bound());
-    c.inc();
-    c.inc(2.5);
-    EXPECT_DOUBLE_EQ(c.value(), 3.5);
-    // Re-registering the identical series returns the SAME cell.
-    metrics::Counter again = reg.counter("quma_test_total", "help");
-    again.inc();
-    EXPECT_DOUBLE_EQ(c.value(), 4.5);
-}
-
-TEST(MetricsRegistry, GaugeSetsAndAdds)
-{
-    MetricsRegistry reg;
-    metrics::Gauge g = reg.gauge("quma_test_depth", "help");
-    g.set(7.0);
-    g.add(-2.0);
-    EXPECT_DOUBLE_EQ(g.value(), 5.0);
-}
-
 TEST(MetricsRegistry, KindMismatchIsFatal)
 {
     MetricsRegistry reg;
-    reg.counter("quma_twice", "help");
-    EXPECT_THROW(reg.gauge("quma_twice", "help"), FatalError);
+    reg.counterFn("quma_twice", "help", {}, constant(1));
+    EXPECT_THROW(reg.gaugeFn("quma_twice", "help", {}, constant(1)),
+                 FatalError);
 }
 
 TEST(MetricsRegistry, LabelNameSetMismatchIsFatal)
 {
     MetricsRegistry reg;
-    reg.counter("quma_labeled", "help", {{"priority", "high"}});
+    reg.counterFn("quma_labeled", "help", {{"priority", "high"}},
+                  constant(1));
     // Same name, different VALUE of the same label: fine (new series).
-    reg.counter("quma_labeled", "help", {{"priority", "batch"}});
+    reg.counterFn("quma_labeled", "help", {{"priority", "batch"}},
+                  constant(1));
     // Different label-name set: a schema violation.
-    EXPECT_THROW(reg.counter("quma_labeled", "help", {{"type", "x"}}),
+    EXPECT_THROW(reg.counterFn("quma_labeled", "help", {{"type", "x"}},
+                               constant(1)),
                  FatalError);
 }
 
 TEST(MetricsRegistry, InvalidNamesAreFatal)
 {
     MetricsRegistry reg;
-    EXPECT_THROW(reg.counter("bad-name", "help"), FatalError);
-    EXPECT_THROW(reg.counter("quma_x", "help", {{"bad-label", "v"}}),
+    EXPECT_THROW(reg.counterFn("bad-name", "help", {}, constant(1)),
                  FatalError);
-    EXPECT_THROW(reg.counter("quma_x", "help", {{"le", "v"}}),
+    EXPECT_THROW(reg.counterFn("quma_x", "help", {{"bad-label", "v"}},
+                               constant(1)),
                  FatalError);
+    EXPECT_THROW(
+        reg.counterFn("quma_x", "help", {{"le", "v"}}, constant(1)),
+        FatalError);
 }
 
 TEST(MetricsRegistry, HistogramBucketValidation)
@@ -151,8 +146,8 @@ TEST(MetricsRegistry, HistogramBucketValidation)
 TEST(MetricsRender, HelpTypeAndSampleLines)
 {
     MetricsRegistry reg;
-    reg.counter("quma_events_total", "Things that\nhappened \\ here")
-        .inc(3);
+    reg.counterFn("quma_events_total", "Things that\nhappened \\ here",
+                  {}, constant(3));
     std::string out = reg.renderPrometheus();
     // HELP escapes newline and backslash; TYPE names the kind.
     EXPECT_NE(out.find("# HELP quma_events_total Things "
@@ -166,7 +161,7 @@ TEST(MetricsRender, HelpTypeAndSampleLines)
 TEST(MetricsRender, LabelsRenderEscaped)
 {
     MetricsRegistry reg;
-    reg.gauge("quma_g", "help", {{"name", "a\"b\\c"}}).set(1.0);
+    reg.gaugeFn("quma_g", "help", {{"name", "a\"b\\c"}}, constant(1));
     std::string out = reg.renderPrometheus();
     EXPECT_NE(out.find("quma_g{name=\"a\\\"b\\\\c\"} 1\n"),
               std::string::npos);
@@ -177,10 +172,10 @@ TEST(MetricsRender, DeterministicOrdering)
     // Families sorted by name, series by label values, regardless of
     // registration order.
     MetricsRegistry reg;
-    reg.counter("quma_zzz_total", "z").inc();
-    reg.counter("quma_aaa_total", "a").inc();
-    reg.gauge("quma_mid", "m", {{"k", "beta"}}).set(1);
-    reg.gauge("quma_mid", "m", {{"k", "alpha"}}).set(2);
+    reg.counterFn("quma_zzz_total", "z", {}, constant(1));
+    reg.counterFn("quma_aaa_total", "a", {}, constant(1));
+    reg.gaugeFn("quma_mid", "m", {{"k", "beta"}}, constant(1));
+    reg.gaugeFn("quma_mid", "m", {{"k", "alpha"}}, constant(2));
     std::string out = reg.renderPrometheus();
     std::size_t aaa = out.find("quma_aaa_total");
     std::size_t mid = out.find("quma_mid");
@@ -252,32 +247,12 @@ TEST(MetricsRender, CallbackSeries)
               std::string::npos);
 }
 
-// --- disabled mode ----------------------------------------------------------
-
-TEST(MetricsDisabled, EverythingIsANoOp)
-{
-    MetricsRegistry reg(/*enabled=*/false);
-    metrics::Counter c = reg.counter("quma_x_total", "help");
-    metrics::Gauge g = reg.gauge("quma_x", "help");
-    metrics::Histogram h = reg.histogram("quma_x_s", "help", {1.0});
-    EXPECT_FALSE(c.bound());
-    EXPECT_FALSE(g.bound());
-    EXPECT_FALSE(h.bound());
-    c.inc();
-    g.set(5);
-    h.observe(0.5);
-    EXPECT_DOUBLE_EQ(c.value(), 0.0);
-    EXPECT_EQ(reg.renderPrometheus(), "");
-    EXPECT_EQ(reg.familyCount(), 0u);
-}
+// --- default handles -------------------------------------------------------
 
 TEST(MetricsDisabled, DefaultHandlesAreNoOps)
 {
-    metrics::Counter c;
     metrics::Histogram h;
-    c.inc();
     h.observe(1.0);
-    EXPECT_DOUBLE_EQ(c.value(), 0.0);
     EXPECT_EQ(h.count(), 0u);
 }
 
@@ -307,7 +282,7 @@ httpExchange(net::LoopbackListener &listener,
 TEST(MetricsEndpoint, ServesPrometheusExposition)
 {
     metrics::MetricsRegistry reg;
-    reg.counter("quma_scraped_total", "help").inc(7);
+    reg.counterFn("quma_scraped_total", "help", {}, constant(7));
     auto listener = std::make_unique<net::LoopbackListener>();
     net::LoopbackListener *lp = listener.get();
     net::MetricsEndpoint endpoint(reg, std::move(listener));
@@ -361,7 +336,7 @@ TEST(MetricsEndpoint, NonGetIs400)
 TEST(MetricsEndpoint, ServesScrapesSerially)
 {
     metrics::MetricsRegistry reg;
-    reg.counter("quma_serial_total", "help").inc();
+    reg.counterFn("quma_serial_total", "help", {}, constant(1));
     auto listener = std::make_unique<net::LoopbackListener>();
     net::LoopbackListener *lp = listener.get();
     net::MetricsEndpoint endpoint(reg, std::move(listener));
@@ -398,7 +373,7 @@ TEST(MetricsEndpoint, NotFoundBodyAndLengthAreExact)
 TEST(MetricsEndpoint, HeadAnswersHeadersOnly)
 {
     metrics::MetricsRegistry reg;
-    reg.counter("quma_head_total", "help").inc(3);
+    reg.counterFn("quma_head_total", "help", {}, constant(3));
     auto listener = std::make_unique<net::LoopbackListener>();
     net::LoopbackListener *lp = listener.get();
     net::MetricsEndpoint endpoint(reg, std::move(listener));
@@ -509,49 +484,114 @@ sweepJob(std::uint64_t seed)
 
 } // namespace
 
+/** Sample lines of a scrape, keyed by name plus rendered labels. */
+std::map<std::string, double>
+samplesOf(const std::string &scrape)
+{
+    std::map<std::string, double> samples;
+    std::istringstream in(scrape);
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.empty() || line[0] == '#')
+            continue;
+        std::size_t space = line.rfind(' ');
+        samples[line.substr(0, space)] = std::stod(line.substr(space + 1));
+    }
+    return samples;
+}
+
 TEST(MetricsIntegration, ServiceFamiliesCoverAllLayers)
 {
+    // Paused with room for five tasks: two plain jobs, one to cancel
+    // and a 2-shard job fill the queue, so a trySubmit is rejected.
+    runtime::ExperimentService service(
+        {.workers = 2, .queueCapacity = 5, .startPaused = true});
     metrics::MetricsRegistry reg;
-    runtime::ExperimentService service({.workers = 2});
     service.bindMetrics(reg);
 
     std::vector<runtime::JobId> ids;
-    for (int i = 0; i < 4; ++i)
+    for (int i = 0; i < 2; ++i)
         ids.push_back(service.submit(sweepJob(0x5eed + i)));
+    const runtime::JobId axed = service.submit(sweepJob(0x5eed + 2));
+    runtime::JobSpec sharded = sweepJob(0x5eed + 3);
+    sharded.rounds = 16;
+    sharded.shards = 2;
+    ids.push_back(service.submit(sharded));
+    EXPECT_FALSE(service.trySubmit(sweepJob(0x5eed + 4)).has_value());
+    EXPECT_TRUE(service.cancel(axed));
+    service.start();
     for (runtime::JobId id : ids)
         EXPECT_FALSE(service.await(id).failed());
 
-    std::string out = reg.renderPrometheus();
-    // One family per layer proves the whole binding chain.
-    EXPECT_NE(out.find("quma_jobs_submitted_total 4\n"),
-              std::string::npos);
-    EXPECT_NE(out.find("quma_jobs_completed_total 4\n"),
-              std::string::npos);
-    EXPECT_NE(out.find("quma_pool_acquisitions_total"),
-              std::string::npos);
-    EXPECT_NE(out.find("quma_cache_program_hits_total"),
-              std::string::npos);
-    // Latency histogram: per-priority series with the le label, and
-    // the normal class saw all four completions.
+    const std::string out = reg.renderPrometheus();
+    // Latency histogram: per-priority series with the le label; the
+    // cancelled job never ran and records no latency.
     EXPECT_NE(out.find("quma_job_latency_seconds_count"
-                       "{priority=\"normal\"} 4\n"),
+                       "{priority=\"normal\"} 3\n"),
               std::string::npos);
     // Queue drained: depth gauge renders 0.
     EXPECT_NE(out.find("quma_queue_depth 0\n"), std::string::npos);
 
-    runtime::ServiceStats s = service.stats();
-    EXPECT_EQ(s.scheduler.completed, 4u);
-    EXPECT_EQ(s.cache.programHits + s.cache.programMisses, 4u);
-    EXPECT_GE(s.pool.acquisitions, 1u);
-}
-
-TEST(MetricsIntegration, DisabledRegistryBindsAsNoOps)
-{
-    metrics::MetricsRegistry reg(/*enabled=*/false);
-    runtime::ExperimentService service({.workers = 1});
-    service.bindMetrics(reg);
-    EXPECT_FALSE(service.await(service.submit(sweepJob(1))).failed());
-    EXPECT_EQ(reg.renderPrometheus(), "");
+    // Every counter is its Stats field, read at render time.
+    const runtime::ServiceStats s = service.stats();
+    EXPECT_EQ(s.scheduler.submitted, 4u);
+    EXPECT_EQ(s.scheduler.completed, 3u);
+    EXPECT_EQ(s.scheduler.rejected, 1u);
+    EXPECT_EQ(s.scheduler.cancelled, 1u);
+    EXPECT_EQ(s.scheduler.shardedJobs, 1u);
+    EXPECT_GE(s.cache.programHits + s.cache.programMisses, 3u);
+    const std::map<std::string, double> samples = samplesOf(out);
+    const std::pair<const char *, std::size_t> expected[] = {
+        {"quma_jobs_submitted_total", s.scheduler.submitted},
+        {"quma_jobs_completed_total", s.scheduler.completed},
+        {"quma_jobs_failed_total", s.scheduler.failed},
+        {"quma_jobs_cancelled_total", s.scheduler.cancelled},
+        {"quma_jobs_sharded_total", s.scheduler.shardedJobs},
+        {"quma_submit_rejected_total", s.scheduler.rejected},
+        {"quma_admission_soft_rejects_total",
+         s.scheduler.admissionSoftRejects},
+        {"quma_shards_executed_total", s.scheduler.shardsExecuted},
+        {"quma_shards_stolen_total", s.scheduler.shardsStolen},
+        {"quma_rounds_stolen_total", s.scheduler.roundsStolen},
+        {"quma_saturated_runs_total", s.scheduler.saturatedRuns},
+        {"quma_machine_cycles_visited_total",
+         s.scheduler.eventsDispatched},
+        {"quma_rounds_replayed_total", s.scheduler.roundsReplayed},
+        {"quma_pool_acquisitions_total", s.pool.acquisitions},
+        {"quma_pool_reuse_hits_total", s.pool.reuseHits},
+        {"quma_pool_machines_created_total", s.pool.machinesCreated},
+        {"quma_pool_rebinds_total", s.pool.rebinds},
+        {"quma_pool_machine_resets_total", s.pool.machineResets},
+        {"quma_pool_machines_idle", s.pool.idleMachines},
+        {"quma_pool_machines_leased", s.pool.leasedMachines},
+        {"quma_cache_program_hits_total", s.cache.programHits},
+        {"quma_cache_program_misses_total", s.cache.programMisses},
+        {"quma_cache_program_evictions_total", s.cache.programEvictions},
+        {"quma_cache_lut_hits_total", s.cache.lutHits},
+        {"quma_cache_lut_misses_total", s.cache.lutMisses},
+        {"quma_cache_lut_evictions_total", s.cache.lutEvictions},
+        {"quma_cache_tape_hits_total", s.cache.tapeHits},
+        {"quma_cache_tape_misses_total", s.cache.tapeMisses},
+        {"quma_cache_tape_rejections_total", s.cache.tapeRejections},
+    };
+    for (const auto &[name, value] : expected) {
+        ASSERT_EQ(samples.count(name), 1u) << name;
+        EXPECT_EQ(samples.at(name), static_cast<double>(value)) << name;
+    }
+    // The scrape has no jobs/pool/cache counter this table misses.
+    for (const auto &[name, value] : samples) {
+        (void)value;
+        const bool layered = name.rfind("quma_jobs_", 0) == 0 ||
+                             name.rfind("quma_pool_", 0) == 0 ||
+                             name.rfind("quma_cache_", 0) == 0;
+        if (!layered || name.find("_total") == std::string::npos)
+            continue;
+        EXPECT_TRUE(std::any_of(std::begin(expected), std::end(expected),
+                                [&](const auto &e) {
+                                    return name == e.first;
+                                }))
+            << name;
+    }
 }
 
 } // namespace

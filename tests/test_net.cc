@@ -18,12 +18,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <map>
 #include <mutex>
 #include <thread>
 
 #include "common/logging.hh"
+#include "common/metrics.hh"
 #include "experiments/allxy.hh"
 #include "experiments/coherence.hh"
 #include "net/client.hh"
@@ -1455,6 +1457,52 @@ TEST(Loopback, ProgressStreamsMonotonicallyBitIdenticalEverywhere)
                 << "shards=" << shards << " workers=" << workers;
         }
     }
+}
+
+/**
+ * The client's request counter reads its link meter (every request is
+ * one upload); its reply counter is kept apart because progress
+ * pushes are downloads too.
+ */
+TEST(Loopback, ClientMetricsCountRequestsAndRepliesButNotPushes)
+{
+    ServiceConfig sc;
+    sc.workers = 2;
+    sc.progressInterval = std::chrono::milliseconds(0);
+    ExperimentService service(sc);
+    auto listener = std::make_unique<LoopbackListener>();
+    LoopbackListener *accept_side = listener.get();
+    QumaServer server(service, std::move(listener));
+    metrics::MetricsRegistry registry;
+    QumaClient client(accept_side->connect());
+    client.bindMetrics(registry);
+
+    experiments::AllxyConfig cfg;
+    cfg.rounds = 32;
+    cfg.shards = 4;
+    std::vector<runtime::JobId> ids =
+        client.submitAll({experiments::allxyJob(cfg)});
+    std::atomic<std::size_t> pushes{0};
+    client.awaitMany(ids, [&](runtime::JobId, std::uint64_t,
+                              std::uint64_t) { ++pushes; });
+
+    const std::string text = registry.renderPrometheus();
+    auto sample = [&text](const std::string &name) {
+        const std::size_t at = text.find("\n" + name + " ");
+        EXPECT_NE(at, std::string::npos) << name;
+        return at == std::string::npos
+                   ? -1.0
+                   : std::stod(text.substr(at + name.size() + 2));
+    };
+    const double sent = sample("quma_client_requests_sent_total");
+    const double replies = sample("quma_client_replies_received_total");
+    const core::LinkStats link = client.linkStats();
+    EXPECT_GE(sent, 2.0); // the submit and the await
+    EXPECT_EQ(sent, static_cast<double>(link.uploads));
+    EXPECT_EQ(replies, sent); // one reply per request
+    ASSERT_GE(pushes.load(), 1u);
+    EXPECT_EQ(static_cast<double>(link.downloads),
+              replies + static_cast<double>(pushes.load()));
 }
 
 TEST(Loopback, DisconnectMidSweepLeavesOtherConnectionsStreaming)
