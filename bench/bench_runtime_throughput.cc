@@ -242,7 +242,7 @@ priorityLatencySection(std::size_t backlog, std::size_t rounds,
 enum class Observability
 {
     None,          // no registry bound, tracing off
-    LiveRegistry,  // bound: counters read at render, latency observed
+    LiveRegistry,  // bound: every series read from Stats at render
     LiveWithTrace, // bound, plus the lifecycle trace recorder
 };
 
@@ -250,8 +250,8 @@ double
 observedBatchRate(const std::vector<runtime::JobSpec> &batch,
                   unsigned workers, Observability mode)
 {
-    // The registry must outlive the service: its callbacks capture
-    // component pointers and are evaluated at render time.
+    // Its callbacks read the service's Stats at render time; nothing
+    // renders here, so this measures what binding costs the hot path.
     metrics::MetricsRegistry registry;
 
     runtime::ServiceConfig sc;
@@ -312,9 +312,9 @@ metricsOverheadSection(std::size_t jobs, std::size_t rounds,
     }
     bench::rule();
     std::printf(
-        "counters are read at render time and a latency observation\n"
-        "is a few relaxed atomics per job: all variants should sit\n"
-        "within run-to-run noise of the plain rate.\n");
+        "every series is read from Stats at render time and each job\n"
+        "records its latency whether bound or not: all variants should\n"
+        "sit within run-to-run noise of the plain rate.\n");
 }
 
 } // namespace

@@ -1,7 +1,6 @@
 #include "common/metrics.hh"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -10,58 +9,38 @@
 
 namespace quma::metrics {
 
-namespace detail {
-
 void
-AtomicDouble::add(double v)
+LatencyHistogram::observe(double seconds)
 {
-    std::uint64_t old = bits.load(std::memory_order_relaxed);
-    for (;;) {
-        double next = std::bit_cast<double>(old) + v;
-        if (bits.compare_exchange_weak(old,
-                                       std::bit_cast<std::uint64_t>(next),
-                                       std::memory_order_relaxed))
-            return;
-    }
-}
-
-double
-AtomicDouble::get() const
-{
-    return std::bit_cast<double>(bits.load(std::memory_order_relaxed));
-}
-
-HistogramCell::HistogramCell(std::vector<double> upper_bounds)
-    : bucketCounts(upper_bounds.size() + 1),
-      bounds(std::move(upper_bounds))
-{
-}
-
-void
-HistogramCell::observe(double v)
-{
-    // First bucket whose upper bound admits v; the extra final slot
-    // is the +Inf overflow. Bounds are few and sorted -- a linear
-    // scan beats binary search at these sizes and stays branch-
-    // predictable for clustered observations.
+    // First bucket whose upper bound admits the value; the final
+    // slot is the +Inf overflow. The bounds are few and sorted -- a
+    // linear scan beats binary search at this size.
     std::size_t i = 0;
-    while (i < bounds.size() && v > bounds[i])
+    while (i < kLatencyBoundsSeconds.size() &&
+           seconds > kLatencyBoundsSeconds[i])
         ++i;
-    bucketCounts[i].fetch_add(1, std::memory_order_relaxed);
-    sum.add(v);
-    observations.fetch_add(1, std::memory_order_relaxed);
+    ++buckets[i];
+    sum += seconds;
+    max = std::max(max, seconds);
 }
 
-} // namespace detail
-
-std::vector<double>
-latencyBucketsSeconds()
+std::uint64_t
+LatencyHistogram::count() const
 {
-    return {0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
-            0.1,   0.25,   0.5,   1.0,  2.5,   5.0, 10.0};
+    std::uint64_t n = 0;
+    for (std::uint64_t b : buckets)
+        n += b;
+    return n;
 }
 
-MetricsRegistry::~MetricsRegistry() = default;
+void
+LatencyHistogram::merge(const LatencyHistogram &other)
+{
+    for (std::size_t i = 0; i < buckets.size(); ++i)
+        buckets[i] += other.buckets[i];
+    sum += other.sum;
+    max = std::max(max, other.max);
+}
 
 bool
 MetricsRegistry::validMetricName(const std::string &name)
@@ -214,38 +193,6 @@ MetricsRegistry::familyLocked(const std::string &name,
     return f;
 }
 
-Histogram
-MetricsRegistry::histogram(const std::string &name,
-                           const std::string &help,
-                           const std::vector<double> &upper_bounds,
-                           const Labels &labels)
-{
-    Histogram handle;
-    for (std::size_t i = 0; i < upper_bounds.size(); ++i) {
-        if (!std::isfinite(upper_bounds[i]))
-            fatal("histogram '", name,
-                  "': bucket bounds must be finite (+Inf is implicit)");
-        if (i > 0 && upper_bounds[i] <= upper_bounds[i - 1])
-            fatal("histogram '", name,
-                  "': bucket bounds must be strictly increasing");
-    }
-    std::lock_guard<std::mutex> lock(mu);
-    Family &f = familyLocked(name, help, Kind::Histogram, labels);
-    if (f.series.empty())
-        f.buckets = upper_bounds;
-    else if (f.buckets != upper_bounds)
-        fatal("histogram '", name,
-              "': every series must share the family's bucket bounds");
-    Series &s = f.series[labelKey(labels)];
-    if (!s.histogram) {
-        s.labels = labels;
-        s.histogram =
-            std::make_unique<detail::HistogramCell>(upper_bounds);
-    }
-    handle.cell = s.histogram.get();
-    return handle;
-}
-
 void
 MetricsRegistry::gaugeFn(const std::string &name,
                          const std::string &help, const Labels &labels,
@@ -273,6 +220,21 @@ MetricsRegistry::counterFn(const std::string &name,
     Series &s = f.series[labelKey(labels)];
     s.labels = labels;
     s.fn = std::move(fn);
+}
+
+void
+MetricsRegistry::histogramFn(const std::string &name,
+                             const std::string &help,
+                             const Labels &labels,
+                             std::function<LatencyHistogram()> fn)
+{
+    if (!fn)
+        fatal("metric '", name, "': callback series needs a callable");
+    std::lock_guard<std::mutex> lock(mu);
+    Family &f = familyLocked(name, help, Kind::Histogram, labels);
+    Series &s = f.series[labelKey(labels)];
+    s.labels = labels;
+    s.readHistogram = std::move(fn);
 }
 
 std::string
@@ -328,37 +290,32 @@ MetricsRegistry::renderPrometheus() const
         out += '\n';
 
         for (const auto &[key, series] : family.series) {
-            // Counters and gauges are callbacks; the rest are
-            // histogram cells.
-            if (series.fn) {
+            if (family.kind != Kind::Histogram) {
                 sampleLine(name, key, series.fn());
                 continue;
             }
-            const detail::HistogramCell &h = *series.histogram;
-            std::uint64_t cumulative = 0;
-            for (std::size_t i = 0; i < h.bounds.size(); ++i) {
-                cumulative += h.bucketCounts[i].load(
-                    std::memory_order_relaxed);
+            const LatencyHistogram h = series.readHistogram();
+            auto bucketLine = [&](const std::string &le,
+                                  std::uint64_t cumulative) {
                 std::string bucketLabels = key;
                 if (!bucketLabels.empty())
                     bucketLabels += ',';
-                bucketLabels +=
-                    "le=\"" + formatValue(h.bounds[i]) + '"';
+                bucketLabels += "le=\"" + le + '"';
                 sampleLine(name + "_bucket", bucketLabels,
                            static_cast<double>(cumulative));
+            };
+            std::uint64_t cumulative = 0;
+            for (std::size_t i = 0; i < kLatencyBoundsSeconds.size();
+                 ++i) {
+                cumulative += h.buckets[i];
+                bucketLine(formatValue(kLatencyBoundsSeconds[i]),
+                           cumulative);
             }
-            cumulative += h.bucketCounts[h.bounds.size()].load(
-                std::memory_order_relaxed);
-            std::string infLabels = key;
-            if (!infLabels.empty())
-                infLabels += ',';
-            infLabels += "le=\"+Inf\"";
-            sampleLine(name + "_bucket", infLabels,
-                       static_cast<double>(cumulative));
-            sampleLine(name + "_sum", key, h.sum.get());
-            // _count from the SAME accumulation as the +Inf
-            // bucket: the two must be equal in every scrape,
-            // even one racing live observations.
+            cumulative += h.buckets.back();
+            bucketLine("+Inf", cumulative);
+            sampleLine(name + "_sum", key, h.sum);
+            // _count is the +Inf bucket's own accumulation over one
+            // copy of the histogram: the two match in every scrape.
             sampleLine(name + "_count", key,
                        static_cast<double>(cumulative));
         }

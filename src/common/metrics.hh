@@ -15,20 +15,17 @@
  *    latency), rendered with the cumulative
  *    `_bucket{le=...}` / `_sum` / `_count` triple Prometheus expects.
  *
- * COUNTERS AND GAUGES ARE READ, NOT PUSHED. Every counter and gauge
- * is a callback series (counterFn / gaugeFn) evaluated at render
- * time. Each component already keeps its counts in its own Stats
- * struct under its own lock; its bindMetrics() registers callbacks
- * that read those fields, so the Stats field is the only record of a
- * count and a scrape always equals stats(). An unbound component
- * costs nothing. A callback must be thread-safe and must not call
- * back into this registry (it runs under the registry mutex).
- *
- * HISTOGRAMS are the one pushed kind: a distribution has no Stats
- * field to read. histogram() returns a HANDLE, a plain pointer into
- * a registry-owned cell; observe() is a handful of relaxed atomic
- * ops -- no lock, no allocation -- and a default-constructed handle
- * is a no-op.
+ * EVERY SERIES IS READ, NOT PUSHED. Each series is a callback
+ * (counterFn / gaugeFn / histogramFn) evaluated at render time. Each
+ * component already keeps its counts and latency distributions in
+ * its own Stats struct under its own lock; its bindMetrics()
+ * registers callbacks that read those fields, so the Stats field is
+ * the only record of a count or a distribution and a scrape always
+ * equals stats(). An unbound component costs nothing, and no
+ * component holds a pointer into a registry: the one lifetime rule
+ * is that a bound component outlives the registry's last render. A
+ * callback must be thread-safe and must not call back into this
+ * registry (it runs under the registry mutex).
  *
  * RENDERING. renderPrometheus() emits text exposition format v0.0.4:
  * families sorted by name, series sorted by label values, label
@@ -45,11 +42,10 @@
 #ifndef QUMA_COMMON_METRICS_HH
 #define QUMA_COMMON_METRICS_HH
 
-#include <atomic>
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -60,89 +56,46 @@ namespace quma::metrics {
 /** Label set of one series: (name, value) pairs. */
 using Labels = std::vector<std::pair<std::string, std::string>>;
 
-namespace detail {
+/**
+ * Upper bounds (seconds) of the finite latency buckets: 1 ms to 10 s,
+ * roughly 1-2.5-5 per decade (the Prometheus convention). Every
+ * latency histogram shares them.
+ */
+inline constexpr std::array<double, 13> kLatencyBoundsSeconds = {
+    0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
+    0.25,  0.5,    1.0,   2.5,  5.0,   10.0};
 
 /**
- * Lock-free double accumulator: C++20 guarantees atomic<double>, but
- * fetch_add on floating atomics is patchily available, so add() is a
- * CAS loop on the bit pattern (one iteration in the uncontended
- * case). Relaxed ordering throughout: metrics are statistical, a
- * scrape needs no synchronizes-with edge with the instrumented code.
+ * Fixed-bucket latency distribution: a plain value that its owner
+ * observes under the lock that already guards its Stats, and that
+ * copies, merges and travels on the wire as it is. No atomics, no
+ * allocation.
  */
-struct AtomicDouble
+struct LatencyHistogram
 {
-    std::atomic<std::uint64_t> bits{0};
+    /** Per-bucket NON-cumulative counts (render accumulates); the
+     *  last slot is the +Inf overflow bucket. */
+    std::array<std::uint64_t, kLatencyBoundsSeconds.size() + 1>
+        buckets{};
+    double sum = 0.0;
+    double max = 0.0;
 
-    void add(double v);
-    double get() const;
+    void observe(double seconds);
+    /** Observations recorded (the bucket total). */
+    std::uint64_t count() const;
+    /** Fold `other` in: the result is as if this histogram had
+     *  observed both streams. */
+    void merge(const LatencyHistogram &other);
+    bool operator==(const LatencyHistogram &) const = default;
 };
-
-struct HistogramCell
-{
-    /** Per-bucket NON-cumulative counts (render accumulates);
-     *  one extra slot at the end is the +Inf overflow bucket. */
-    std::vector<std::atomic<std::uint64_t>> bucketCounts;
-    AtomicDouble sum;
-    std::atomic<std::uint64_t> observations{0};
-    /** Upper bounds, strictly increasing, +Inf excluded. */
-    std::vector<double> bounds;
-
-    explicit HistogramCell(std::vector<double> upper_bounds);
-    void observe(double v);
-};
-
-} // namespace detail
-
-/** Fixed-bucket distribution handle (no-op when default-constructed). */
-class Histogram
-{
-  public:
-    void
-    observe(double v)
-    {
-        if (cell)
-            cell->observe(v);
-    }
-    std::uint64_t
-    count() const
-    {
-        return cell ? cell->observations.load(std::memory_order_relaxed)
-                    : 0;
-    }
-
-  private:
-    friend class MetricsRegistry;
-    detail::HistogramCell *cell = nullptr;
-};
-
-/**
- * Default histogram buckets for latencies in seconds: 1 ms to 10 s,
- * roughly 1-2.5-5 per decade (the Prometheus convention).
- */
-std::vector<double> latencyBucketsSeconds();
 
 class MetricsRegistry
 {
   public:
     MetricsRegistry() = default;
-    ~MetricsRegistry();
 
     MetricsRegistry(const MetricsRegistry &) = delete;
     MetricsRegistry &operator=(const MetricsRegistry &) = delete;
-
-    /**
-     * Register (or re-fetch) the histogram series `name`+`labels`.
-     * Re-registering an identical series returns a handle to the
-     * SAME cell; registering `name` with a different type or a
-     * different label-name set fatal()s (as for every kind).
-     * @param upper_bounds strictly increasing finite bucket bounds
-     *        (+Inf is implicit and always appended). Every series of
-     *        one family must use the same bounds.
-     */
-    Histogram histogram(const std::string &name,
-                        const std::string &help,
-                        const std::vector<double> &upper_bounds,
-                        const Labels &labels = {});
 
     /**
      * Callback series: `fn` is evaluated at every render, under the
@@ -153,6 +106,10 @@ class MetricsRegistry
                  const Labels &labels, std::function<double()> fn);
     void counterFn(const std::string &name, const std::string &help,
                    const Labels &labels, std::function<double()> fn);
+    /** Rendered with the kLatencyBoundsSeconds `le` buckets. */
+    void histogramFn(const std::string &name, const std::string &help,
+                     const Labels &labels,
+                     std::function<LatencyHistogram()> fn);
 
     /** Text exposition format v0.0.4. */
     std::string renderPrometheus() const;
@@ -173,10 +130,10 @@ class MetricsRegistry
     struct Series
     {
         Labels labels;
-        /** Set for histogram series only. */
-        std::unique_ptr<detail::HistogramCell> histogram;
         /** Set for counter and gauge series only. */
         std::function<double()> fn;
+        /** Set for histogram series only. */
+        std::function<LatencyHistogram()> readHistogram;
     };
 
     struct Family
@@ -185,8 +142,6 @@ class MetricsRegistry
         Kind kind = Kind::Counter;
         /** Label names every series of this family must carry. */
         std::vector<std::string> labelNames;
-        /** Histogram bucket bounds shared by the family. */
-        std::vector<double> buckets;
         /** Keyed by the rendered label string: deterministic order
          *  and duplicate detection in one structure. */
         std::map<std::string, Series> series;

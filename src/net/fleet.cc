@@ -51,10 +51,11 @@ failedResult(std::string why)
 }
 
 /**
- * Fold one backend's stats into the fleet view: counters and
- * capacities SUM (fleet totals), load signals and percentiles MAX
- * (the fleet is as saturated as its worst member -- summing EWMAs
- * would manufacture load no backend reports).
+ * Fold one backend's stats into the fleet view: counters, capacities
+ * and latency histograms SUM (fleet totals; the merged histogram is
+ * the fleet's exact distribution), load signals MAX (the fleet is as
+ * saturated as its worst member -- summing EWMAs would manufacture
+ * load no backend reports).
  */
 void
 mergeStats(runtime::ServiceStats &acc, const runtime::ServiceStats &s)
@@ -79,12 +80,8 @@ mergeStats(runtime::ServiceStats &acc, const runtime::ServiceStats &s)
     a.progressNotifications += x.progressNotifications;
     a.machineSaturation =
         std::max(a.machineSaturation, x.machineSaturation);
-    for (std::size_t i = 0; i < a.latency.size(); ++i) {
-        a.latency[i].count += x.latency[i].count;
-        a.latency[i].p50 = std::max(a.latency[i].p50, x.latency[i].p50);
-        a.latency[i].p95 = std::max(a.latency[i].p95, x.latency[i].p95);
-        a.latency[i].max = std::max(a.latency[i].max, x.latency[i].max);
-    }
+    for (std::size_t i = 0; i < a.latency.size(); ++i)
+        a.latency[i].merge(x.latency[i]);
     auto &ap = acc.pool;
     const auto &xp = s.pool;
     ap.machinesCreated += xp.machinesCreated;

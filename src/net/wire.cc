@@ -495,24 +495,23 @@ decodeJobResult(Reader &r)
 namespace {
 
 void
-encodeLatencyDigest(Writer &w,
-                    const runtime::JobScheduler::LatencyDigest &d)
+encodeLatencyHistogram(Writer &w, const metrics::LatencyHistogram &h)
 {
-    w.u64(d.count);
-    w.f64(d.p50);
-    w.f64(d.p95);
-    w.f64(d.max);
+    for (std::uint64_t bucket : h.buckets)
+        w.u64(bucket);
+    w.f64(h.sum);
+    w.f64(h.max);
 }
 
-runtime::JobScheduler::LatencyDigest
-decodeLatencyDigest(Reader &r)
+metrics::LatencyHistogram
+decodeLatencyHistogram(Reader &r)
 {
-    runtime::JobScheduler::LatencyDigest d;
-    d.count = static_cast<std::size_t>(r.u64());
-    d.p50 = r.f64();
-    d.p95 = r.f64();
-    d.max = r.f64();
-    return d;
+    metrics::LatencyHistogram h;
+    for (std::uint64_t &bucket : h.buckets)
+        bucket = r.u64();
+    h.sum = r.f64();
+    h.max = r.f64();
+    return h;
 }
 
 } // namespace
@@ -527,15 +526,13 @@ encodeStatsFrame(Writer &w, const StatsFrame &stats)
     w.u64(s.failed);
     w.u64(s.cancelled);
     w.u64(s.queueHighWater);
-    w.u64(0); // reserved slot (see StatsFrame)
     w.u64(s.shardedJobs);
     w.u64(s.shardsExecuted);
     w.u64(s.saturatedRuns);
     w.u64(s.admissionSoftRejects);
     w.f64(s.machineSaturation);
-    w.f64(0.0); // reserved slot
-    for (const auto &d : s.latency)
-        encodeLatencyDigest(w, d);
+    for (const auto &h : s.latency)
+        encodeLatencyHistogram(w, h);
 
     const auto &p = stats.pool;
     w.u64(p.machinesCreated);
@@ -568,15 +565,13 @@ decodeStatsFrame(Reader &r)
     s.failed = static_cast<std::size_t>(r.u64());
     s.cancelled = static_cast<std::size_t>(r.u64());
     s.queueHighWater = static_cast<std::size_t>(r.u64());
-    r.u64(); // reserved slot
     s.shardedJobs = static_cast<std::size_t>(r.u64());
     s.shardsExecuted = static_cast<std::size_t>(r.u64());
     s.saturatedRuns = static_cast<std::size_t>(r.u64());
     s.admissionSoftRejects = static_cast<std::size_t>(r.u64());
     s.machineSaturation = r.f64();
-    r.f64(); // reserved slot
-    for (auto &d : s.latency)
-        d = decodeLatencyDigest(r);
+    for (auto &h : s.latency)
+        h = decodeLatencyHistogram(r);
 
     auto &p = stats.pool;
     p.machinesCreated = static_cast<std::size_t>(r.u64());

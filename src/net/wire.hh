@@ -95,10 +95,14 @@ inline constexpr std::uint32_t kWireMagic = 0x414D7551u;
  * v4: Submit/TrySubmit payloads append a trace context
  *     (traceId + spanId), new ClockSync and TraceDump exchanges,
  *     and server-pushed ProgressFrames on awaited jobs (header
- *     layout unchanged from v2). A server speaks v4 only: any other
- *     version gets a VersionMismatch error frame and a close.
+ *     layout unchanged from v2).
+ * v5: StatsFrame carries each priority class's latency histogram in
+ *     place of the p50/p95 digest and drops the two v4 reserved
+ *     scheduler slots (header layout unchanged from v2). A server
+ *     speaks v5 only: any other version gets a VersionMismatch error
+ *     frame and a close.
  */
-inline constexpr std::uint16_t kWireVersion = 4;
+inline constexpr std::uint16_t kWireVersion = 5;
 /** Hard per-frame payload cap; larger lengths are rejected. */
 inline constexpr std::uint32_t kMaxPayloadBytes = 64u << 20;
 /** Serialized frame header size in bytes (v2+: requestId included). */
@@ -315,12 +319,11 @@ struct ErrorFrame
 };
 
 /**
- * Stats reply payload: the serving backend's runtime::stats(). Two
- * v4 slots are reserved until the next wire bump: the scheduler's
- * u64 after queueHighWater and f64 after machineSaturation (once the
- * lease-batched count and the pool-wait EWMA) are written as 0 and
- * skipped on decode. The pool slot that carried evictions carries
- * PoolStats::rebinds.
+ * Stats reply payload: the serving backend's runtime::stats(). Each
+ * priority class's latency travels as its whole LatencyHistogram
+ * (14 u64 buckets, then sum and max as f64), so a fleet can merge
+ * backends' distributions exactly. The pool slot that carried
+ * evictions carries PoolStats::rebinds.
  */
 using StatsFrame = runtime::ServiceStats;
 

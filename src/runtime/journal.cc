@@ -59,6 +59,14 @@ constexpr std::size_t kRecordHeaderBytes = 8;
  *  payload limit, so anything claiming more is damage, not data. */
 constexpr std::uint32_t kMaxRecordBytes = 64u << 20;
 
+double
+secondsSince(std::chrono::steady_clock::time_point t0)
+{
+    return std::chrono::duration<double>(
+               std::chrono::steady_clock::now() - t0)
+        .count();
+}
+
 } // namespace
 
 std::uint32_t
@@ -437,9 +445,13 @@ JobJournal::sync()
     // write()s landed; sync() promises durability, so fsync here.
     // Done under mu: it serializes against close()'s ::close(fd),
     // and sync() is a shutdown/test path, never a hot one.
-    if (!closed && fd >= 0 && cfg.fsync == FsyncPolicy::None &&
-        ::fsync(fd) == 0)
+    if (closed || fd < 0 || cfg.fsync != FsyncPolicy::None)
+        return;
+    const auto t0 = std::chrono::steady_clock::now();
+    if (::fsync(fd) == 0) {
         counters.fsyncs += 1;
+        counters.fsyncSeconds.observe(secondsSince(t0));
+    }
 }
 
 void
@@ -504,11 +516,10 @@ JobJournal::bindMetrics(metrics::MetricsRegistry &registry)
                          std::lock_guard<std::mutex> lock(mu);
                          return static_cast<double>(pending.size());
                      });
-    fsyncLatency = registry.histogram(
-        "quma_journal_fsync_seconds",
-        "Journal fsync() latency (the durability gate of "
-        "FsyncPolicy::Always submissions).",
-        metrics::latencyBucketsSeconds());
+    registry.histogramFn("quma_journal_fsync_seconds",
+                         "Journal fsync() latency (the durability gate "
+                         "of FsyncPolicy::Always submissions).",
+                         {}, [this] { return stats().fsyncSeconds; });
 }
 
 void
@@ -559,16 +570,14 @@ JobJournal::writerLoop()
             !io_error &&
             (cfg.fsync != FsyncPolicy::None || someone_waiting);
         bool did_fsync = false;
+        double fsync_seconds = 0.0;
         if (want_fsync) {
             const auto t0 = std::chrono::steady_clock::now();
             if (::fsync(fd) == 0)
                 did_fsync = true;
             else
                 io_error = true;
-            fsyncLatency.observe(
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count());
+            fsync_seconds = secondsSince(t0);
         }
 
         {
@@ -578,8 +587,10 @@ JobJournal::writerLoop()
                 warn("journal: append failed on '" + cfg.path +
                              "': " + std::strerror(errno));
             }
-            if (did_fsync)
+            if (did_fsync) {
                 counters.fsyncs += 1;
+                counters.fsyncSeconds.observe(fsync_seconds);
+            }
             // Advance even on error: a wedged disk must not deadlock
             // submission (the error is counted and logged instead).
             durableSeq = batch_end;

@@ -148,6 +148,8 @@ struct JournalStats
     std::size_t fsyncs = 0;
     /** write()/fsync() failures (the journal keeps serving). */
     std::size_t appendErrors = 0;
+    /** Latency of the successful fsyncs (count() == fsyncs). */
+    metrics::LatencyHistogram fsyncSeconds;
 };
 
 /** One submitted-but-never-completed job found by recovery. */
@@ -312,10 +314,6 @@ class JobJournal
     std::uint64_t durableSeq = 0;
     bool closed = false;
     JournalStats counters;
-    /** Bound by bindMetrics (quma_journal_fsync_seconds); the
-     *  default-constructed histogram is a no-op, so the writer can
-     *  observe unconditionally. */
-    metrics::Histogram fsyncLatency;
     std::thread writer;
 };
 

@@ -12,8 +12,8 @@ namespace quma::runtime {
 
 namespace {
 
-/** Completions per priority class kept for percentile estimation. */
-constexpr std::size_t kLatencySampleWindow = 512;
+/** EWMA smoothing of the per-run saturation samples. */
+constexpr double kSaturationAlpha = 0.25;
 /** Saturation EWMA above this tightens trySubmit's bound. */
 constexpr double kSaturationThreshold = 0.5;
 /** trySubmit's bound while congested, as a queueCapacity fraction
@@ -433,7 +433,7 @@ JobScheduler::cancel(JobId id)
     JobResult r;
     r.error = kCancelledJobError;
     // A cancelled job never ran: recording its queue-residence as a
-    // "latency" would drag the digests toward zero.
+    // "latency" would drag the histograms toward zero.
     finishLocked(id, std::move(r), /*record_latency=*/false);
     lock.unlock();
     cvSpace.notify_all();
@@ -444,8 +444,8 @@ JobScheduler::cancel(JobId id)
 void
 JobScheduler::bindMetrics(metrics::MetricsRegistry &registry)
 {
-    // Each counter reads its Stats or PoolStats field under mu at
-    // render time (not stats(), which sorts the latency windows).
+    // Each series reads its Stats or PoolStats field under mu at
+    // render time (not stats(), which copies every field).
     auto stat = [this](std::size_t Stats::*field) {
         return [this, field] {
             std::lock_guard<std::mutex> lock(mu);
@@ -525,12 +525,14 @@ JobScheduler::bindMetrics(metrics::MetricsRegistry &registry)
             poolStat(&PoolStats::machineResets));
     static constexpr const char *kClassNames[3] = {"batch", "normal",
                                                    "high"};
-    for (std::size_t cls = 0; cls < latencyHistogram.size(); ++cls)
-        latencyHistogram[cls] = registry.histogram(
-            "quma_job_latency_seconds",
-            "Submit->finish latency by priority class.",
-            metrics::latencyBucketsSeconds(),
-            {{"priority", kClassNames[cls]}});
+    for (std::size_t cls = 0; cls < counters.latency.size(); ++cls)
+        registry.histogramFn("quma_job_latency_seconds",
+                             "Submit->finish latency by priority class.",
+                             {{"priority", kClassNames[cls]}},
+                             [this, cls] {
+                                 std::lock_guard<std::mutex> lock(mu);
+                                 return counters.latency[cls];
+                             });
 
     registry.gaugeFn("quma_queue_depth",
                      "Tasks currently queued (sharded jobs hold one "
@@ -580,8 +582,6 @@ JobScheduler::stats() const
     std::lock_guard<std::mutex> lock(mu);
     Stats s = counters;
     s.machineSaturation = saturationEwma;
-    for (std::size_t cls = 0; cls < s.latency.size(); ++cls)
-        s.latency[cls] = latencyDigestLocked(cls);
     return s;
 }
 
@@ -627,8 +627,8 @@ JobScheduler::noteSaturationLocked(bool saturated)
 {
     if (saturated)
         ++counters.saturatedRuns;
-    saturationEwma = (1.0 - cfg.saturationAlpha) * saturationEwma +
-                     cfg.saturationAlpha * (saturated ? 1.0 : 0.0);
+    saturationEwma = (1.0 - kSaturationAlpha) * saturationEwma +
+                     kSaturationAlpha * (saturated ? 1.0 : 0.0);
 }
 
 void
@@ -638,42 +638,8 @@ JobScheduler::noteLatencyLocked(const Entry &entry)
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       entry.submittedAt)
             .count();
-    auto cls = static_cast<std::size_t>(entry.priority);
-    latencyHistogram[cls].observe(seconds);
-    ++latencyCount[cls];
-    latencyMax[cls] = std::max(latencyMax[cls], seconds);
-    std::vector<double> &window = latencyWindow[cls];
-    if (window.size() < kLatencySampleWindow) {
-        window.push_back(seconds);
-    } else {
-        window[latencyWindowNext[cls]] = seconds;
-        latencyWindowNext[cls] =
-            (latencyWindowNext[cls] + 1) % kLatencySampleWindow;
-    }
-}
-
-JobScheduler::LatencyDigest
-JobScheduler::latencyDigestLocked(std::size_t cls) const
-{
-    LatencyDigest d;
-    d.count = latencyCount[cls];
-    d.max = latencyMax[cls];
-    if (latencyWindow[cls].empty())
-        return d;
-    // Nearest-rank percentiles over a copy of the sliding window
-    // (stats() is a diagnostic path; the window is small).
-    std::vector<double> w = latencyWindow[cls];
-    auto rank = [&w](double q) {
-        auto idx = static_cast<std::size_t>(
-            q * static_cast<double>(w.size() - 1) + 0.5);
-        std::nth_element(w.begin(),
-                         w.begin() + static_cast<std::ptrdiff_t>(idx),
-                         w.end());
-        return w[idx];
-    };
-    d.p50 = rank(0.50);
-    d.p95 = rank(0.95);
-    return d;
+    counters.latency[static_cast<std::size_t>(entry.priority)].observe(
+        seconds);
 }
 
 long

@@ -156,8 +156,6 @@ struct SchedulerConfig
      * tie with fresh High work.
      */
     std::size_t agingQuantum = 64;
-    /** EWMA smoothing of the per-run saturation samples. */
-    double saturationAlpha = 0.25;
     /**
      * Completions remembered by finishedIds(), newest-N ring. Bounds
      * the completion-order observable separately from result
@@ -191,19 +189,6 @@ struct SchedulerConfig
 class JobScheduler
 {
   public:
-    /**
-     * Submit-to-finish latency summary of one priority class, over a
-     * sliding window of the most recent completions (percentiles) and
-     * the whole scheduler lifetime (count, max). All in seconds.
-     */
-    struct LatencyDigest
-    {
-        std::size_t count = 0;
-        double p50 = 0.0;
-        double p95 = 0.0;
-        double max = 0.0;
-    };
-
     struct Stats
     {
         std::size_t submitted = 0;
@@ -237,9 +222,10 @@ class JobScheduler
         std::size_t progressNotifications = 0;
         /** Saturation EWMA at the time of the snapshot. */
         double machineSaturation = 0.0;
-        /** Submit->finish latency per priority class, indexed by
-         *  the JobPriority value (Batch, Normal, High). */
-        std::array<LatencyDigest, 3> latency{};
+        /** Lifetime submit->finish latency per priority class,
+         *  indexed by the JobPriority value (Batch, Normal, High).
+         *  Cancelled jobs never ran and record none. */
+        std::array<metrics::LatencyHistogram, 3> latency{};
     };
 
     JobScheduler(SchedulerConfig config, ProgramCache &cache);
@@ -354,12 +340,11 @@ class JobScheduler
      * counters (quma_pool_*), point-in-time gauges (queue depth,
      * in-flight, effective capacity, saturation EWMA) and the
      * per-priority submit->finish latency histogram
-     * quma_job_latency_seconds. Counters and gauges are callback
-     * series that read the Stats/PoolStats fields under the
-     * scheduler mutex at scrape time, so they are lifetime totals
-     * equal to stats() however late the bind; only the histogram is
-     * observed on the completion path. The scheduler must outlive
-     * the registry's last render. Idempotent.
+     * quma_job_latency_seconds. Every series is a callback that
+     * reads the Stats/PoolStats fields under the scheduler mutex at
+     * scrape time, so each is a lifetime total equal to stats()
+     * however late the bind. The scheduler must outlive the
+     * registry's last render. Idempotent.
      */
     void bindMetrics(metrics::MetricsRegistry &registry);
 
@@ -516,7 +501,7 @@ class JobScheduler
     void noteRunLocked(const RunSample &sample);
     JobId enqueueLocked(JobSpec &&spec);
     /** record_latency = false for jobs that never executed
-     *  (cancellations must not pollute the latency digests). */
+     *  (cancellations must not pollute the latency histograms). */
     void finishLocked(JobId id, JobResult &&result,
                       bool record_latency = true);
     void deliverShardLocked(JobId id, std::uint32_t shard,
@@ -527,7 +512,6 @@ class JobScheduler
     long effectivePriorityLocked(const Entry &entry) const;
     void noteSaturationLocked(bool saturated);
     void noteLatencyLocked(const Entry &entry);
-    LatencyDigest latencyDigestLocked(std::size_t cls) const;
     std::size_t effectiveCapacityLocked() const;
 
     /** tracer->record guarded by the null check at every site. */
@@ -541,9 +525,6 @@ class JobScheduler
     const SchedulerConfig cfg;
     ProgramCache &cache;
     JobTraceRecorder *const tracer;
-    /** Submit->finish latency, one series per priority class; no-ops
-     *  until bindMetrics(). */
-    std::array<metrics::Histogram, 3> latencyHistogram;
 
     mutable std::mutex mu;
     std::condition_variable cvWork;
@@ -568,11 +549,6 @@ class JobScheduler
     PoolStats pool;
     /** EWMA of machine queue saturation over recent runs. */
     double saturationEwma = 0.0;
-    /** Sliding windows of submit->finish latencies per class. */
-    std::array<std::vector<double>, 3> latencyWindow;
-    std::array<std::size_t, 3> latencyWindowNext{};
-    std::array<std::size_t, 3> latencyCount{};
-    std::array<double, 3> latencyMax{};
     /** Completion subscriptions still waiting for their job. */
     std::unordered_map<JobId, std::vector<CompletionCallback>>
         subscriptions;

@@ -70,7 +70,6 @@ schedulerConfigOf(const ServiceConfig &cfg, JobTraceRecorder *trace)
     sc.startPaused = cfg.startPaused;
     sc.maxRetainedResults = cfg.maxRetainedResults;
     sc.agingQuantum = cfg.agingQuantum;
-    sc.saturationAlpha = cfg.saturationAlpha;
     sc.minStealRounds = cfg.minStealRounds;
     sc.progressInterval = cfg.progressInterval;
     sc.finishedHistoryLimit = cfg.finishedHistoryLimit;

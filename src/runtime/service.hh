@@ -37,9 +37,6 @@ struct ServiceConfig
     /** Priority aging: one class step per this many newer
      *  submissions (0 = pure class order, no aging). */
     std::size_t agingQuantum = 64;
-    /** Smoothing of the machine-saturation EWMA that drives
-     *  trySubmit's admission control (see SchedulerConfig). */
-    double saturationAlpha = 0.25;
     /** Work-stealing victim floor (see SchedulerConfig). */
     std::size_t minStealRounds = 4;
     /** Per-job progress-notification rate limit (see

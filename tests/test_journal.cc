@@ -891,17 +891,114 @@ TEST(ServiceJournal, RecoveredJobsAreCountedInTheScrape)
         svc.submit(matrixJob(1, 32));
         svc.journal()->sync();
     }
-    // Declared first: the journal's fsync histogram handle points
-    // into the registry, so the registry must outlive the service.
-    metrics::MetricsRegistry registry;
     ExperimentService svc(sc);
     ASSERT_EQ(svc.recoveredIds().size(), 2u);
+    metrics::MetricsRegistry registry;
     svc.bindMetrics(registry);
     const std::string text = registry.renderPrometheus();
     EXPECT_EQ(svc.stats().scheduler.submitted, 2u);
     EXPECT_NE(text.find("\nquma_jobs_submitted_total 2\n"),
               std::string::npos)
         << text;
+    std::remove(path.c_str());
+}
+
+/** Value of the sample line `series` in a scrape (-1 when absent). */
+double
+sampleValue(const std::string &scrape, const std::string &series)
+{
+    const std::string key = "\n" + series + " ";
+    const std::size_t at = scrape.find(key);
+    if (at == std::string::npos)
+        return -1.0;
+    return std::stod(scrape.substr(at + key.size()));
+}
+
+/**
+ * Recovered jobs run -- and the journal fsyncs -- before any registry
+ * is bound. The latency and fsync histograms are Stats fields read at
+ * render time, so a scrape taken after the bind still counts all of
+ * it, and the fsync histogram's count is the fsync counter.
+ */
+TEST(ServiceJournal, RecoveredRunsAndFsyncsAreCountedInTheScrape)
+{
+    const std::string path = tempPath("recovered-latency");
+    ServiceConfig sc;
+    sc.journalPath = path;
+    sc.journalFsync = FsyncPolicy::Batch;
+    {
+        ServiceConfig paused = sc;
+        paused.startPaused = true; // nothing runs: destruction == crash
+        ExperimentService svc(paused);
+        svc.submit(matrixJob(1, 41));
+        svc.submit(matrixJob(1, 42));
+        svc.journal()->sync();
+    }
+    sc.workers = 2;
+    ExperimentService svc(sc);
+    ASSERT_EQ(svc.recoveredIds().size(), 2u);
+    for (const JobResult &r : svc.awaitAll(svc.recoveredIds()))
+        EXPECT_FALSE(r.failed()) << r.error;
+    // Completion markers land via the notifier thread; once they are
+    // durable the journal has nothing left to fsync.
+    EXPECT_TRUE(
+        waitFor([&] { return recoverJournal(path).pending.empty(); }));
+    svc.journal()->sync();
+
+    metrics::MetricsRegistry registry;
+    svc.bindMetrics(registry);
+    const std::string text = registry.renderPrometheus();
+    double latency = 0.0;
+    for (const char *cls : {"batch", "normal", "high"})
+        latency += sampleValue(text,
+                               std::string("quma_job_latency_seconds_"
+                                           "count{priority=\"") +
+                                   cls + "\"}");
+    EXPECT_EQ(latency, 2.0) << text;
+    const double fsyncs = sampleValue(text, "quma_journal_fsyncs_total");
+    EXPECT_GT(fsyncs, 0.0) << text;
+    EXPECT_EQ(sampleValue(text, "quma_journal_fsync_seconds_count"),
+              fsyncs)
+        << text;
+    EXPECT_EQ(svc.journal()->stats().fsyncSeconds.count(),
+              svc.journal()->stats().fsyncs);
+    std::remove(path.c_str());
+}
+
+/**
+ * No component points into a registry: a registry destroyed before
+ * the service it was bound to leaves the service fully usable.
+ */
+TEST(ServiceJournal, RegistryMayDieBeforeTheService)
+{
+    const std::string path = tempPath("registry-first");
+    {
+        ServiceConfig sc;
+        sc.workers = 2;
+        sc.journalPath = path;
+        sc.journalFsync = FsyncPolicy::Always;
+        ExperimentService svc(sc);
+        {
+            metrics::MetricsRegistry registry;
+            svc.bindMetrics(registry);
+            EXPECT_NE(registry.renderPrometheus().find(
+                          "quma_journal_fsync_seconds_count 0\n"),
+                      std::string::npos);
+        }
+        std::vector<JobId> ids{svc.submit(shotJob(2, 51)),
+                               svc.submit(shotJob(2, 52))};
+        for (const JobResult &r : svc.awaitAll(ids))
+            EXPECT_FALSE(r.failed()) << r.error;
+        const JournalStats js = svc.journal()->stats();
+        EXPECT_GT(js.fsyncs, 0u);
+        EXPECT_EQ(js.fsyncSeconds.count(), js.fsyncs);
+        EXPECT_EQ(svc.stats()
+                      .scheduler
+                      .latency[static_cast<std::size_t>(
+                          JobPriority::Normal)]
+                      .count(),
+                  2u);
+    }
     std::remove(path.c_str());
 }
 

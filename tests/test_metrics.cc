@@ -122,25 +122,6 @@ TEST(MetricsRegistry, InvalidNamesAreFatal)
         FatalError);
 }
 
-TEST(MetricsRegistry, HistogramBucketValidation)
-{
-    MetricsRegistry reg;
-    EXPECT_THROW(reg.histogram("quma_h", "help", {1.0, 1.0}),
-                 FatalError);
-    EXPECT_THROW(reg.histogram("quma_h2", "help", {2.0, 1.0}),
-                 FatalError);
-    EXPECT_THROW(
-        reg.histogram(
-            "quma_h3", "help",
-            {1.0, std::numeric_limits<double>::infinity()}),
-        FatalError);
-    // Every series of one family must share the family's bounds.
-    reg.histogram("quma_h4", "help", {1.0, 2.0}, {{"k", "a"}});
-    EXPECT_THROW(
-        reg.histogram("quma_h4", "help", {1.0, 3.0}, {{"k", "b"}}),
-        FatalError);
-}
-
 // --- exposition format ------------------------------------------------------
 
 TEST(MetricsRender, HelpTypeAndSampleLines)
@@ -190,26 +171,36 @@ TEST(MetricsRender, DeterministicOrdering)
     EXPECT_EQ(out, reg.renderPrometheus());
 }
 
+/** A histogram callback that always reads `h`. */
+std::function<metrics::LatencyHistogram()>
+constantHistogram(const metrics::LatencyHistogram &h)
+{
+    return [h] { return h; };
+}
+
 TEST(MetricsRender, HistogramInvariants)
 {
-    MetricsRegistry reg;
-    metrics::Histogram h =
-        reg.histogram("quma_lat_seconds", "help", {0.1, 1.0, 10.0});
-    h.observe(0.05);  // bucket le=0.1
-    h.observe(0.5);   // bucket le=1
+    metrics::LatencyHistogram h;
+    h.observe(0.05);  // bucket le=0.05 (an edge value)
+    h.observe(0.5);   // bucket le=0.5
     h.observe(0.5);
     h.observe(100.0); // +Inf overflow
+    MetricsRegistry reg;
+    reg.histogramFn("quma_lat_seconds", "help", {}, constantHistogram(h));
     std::string out = reg.renderPrometheus();
 
     EXPECT_NE(out.find("# TYPE quma_lat_seconds histogram\n"),
               std::string::npos);
-    EXPECT_NE(out.find("quma_lat_seconds_bucket{le=\"0.1\"} 1\n"),
-              std::string::npos);
-    // Buckets are CUMULATIVE.
-    EXPECT_NE(out.find("quma_lat_seconds_bucket{le=\"1\"} 3\n"),
-              std::string::npos);
-    EXPECT_NE(out.find("quma_lat_seconds_bucket{le=\"10\"} 3\n"),
-              std::string::npos);
+    // One line per fixed bound, each CUMULATIVE.
+    for (double le : metrics::kLatencyBoundsSeconds) {
+        const int expected = le < 0.05 ? 0 : le < 0.5 ? 1 : 3;
+        EXPECT_NE(out.find("quma_lat_seconds_bucket{le=\"" +
+                           MetricsRegistry::formatValue(le) + "\"} " +
+                           std::to_string(expected) + "\n"),
+                  std::string::npos)
+            << le << "\n"
+            << out;
+    }
     // +Inf bucket equals _count -- the scrape-consistency invariant.
     EXPECT_NE(out.find("quma_lat_seconds_bucket{le=\"+Inf\"} 4\n"),
               std::string::npos);
@@ -222,13 +213,17 @@ TEST(MetricsRender, HistogramInvariants)
 
 TEST(MetricsRender, HistogramLabelsComposeWithLe)
 {
+    metrics::LatencyHistogram h;
+    h.observe(0.5);
     MetricsRegistry reg;
-    reg.histogram("quma_hl_seconds", "help", {1.0},
-                  {{"priority", "high"}})
-        .observe(0.5);
+    reg.histogramFn("quma_hl_seconds", "help", {{"priority", "high"}},
+                    constantHistogram(h));
     std::string out = reg.renderPrometheus();
     EXPECT_NE(out.find("quma_hl_seconds_bucket{priority=\"high\","
                        "le=\"1\"} 1\n"),
+              std::string::npos);
+    EXPECT_NE(out.find("quma_hl_seconds_bucket{priority=\"high\","
+                       "le=\"+Inf\"} 1\n"),
               std::string::npos);
     EXPECT_NE(out.find("quma_hl_seconds_count{priority=\"high\"} 1\n"),
               std::string::npos);
@@ -247,13 +242,50 @@ TEST(MetricsRender, CallbackSeries)
               std::string::npos);
 }
 
-// --- default handles -------------------------------------------------------
+// --- the latency value type -------------------------------------------------
 
-TEST(MetricsDisabled, DefaultHandlesAreNoOps)
+TEST(LatencyHistogram, ObserveMergeAndEquality)
 {
-    metrics::Histogram h;
-    h.observe(1.0);
+    metrics::LatencyHistogram h;
     EXPECT_EQ(h.count(), 0u);
+    // A value equal to a bound lands in that bound's `le` bucket...
+    h.observe(0.001);
+    h.observe(10.0);
+    // ...one just above it in the next bucket...
+    h.observe(0.0011);
+    // ...and anything past the last finite bound in +Inf.
+    h.observe(10.5);
+    const std::size_t inf = metrics::kLatencyBoundsSeconds.size();
+    EXPECT_EQ(h.buckets[0], 1u);
+    EXPECT_EQ(h.buckets[1], 1u);
+    EXPECT_EQ(h.buckets[inf - 1], 1u);
+    EXPECT_EQ(h.buckets[inf], 1u);
+    EXPECT_EQ(h.count(), 4u);
+    EXPECT_EQ(h.max, 10.5);
+
+    // merge() equals observing both streams (dyadic values keep the
+    // sums exact whatever the addition order).
+    const std::vector<double> a = {0.5, 0.125, 20.0};
+    const std::vector<double> b = {0.25, 0.0078125, 2.0, 0.5};
+    metrics::LatencyHistogram ha;
+    metrics::LatencyHistogram hb;
+    metrics::LatencyHistogram both;
+    for (double v : a) {
+        ha.observe(v);
+        both.observe(v);
+    }
+    for (double v : b) {
+        hb.observe(v);
+        both.observe(v);
+    }
+    EXPECT_NE(ha, both);
+    ha.merge(hb);
+    EXPECT_EQ(ha, both);
+    EXPECT_EQ(ha.count(), 7u);
+    EXPECT_EQ(ha.max, 20.0);
+    // Merging the empty histogram is the identity.
+    ha.merge(metrics::LatencyHistogram{});
+    EXPECT_EQ(ha, both);
 }
 
 // --- HTTP endpoint ----------------------------------------------------------
@@ -592,6 +624,38 @@ TEST(MetricsIntegration, ServiceFamiliesCoverAllLayers)
                                 }))
             << name;
     }
+}
+
+/**
+ * A registry bound while jobs run still sees every completion: the
+ * latency histogram is the scheduler's Stats field, read at render
+ * time, so jobs that finished before the bind are in the scrape. The
+ * bind itself races the workers' completions (the TSan lane runs
+ * this).
+ */
+TEST(MetricsIntegration, LateBindSeesEveryCompletion)
+{
+    runtime::ExperimentService service({.workers = 2});
+    std::vector<runtime::JobId> ids;
+    for (int i = 0; i < 8; ++i)
+        ids.push_back(service.submit(sweepJob(0x1a7e + i)));
+    for (int i = 0; i < 4; ++i)
+        EXPECT_FALSE(service.await(ids[i]).failed());
+
+    metrics::MetricsRegistry reg;
+    service.bindMetrics(reg);
+    for (runtime::JobId id : ids)
+        EXPECT_FALSE(service.await(id).failed());
+
+    const std::map<std::string, double> samples =
+        samplesOf(reg.renderPrometheus());
+    double latencyCount = 0.0;
+    for (const char *cls : {"batch", "normal", "high"})
+        latencyCount += samples.at(
+            std::string("quma_job_latency_seconds_count{priority=\"") +
+            cls + "\"}");
+    EXPECT_EQ(samples.at("quma_jobs_completed_total"), 8.0);
+    EXPECT_EQ(latencyCount, samples.at("quma_jobs_completed_total"));
 }
 
 } // namespace

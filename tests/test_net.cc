@@ -226,9 +226,10 @@ TEST(Wire, FrameHeaderRejectsForeignVersion)
     } catch (const WireVersionError &ex) {
         EXPECT_EQ(ex.peerVersion, kWireVersion + 1);
     }
-    // Every older value is equally foreign, v3 included: the header
-    // layout is unchanged since v2, but the server speaks v4 only.
-    for (std::uint8_t legacy : {1, 3}) {
+    // Every older value is equally foreign, v3 and v4 included: the
+    // header layout is unchanged since v2, but the server speaks v5
+    // only.
+    for (std::uint8_t legacy : {1, 3, 4}) {
         frame[4] = legacy;
         EXPECT_THROW(decodeFrameHeader(frame.data()), WireVersionError);
     }
@@ -382,8 +383,10 @@ TEST(Wire, StatsFrameRoundTrip)
     stats.scheduler.cancelled = 1;
     stats.scheduler.shardedJobs = 2;
     stats.scheduler.machineSaturation = 0.75;
-    stats.scheduler.latency[1] = {5, 0.01, 0.02, 0.05};
-    stats.scheduler.latency[2] = {2, 0.001, 0.002, 0.004};
+    for (double v : {0.01, 0.02, 0.02, 0.05, 30.0})
+        stats.scheduler.latency[1].observe(v);
+    for (double v : {0.001, 0.004})
+        stats.scheduler.latency[2].observe(v);
     stats.pool.machinesCreated = 3;
     stats.pool.reuseHits = 7;
     stats.pool.rebinds = 5;
@@ -398,17 +401,20 @@ TEST(Wire, StatsFrameRoundTrip)
 
     Writer w;
     encodeStatsFrame(w, stats);
-    // The v4 layout: 11 u64 + 2 f64 scheduler slots (two of them
-    // reserved), 3 latency digests, 7 pool, 6 cache, 1 capacity.
-    EXPECT_EQ(w.bytes().size(), 13u * 8 + 3 * 32 + 7 * 8 + 6 * 8 + 8);
+    // The v5 layout: 10 u64 + 1 f64 scheduler slots, 3 latency
+    // histograms (14 u64 buckets + sum + max), 7 pool, 6 cache, 1
+    // capacity.
+    EXPECT_EQ(w.bytes().size(),
+              10u * 8 + 8 + 3 * 128 + 7 * 8 + 6 * 8 + 8);
     Reader r(w.bytes());
     StatsFrame back = decodeStatsFrame(r);
     EXPECT_NO_THROW(r.expectEnd());
     EXPECT_EQ(back.scheduler.submitted, 10u);
     EXPECT_EQ(back.scheduler.cancelled, 1u);
     EXPECT_EQ(back.scheduler.machineSaturation, 0.75);
-    EXPECT_EQ(back.scheduler.latency[1].count, 5u);
-    EXPECT_EQ(back.scheduler.latency[1].p95, 0.02);
+    EXPECT_EQ(back.scheduler.latency, stats.scheduler.latency);
+    EXPECT_EQ(back.scheduler.latency[1].count(), 5u);
+    EXPECT_EQ(back.scheduler.latency[1].buckets.back(), 1u);
     EXPECT_EQ(back.scheduler.latency[2].max, 0.004);
     EXPECT_EQ(back.pool.machinesCreated, 3u);
     EXPECT_EQ(back.pool.reuseHits, 7u);
@@ -672,9 +678,9 @@ TEST(Loopback, StatsFrameReflectsServedWork)
     EXPECT_GT(stats.effectiveQueueCapacity, 0u);
     const auto &high = stats.scheduler.latency[static_cast<std::size_t>(
         JobPriority::High)];
-    EXPECT_EQ(high.count, 1u);
+    EXPECT_EQ(high.count(), 1u);
     EXPECT_GT(high.max, 0.0);
-    EXPECT_GE(high.p95, high.p50);
+    EXPECT_EQ(high.sum, high.max);
     EXPECT_GE(stats.pool.machinesCreated, 1u);
 }
 
@@ -843,8 +849,8 @@ TEST(Loopback, MalformedPayloadGetsBadRequestAndKeepsConnection)
     // A healthy submit first, so the connection owns a queued job.
     Writer submit;
     encodeJobSpec(submit, shotJob(2, 9));
-    // A v4-stamped Submit must carry a trace context (zeros = "no
-    // trace").
+    // A current-version Submit must carry a trace context (zeros =
+    // "no trace").
     encodeTraceContext(submit, TraceContext{});
     std::vector<std::uint8_t> frame =
         sealFrame(MsgType::SubmitRequest, 1, submit);
@@ -944,8 +950,8 @@ TEST(Loopback, LegacyFrameGetsCleanVersionMismatchThenHangup)
               WireErrorCode::VersionMismatch);
     EXPECT_FALSE(short_raw->recvAll(&probe, 1));
 
-    // A v3 frame shares the v4 header layout, but the server speaks
-    // v4 only: it too gets VersionMismatch and a close.
+    // A v3 frame shares the v5 header layout, but the server speaks
+    // v5 only: it too gets VersionMismatch and a close.
     std::unique_ptr<ByteStream> v3_raw = accept_side->connect();
     std::vector<std::uint8_t> v3 =
         sealFrame(MsgType::StatsRequest, 5, Writer{});
