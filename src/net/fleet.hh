@@ -166,7 +166,8 @@ class FleetBackend final : public runtime::IExperimentBackend
 
     /**
      * Per-backend stats no older than `max_age`, merged -- counters
-     * and capacities summed, EWMAs and percentiles max-combined.
+     * and capacities summed, latency histograms merged bucket-wise,
+     * EWMAs max-combined.
      * Stale backends are refreshed synchronously through their
      * control link; an unreachable backend contributes its last
      * known snapshot (or nothing).

@@ -131,7 +131,7 @@ TransmonChip::applyDrive(unsigned q, const signal::DrivePulse &pulse)
     DriveGate gate = driveGate(q, pulse);
     advanceAtLeast(gate.midNs);
     if (kernelSink)
-        kernelSink->rotate(q, pulse);
+        kernelSink->rotate(q, gate);
     rotate(q, gate);
     advanceAtLeast(gate.endNs);
 }
@@ -148,11 +148,12 @@ TransmonChip::driveGate(unsigned q, const signal::DrivePulse &pulse) const
     gate.midNs = pulse.t0Ns + dur / 2;
     gate.endNs = pulse.t0Ns + dur;
 
-    // Demodulate the complex baseband against the qubit's rotating
-    // frame. The frame offset from the carrier includes this round's
-    // quasi-static detuning.
+    // Demodulate the complex baseband against the qubit's nominal
+    // rotating frame. A quasi-static detuning enters only through
+    // idleCoeffs, which precesses the qubit in this same frame;
+    // counting it here too would dephase a Ramsey at twice sigma.
     const TransmonParams &p = params[q];
-    double f_rot = (p.freqHz + roundDetuningHz[q]) - pulse.carrierHz;
+    double f_rot = p.freqHz - pulse.carrierHz;
     double dt_ns = 1e9 / pulse.i.rateHz();
     // Incremental phasor over the uniform sample grid: one complex
     // multiply per sample instead of a sincos. The frame rotates at

@@ -90,8 +90,8 @@ class KernelSink
     virtual ~KernelSink() = default;
     /** Qubit q idled dt_ns: applyIdle(q, idleCoeffs(q, dt_ns)). */
     virtual void idle(unsigned q, TimeNs dt_ns) = 0;
-    /** rotate(q, driveGate(q, pulse)); pulse.t0Ns is its fire time. */
-    virtual void rotate(unsigned q, const signal::DrivePulse &pulse) = 0;
+    /** rotate(q, gate): the gate applyDrive computed, timing and all. */
+    virtual void rotate(unsigned q, const DriveGate &gate) = 0;
     /** czPhase(a, b) of the CZ applyCz(a, b, t0_ns, duration_ns). */
     virtual void czPhase(unsigned a, unsigned b, TimeNs t0_ns,
                          TimeNs duration_ns) = 0;
@@ -147,8 +147,8 @@ class TransmonChip
 
     /**
      * Apply a microwave drive pulse to qubit q. The pulse's I/Q
-     * samples are interpreted in the qubit's rotating frame relative
-     * to the pulse's carrier; time is the global simulation time.
+     * samples are interpreted in the qubit's nominal rotating frame
+     * relative to the pulse's carrier; time is the global simulation time.
      * Exactly: gate = driveGate(q, pulse), idle to gate.midNs,
      * rotate(q, gate), idle to gate.endNs.
      */
@@ -190,10 +190,11 @@ class TransmonChip
     }
 
     /**
-     * The gate `pulse` applies to qubit q in the qubit's current
-     * frame: the pulse integral against the frame and its rotation.
-     * Reads no state but the frame, so on a static-frame qubit it
-     * depends on the pulse alone.
+     * The gate `pulse` applies to qubit q: the pulse integral against
+     * the qubit's nominal rotating frame (freqHz) and its rotation.
+     * Reads only the qubit's params and the pulse, never the round's
+     * detuning (idleCoeffs alone precesses a drifting qubit), so on
+     * every frame it is the same on every shot.
      */
     DriveGate driveGate(unsigned q, const signal::DrivePulse &pulse) const;
 
@@ -216,8 +217,8 @@ class TransmonChip
     /**
      * True when qubit q's rotating frame never moves: it has no
      * quasi-static detuning, so no draw ever shifts it and
-     * driveGate() of a pulse and idleCoeffs() of an interval are the
-     * same on every shot.
+     * idleCoeffs() of an interval is the same on every shot.
+     * driveGate() is the same on every shot on any frame.
      */
     bool staticFrame(unsigned q) const;
 

@@ -621,16 +621,14 @@ QumaMachine::replay(const PhysicsTape &tape)
     if (replayShots.size() < tape.shots)
         replayShots.resize(tape.shots);
     qsim::TransmonChip &chip = *chipSim;
-    std::uint32_t loaded = ~std::uint32_t{0};
     // The kernel stream the run's clock produced; the clock itself
-    // never runs. A static-frame qubit's idles and rotations were
-    // computed when the tape was verified; a drifting one's follow
-    // its current detuning.
+    // never runs. Every gate, and a static-frame qubit's idle
+    // factors, were stored when the tape was recorded and verified; a
+    // drifting qubit's idles follow its current detuning.
     for (const TapeOp &op : tape.ops) {
-        const bool stored = tape.staticFrames & (QubitMask{1} << op.qubit);
         switch (op.kind) {
           case TapeOp::Kind::Idle:
-            if (stored)
+            if (tape.staticFrames & (QubitMask{1} << op.qubit))
                 chip.applyIdle(op.qubit, tape.idles[op.index]);
             else
                 chip.applyIdle(op.qubit,
@@ -638,22 +636,7 @@ QumaMachine::replay(const PhysicsTape &tape)
                                                              op.duration)));
             break;
           case TapeOp::Kind::Rotate:
-            if (stored) {
-                chip.rotate(op.qubit, tape.gates[op.index]);
-                break;
-            }
-            if (op.index != loaded) {
-                // Copy into the reused pulse, exactly as the CTPG
-                // assembles its emission: sized vectors, no heap.
-                const signal::DrivePulse &p = tape.pulses[op.index];
-                replayPulse.i = p.i;
-                replayPulse.q = p.q;
-                replayPulse.ssbHz = p.ssbHz;
-                replayPulse.carrierHz = p.carrierHz;
-                loaded = op.index;
-            }
-            replayPulse.t0Ns = op.t0;
-            chip.rotate(op.qubit, chip.driveGate(op.qubit, replayPulse));
+            chip.rotate(op.qubit, tape.gates[op.index]);
             break;
           case TapeOp::Kind::Cz:
             chip.czPhase(op.qubit, op.qubit2);

@@ -240,8 +240,9 @@ class QumaMachine
      * Control-schedule replay: instead of running the loaded
      * program, apply the chip kernels, MDU integrations and collector
      * feeds `tape` recorded, in its order, and return its RunResult.
-     * The chip's clock never runs; a static-frame qubit's idles and
-     * rotations apply the factors and gates the tape stores.
+     * The chip's clock never runs; every rotation applies the gate
+     * the tape stores, and a static-frame qubit's idles the stored
+     * factors.
      * Called where run() would be (after reset -> configure ->
      * loadProgram), it leaves the collector bit-identical to a full
      * run of an eligible program (see verifyTape). The tape is only
@@ -382,9 +383,8 @@ class QumaMachine
      *  sink), null otherwise. */
     TapeWriter *taping = nullptr;
     /** replay() scratch, sized by the first replay of a tape: the
-     *  integrated shot per slot and the pulse handed to the chip. */
+     *  integrated shot per slot. */
     std::vector<std::pair<double, bool>> replayShots;
-    signal::DrivePulse replayPulse;
 
     bool calibrated = false;
     bool ran = false;

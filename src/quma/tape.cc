@@ -8,43 +8,20 @@
 
 namespace quma::core {
 
-namespace {
-
-/** Same samples, rate and frequencies; the fire time is not part of
- *  a rendering. */
-bool
-samePulse(const signal::DrivePulse &a, const signal::DrivePulse &b)
-{
-    return a.i.samples() == b.i.samples() && a.q.samples() == b.q.samples() &&
-           a.i.rateHz() == b.i.rateHz() && a.q.rateHz() == b.q.rateHz() &&
-           a.ssbHz == b.ssbHz && a.carrierHz == b.carrierHz;
-}
-
-} // namespace
-
 bool
 PhysicsTape::sameRun(const PhysicsTape &other) const
 {
-    if (ops != other.ops || shots != other.shots ||
-        !(result == other.result) || staticFrames != other.staticFrames ||
-        idles != other.idles || gates != other.gates ||
-        pulses.size() != other.pulses.size())
-        return false;
-    for (std::size_t p = 0; p < pulses.size(); ++p)
-        if (!samePulse(pulses[p], other.pulses[p]))
-            return false;
-    return true;
+    return ops == other.ops && shots == other.shots &&
+           result == other.result && staticFrames == other.staticFrames &&
+           idles == other.idles && gates == other.gates;
 }
 
 std::size_t
 PhysicsTape::bytes() const
 {
-    std::size_t n = ops.size() * sizeof(TapeOp) +
-                    idles.size() * sizeof(qsim::IdleCoeffs) +
-                    gates.size() * sizeof(qsim::DriveGate);
-    for (const signal::DrivePulse &p : pulses)
-        n += sizeof p + (p.i.size() + p.q.size()) * sizeof(double);
-    return n;
+    return ops.size() * sizeof(TapeOp) +
+           idles.size() * sizeof(qsim::IdleCoeffs) +
+           gates.size() * sizeof(qsim::DriveGate);
 }
 
 TapeWriter::TapeWriter(PhysicsTape &tape_, unsigned num_qubits)
@@ -72,21 +49,13 @@ TapeWriter::idle(unsigned q, TimeNs dt_ns)
 }
 
 void
-TapeWriter::rotate(unsigned q, const signal::DrivePulse &pulse)
+TapeWriter::rotate(unsigned q, const qsim::DriveGate &gate)
 {
-    // A program plays a handful of distinct renderings; the latest
-    // match is the likeliest.
-    auto index = static_cast<std::uint32_t>(tape.pulses.size());
-    for (std::uint32_t p = index; p-- > 0;)
-        if (samePulse(tape.pulses[p], pulse)) {
-            index = p;
-            break;
-        }
-    if (index == tape.pulses.size()) {
-        tape.pulses.push_back(pulse);
-        tape.pulses.back().t0Ns = 0;
-    }
-    push(TapeOp::Kind::Rotate, q, index, pulse.t0Ns, 0);
+    // The frame phase at the fire time sets the axis, so gates rarely
+    // repeat: one per rotation.
+    push(TapeOp::Kind::Rotate, q,
+         static_cast<std::uint32_t>(tape.gates.size()), 0, 0);
+    tape.gates.push_back(gate);
 }
 
 void
@@ -182,26 +151,17 @@ compileKernels(PhysicsTape &tape, qsim::TransmonChip &chip)
         if (chip.staticFrame(q))
             tape.staticFrames |= QubitMask{1} << q;
     std::map<std::pair<unsigned, TimeNs>, std::uint32_t> idleIndex;
-    signal::DrivePulse pulse;
     for (TapeOp &op : tape.ops) {
-        if (!(tape.staticFrames & (QubitMask{1} << op.qubit)))
+        if (op.kind != TapeOp::Kind::Idle ||
+            !(tape.staticFrames & (QubitMask{1} << op.qubit)))
             continue;
-        if (op.kind == TapeOp::Kind::Idle) {
-            auto [it, added] = idleIndex.emplace(
-                std::pair{unsigned{op.qubit}, op.duration},
-                static_cast<std::uint32_t>(tape.idles.size()));
-            if (added)
-                tape.idles.push_back(chip.idleCoeffs(
-                    op.qubit, static_cast<double>(op.duration)));
-            op.index = it->second;
-        } else if (op.kind == TapeOp::Kind::Rotate) {
-            // The frame phase at the fire time sets the axis, so
-            // gates rarely repeat: one per rotation.
-            pulse = tape.pulses[op.index];
-            pulse.t0Ns = op.t0;
-            op.index = static_cast<std::uint32_t>(tape.gates.size());
-            tape.gates.push_back(chip.driveGate(op.qubit, pulse));
-        }
+        auto [it, added] = idleIndex.emplace(
+            std::pair{unsigned{op.qubit}, op.duration},
+            static_cast<std::uint32_t>(tape.idles.size()));
+        if (added)
+            tape.idles.push_back(chip.idleCoeffs(
+                op.qubit, static_cast<double>(op.duration)));
+        op.index = it->second;
     }
 }
 

@@ -11,34 +11,35 @@
  * one run as the chip's own kernel stream, in call order:
  *
  *  - every kernel the chip's clock applied (qsim::KernelSink): each
- *    idle step (qubit, interval), each drive rotation (qubit, pulse,
- *    fire time; each distinct pulse rendering is stored once), each
- *    CZ phase and each readout (qubit, window);
+ *    idle step (qubit, interval), each drive rotation (qubit and the
+ *    DriveGate the chip applied, on every frame), each CZ phase and
+ *    each readout (qubit, window);
  *  - every MDU result delivery into the data collection unit, naming
  *    the readout it integrates;
  *  - the run's RunResult and MachineStats.
  *
- * An accepted tape is also compiled: every deterministic parameter is
- * computed once, when it is verified. On a qubit whose frame is
- * static (TransmonChip::staticFrame: no quasi-static detuning, so
- * nothing ever redraws it) each idle step stores its IdleCoeffs --
- * one entry per distinct (qubit, interval) -- and each rotation its
- * DriveGate. A drifting-frame qubit's
- * factors change with every detuning draw, so its idles keep the
- * interval and its rotations the pulse and fire time.
+ * A drive's gate is a function of the pulse and the qubit's params
+ * alone (TransmonChip::driveGate demodulates in the nominal frame),
+ * so the gate the chip applied is stored as it was applied, one per
+ * rotation, on every frame. An accepted tape is also compiled: on a
+ * qubit whose frame is static (TransmonChip::staticFrame: no
+ * quasi-static detuning, so nothing ever redraws it) each idle step
+ * stores its IdleCoeffs -- one entry per distinct (qubit, interval).
+ * A drifting-frame qubit's idle factors change with every detuning
+ * draw, so its idles keep the interval.
  *
  * QumaMachine::replay() walks the stream once: it applies the stored
- * factors and gates, computes a drifting qubit's from its current
- * detuning with the same chip functions, and makes the same
- * readouts, Mdu::integrate() calls and collector feeds in the same
- * order. It never touches the chip's clock: the stream already holds
- * every step the clock produced. A replay is therefore bit-identical
- * to a full run by construction. The run's clock calls the same
- * kernels -- applyIdle(q, idleCoeffs(q, dt)), rotate(q, driveGate(q,
- * pulse)), czPhase, readout -- in this order, and a stored value is
+ * gates and idle factors, computes a drifting qubit's idle factors
+ * from its current detuning with the same chip function, and makes
+ * the same readouts, Mdu::integrate() calls and collector feeds in
+ * the same order. It never touches the chip's clock: the stream
+ * already holds every step the clock produced. A replay is therefore
+ * bit-identical to a full run by construction. The run's clock calls
+ * the same kernels -- applyIdle(q, idleCoeffs(q, dt)), rotate(q,
+ * gate), czPhase, readout -- in this order, and a stored value is
  * what the same function returned for the same inputs (a tape is
- * keyed by program and machine config, and a static frame's
- * detuning is always zero).
+ * keyed by program and machine config, a static frame's detuning is
+ * always zero, and a gate reads no detuning).
  *
  * Eligibility is checked, never configured. verifyTape() accepts a
  * program only when
@@ -48,6 +49,12 @@
  *  - two full runs bracketing the stall injection -- every stall 0,
  *    then every stall maxStallCycles -- both halt without timing
  *    violations and record equal tapes and RunResults.
+ *
+ * Equal tapes compare gates, not pulses, and that is enough: a pulse
+ * reaches the physics only through driveGate(q, pulse), a function
+ * of the pulse and the params alone, and the gate's midNs and endNs
+ * carry its timing. Equal gates at equal ops are therefore the same
+ * kernel stream that replay applies.
  *
  * Stall injection only moves the cycles at which the execution
  * controller pushes events, and those push cycles are a max-plus
@@ -69,7 +76,6 @@
 #include "isa/program.hh"
 #include "qsim/transmon.hh"
 #include "quma/machine.hh"
-#include "signal/pulse.hh"
 
 namespace quma::core {
 
@@ -81,9 +87,8 @@ struct TapeOp
         /** chip.applyIdle on `qubit` over `duration` ns; compiled on
          *  a static frame: PhysicsTape::idles[index]. */
         Idle,
-        /** chip.rotate on `qubit` by the pulse PhysicsTape::pulses
-         *  [index] fired at `t0`; compiled on a static frame: the
-         *  gate PhysicsTape::gates[index]. */
+        /** chip.rotate on `qubit` by the gate PhysicsTape::gates
+         *  [index], on every frame. */
         Rotate,
         /** chip.czPhase(qubit, qubit2) of the CZ fired at `t0` for
          *  `duration` ns. */
@@ -110,25 +115,21 @@ struct TapeOp
 struct PhysicsTape
 {
     std::vector<TapeOp> ops;
-    /** Distinct rendered pulses, first use first; t0 = 0. */
-    std::vector<signal::DrivePulse> pulses;
     /** Readouts taken (shot slots a replay needs). */
     std::size_t shots = 0;
-    /** Qubits whose idles and rotations replay from `idles` and
-     *  `gates` (static frames). */
+    /** Qubits whose idles replay from `idles` (static frames). */
     QubitMask staticFrames = 0;
     /** Distinct idle factors of the static-frame qubits. */
     std::vector<qsim::IdleCoeffs> idles;
-    /** The gate of every rotation on a static-frame qubit, in op
-     *  order. */
+    /** The gate of every rotation on every qubit, in op order. */
     std::vector<qsim::DriveGate> gates;
     RunResult result;
     /** The recorded run's counters; replayed rounds report these to
      *  admission. */
     MachineStats stats;
 
-    /** Same kernel calls, times, pulses and stored tables, and the
-     *  same result (stats are not compared). */
+    /** Same kernel calls, times, gates and stored idle factors, and
+     *  the same result (stats are not compared). */
     bool sameRun(const PhysicsTape &other) const;
 
     /** Bytes of the ops and side tables a replay reads. */
@@ -145,7 +146,7 @@ class TapeWriter : public qsim::KernelSink
     TapeWriter(PhysicsTape &tape, unsigned num_qubits);
 
     void idle(unsigned q, TimeNs dt_ns) override;
-    void rotate(unsigned q, const signal::DrivePulse &pulse) override;
+    void rotate(unsigned q, const qsim::DriveGate &gate) override;
     void czPhase(unsigned a, unsigned b, TimeNs t0_ns,
                  TimeNs duration_ns) override;
     void readout(unsigned q, TimeNs t0_ns, TimeNs duration_ns) override;
@@ -172,9 +173,8 @@ bool feedbackFree(const isa::Program &program);
 
 /**
  * Compile `tape` for `chip` (see the file comment): mark the
- * static-frame qubits, then move each of their idle and rotation ops'
- * index from its interval or pulse to a stored IdleCoeffs or
- * DriveGate, computed by the same chip functions the run called.
+ * static-frame qubits, then point each of their idle ops at a stored
+ * IdleCoeffs, computed by the same chip function the run called.
  */
 void compileKernels(PhysicsTape &tape, qsim::TransmonChip &chip);
 
@@ -185,7 +185,7 @@ void compileKernels(PhysicsTape &tape, qsim::TransmonChip &chip);
  * zero-stall run's tape if the program is eligible (see the file
  * comment); nullptr otherwise. The machine keeps its seeds but needs
  * the usual reset -> configure -> loadProgram before its next run.
- * An accepted tape comes compiled (staticFrames, idles and gates).
+ * An accepted tape comes compiled (staticFrames and idles).
  */
 std::shared_ptr<const PhysicsTape> verifyTape(QumaMachine &machine,
                                               const isa::Program &program,

@@ -226,8 +226,12 @@ TEST(Transmon, NewRoundResetsStateAndClock)
 
 TEST(Transmon, QuasiStaticDetuningDephasesRamsey)
 {
-    // Chip-level Ramsey: with sigma > 0 the averaged equator phase
-    // randomises and the fringe contrast at fixed tau collapses.
+    // Chip-level Ramsey at zero artificial detuning: a round's
+    // detuning delta precesses the qubit by 2*pi*delta*tau between
+    // the two pi/2 pulses, so averaged over Gaussian draws of width
+    // sigma, P(1) = 0.5 + 0.5 * exp(-(2*pi*sigma*tau)^2 / 2). Counting
+    // delta twice (in the drive's frame as well as in the idles)
+    // would dephase the fringe at 2*sigma.
     auto ramsey = [](double sigma_hz, TimeNs tau) {
         TransmonParams p = quietParams();
         p.quasiStaticDetuningSigmaHz = sigma_hz;
@@ -243,9 +247,18 @@ TEST(Transmon, QuasiStaticDetuningDephasesRamsey)
         }
         return acc / shots;
     };
-    // tau on the 20 ns grid so the drive phase is unshifted.
+    // tau on the 20 ns grid so the drive phase is unshifted; the
+    // free precession runs between the pulse midpoints, tau + 20 ns.
+    auto envelope = [](double sigma_hz, TimeNs tau) {
+        double x = 2.0 * kPi * sigma_hz * static_cast<double>(tau + 20) *
+                   1e-9;
+        return 0.5 + 0.5 * std::exp(-x * x / 2.0);
+    };
     EXPECT_NEAR(ramsey(0.0, 2000), 1.0, 0.05);
-    EXPECT_NEAR(ramsey(400.0e3, 2000), 0.5, 0.12);
+    // 400 draws: within 0.05 is about 3.5 standard errors at 2 us.
+    for (TimeNs tau : {1000, 2000})
+        EXPECT_NEAR(ramsey(100.0e3, tau), envelope(100.0e3, tau), 0.05)
+            << "tau " << tau << " ns";
 }
 
 /** Bit-for-bit equality of two density matrices. */
@@ -391,8 +404,10 @@ TEST(Transmon, TwoEntryIdleMemoMatchesFreshCoefficients)
     EXPECT_NE(chip.detuningHz(1), 0.0);
 }
 
-TEST(Transmon, DriveGateDependsOnlyOnThePulseOnAStaticFrame)
+TEST(Transmon, DriveGateIgnoresTheFrameDetuning)
 {
+    // The pulse is demodulated in the nominal frame: a drifting
+    // qubit's gate is the static qubit's, whatever its detuning.
     TransmonParams drifting = quietParams();
     drifting.quasiStaticDetuningSigmaHz = 300e3;
     TransmonChip chip({quietParams(), drifting}, 3);
@@ -401,16 +416,19 @@ TEST(Transmon, DriveGateDependsOnlyOnThePulseOnAStaticFrame)
 
     signal::DrivePulse pulse = makePulse(quietParams(), kPi / 2, 0.3, 45);
     chip.newRound();
+    const double before = chip.detuningHz(1);
     const DriveGate fixed = chip.driveGate(0, pulse);
     const DriveGate moving = chip.driveGate(1, pulse);
     EXPECT_EQ(fixed.midNs, 55);
     EXPECT_EQ(fixed.endNs, 65);
     EXPECT_TRUE(fixed.rotates);
-    // Redraw the drifting frame: only its gate moves.
+    EXPECT_EQ(moving, fixed);
+    // Redraw the drifting frame: its gate stays bit-equal.
     chip.measure(1, 100, 1500);
     chip.newRound();
-    EXPECT_EQ(chip.driveGate(0, pulse).rotation, fixed.rotation);
-    EXPECT_NE(chip.driveGate(1, pulse).rotation, moving.rotation);
+    EXPECT_NE(chip.detuningHz(1), before);
+    EXPECT_EQ(chip.driveGate(1, pulse), moving);
+    EXPECT_EQ(chip.driveGate(0, pulse), fixed);
 }
 
 TEST(Transmon, MemoizedIdleMatchesIdleChannelParams)

@@ -5,9 +5,10 @@
  * experiment program, shard count and worker count; the stall check
  * must only accept tapes every stall draw reproduces; and programs
  * with measurement feedback, or whose timing breaks under stalls,
- * must keep the full path. A replayed idle step or drive on a
- * static-frame qubit applies the factors or gate its tape stores; on
- * a drifting frame it computes them from the current detuning. A
+ * must keep the full path. A replayed drive applies the gate its
+ * tape stores, on every frame; a replayed idle step applies the
+ * stored factors on a static frame and computes them from the
+ * current detuning on a drifting one. A
  * machine rebound to another config must run, record, check and
  * replay exactly as a fresh machine of that config.
  */
@@ -213,7 +214,7 @@ experimentJobs()
     experiments::runEcho(coherence, recorder);
     coherence.artificialDetuningHz = 200e3;
     experiments::runRamsey(coherence, recorder);
-    // A drifting frame: every drive replays through its pulse.
+    // A drifting frame: every idle follows the round's detuning.
     coherence.qubitParams.quasiStaticDetuningSigmaHz = 150e3;
     experiments::runRamsey(coherence, recorder);
     jobs.insert(jobs.end(), recorder.specs.begin(), recorder.specs.end());
@@ -471,31 +472,26 @@ withDecayedIdles(const core::PhysicsTape &tape)
     return copy;
 }
 
-/** `tape` with every pulse silenced: what a replay that integrates
- *  pulses can no longer reproduce. */
+/** `tape` with an identity idle step stored at every index any op
+ *  names: a replay that reads them for a drifting qubit can no longer
+ *  reproduce the run. */
 core::PhysicsTape
-withoutPulses(const core::PhysicsTape &tape)
-{
-    core::PhysicsTape copy = tape;
-    for (signal::DrivePulse &p : copy.pulses) {
-        p.i = signal::Waveform(std::vector<double>(p.i.size()), p.i.rateHz());
-        p.q = p.i;
-    }
-    return copy;
-}
-
-/** `tape` with an identity idle step and a no-op gate stored at every
- *  index any op names: a replay that reads them for a drifting qubit
- *  can no longer reproduce the run. */
-core::PhysicsTape
-withJunkTables(const core::PhysicsTape &tape)
+withJunkIdles(const core::PhysicsTape &tape)
 {
     core::PhysicsTape copy = tape;
     std::size_t size = 0;
     for (const core::TapeOp &op : tape.ops)
         size = std::max<std::size_t>(size, op.index + 1);
     copy.idles.assign(size, qsim::IdleCoeffs{});
-    copy.gates.assign(size, qsim::DriveGate{});
+    return copy;
+}
+
+/** withJunkIdles with a no-op gate stored at every index too. */
+core::PhysicsTape
+withJunkTables(const core::PhysicsTape &tape)
+{
+    core::PhysicsTape copy = withJunkIdles(tape);
+    copy.gates.assign(copy.idles.size(), qsim::DriveGate{});
     return copy;
 }
 
@@ -509,11 +505,11 @@ verifiedTape(core::QumaMachine &machine, const JobSpec &job,
     return tape ? *tape : core::PhysicsTape{};
 }
 
-TEST(Replay, StaticFramesReplayStoredKernelsAndDriftingFramesComputeThem)
+TEST(Replay, EveryFrameReplaysStoredGatesAndStaticFramesStoredIdles)
 {
     using Kind = core::TapeOp::Kind;
     // Every qubit static: every idle step and rotation comes from the
-    // tape's tables, and the replay never reads a pulse.
+    // tape's tables.
     {
         experiments::AllxyConfig cfg;
         cfg.rounds = 4;
@@ -533,10 +529,6 @@ TEST(Replay, StaticFramesReplayStoredKernelsAndDriftingFramesComputeThem)
                                          nullptr);
         EXPECT_EQ(collectorAfter(machine, program, job.bins, 5, &tape),
                   full);
-        core::PhysicsTape silenced = withoutPulses(tape);
-        EXPECT_EQ(collectorAfter(machine, program, job.bins, 5, &silenced),
-                  full)
-            << "a static-frame drive must not integrate its pulse";
         core::PhysicsTape gateless = withoutGates(tape);
         EXPECT_NE(collectorAfter(machine, program, job.bins, 5, &gateless),
                   full);
@@ -544,9 +536,9 @@ TEST(Replay, StaticFramesReplayStoredKernelsAndDriftingFramesComputeThem)
         EXPECT_NE(collectorAfter(machine, program, job.bins, 5, &decayed),
                   full);
     }
-    // q0 static, q1 drifting: q0's kernels come from the tables, q1's
-    // from its interval and pulses, and the mix replays
-    // bit-identically.
+    // q0 static, q1 drifting: both qubits' gates and q0's idles come
+    // from the tables, q1's idles from its interval, and the mix
+    // replays bit-identically.
     {
         JobSpec job = driftingCzJob();
         isa::Program program = isa::Assembler().assemble(job.assembly);
@@ -556,7 +548,7 @@ TEST(Replay, StaticFramesReplayStoredKernelsAndDriftingFramesComputeThem)
         EXPECT_EQ(tape.staticFrames, 1u);
         EXPECT_GT(opsOn(tape, Kind::Rotate, 1), 0u);
         EXPECT_GT(opsOn(tape, Kind::Rotate, 2), 0u);
-        EXPECT_EQ(tape.gates.size(), opsOn(tape, Kind::Rotate, 1));
+        EXPECT_EQ(tape.gates.size(), opsOn(tape, Kind::Rotate, 3));
         EXPECT_GT(opsOn(tape, Kind::Cz, 3), 0u);
         for (std::uint64_t chip : {5u, 6u, 7u}) {
             const auto full = collectorAfter(machine, program, job.bins,
@@ -564,11 +556,6 @@ TEST(Replay, StaticFramesReplayStoredKernelsAndDriftingFramesComputeThem)
             EXPECT_EQ(collectorAfter(machine, program, job.bins, chip,
                                      &tape),
                       full);
-            core::PhysicsTape silenced = withoutPulses(tape);
-            EXPECT_NE(collectorAfter(machine, program, job.bins, chip,
-                                     &silenced),
-                      full)
-                << "a drifting-frame drive must integrate its pulse";
             core::PhysicsTape gateless = withoutGates(tape);
             EXPECT_NE(collectorAfter(machine, program, job.bins, chip,
                                      &gateless),
@@ -579,8 +566,9 @@ TEST(Replay, StaticFramesReplayStoredKernelsAndDriftingFramesComputeThem)
                       full);
         }
     }
-    // Both qubits drifting: nothing is stored, and junk in the tables
-    // at every index an op names leaves the replay bit-identical.
+    // Both qubits drifting: only gates are stored. Junk idle factors
+    // at every index an op names leave the replay bit-identical; junk
+    // gates do not.
     {
         JobSpec job = driftingCzJob();
         job.machine.qubits[0].quasiStaticDetuningSigmaHz = 250e3;
@@ -590,8 +578,10 @@ TEST(Replay, StaticFramesReplayStoredKernelsAndDriftingFramesComputeThem)
         const core::PhysicsTape tape = verifiedTape(machine, job, program);
         EXPECT_EQ(tape.staticFrames, 0u);
         EXPECT_TRUE(tape.idles.empty());
-        EXPECT_TRUE(tape.gates.empty());
+        EXPECT_EQ(tape.gates.size(), opsOn(tape, Kind::Rotate, 3));
+        core::PhysicsTape junkIdles = withJunkIdles(tape);
         core::PhysicsTape junk = withJunkTables(tape);
+        core::PhysicsTape gateless = withoutGates(tape);
         for (std::uint64_t chip : {5u, 6u}) {
             const auto full = collectorAfter(machine, program, job.bins,
                                              chip, nullptr);
@@ -599,9 +589,16 @@ TEST(Replay, StaticFramesReplayStoredKernelsAndDriftingFramesComputeThem)
                                      &tape),
                       full);
             EXPECT_EQ(collectorAfter(machine, program, job.bins, chip,
+                                     &junkIdles),
+                      full)
+                << "a drifting qubit must not read the stored idles";
+            EXPECT_NE(collectorAfter(machine, program, job.bins, chip,
                                      &junk),
                       full)
-                << "a drifting qubit must not read the stored tables";
+                << "a drifting qubit must apply the stored gates";
+            EXPECT_NE(collectorAfter(machine, program, job.bins, chip,
+                                     &gateless),
+                      full);
         }
     }
 }
