@@ -6,7 +6,9 @@
  * replaced, the diagonal-gate fast paths against full conjugations,
  * the phasor-recurrence signal chain against direct per-sample
  * sin/cos evaluation, and the integrated-domain readout shot against
- * the trace it stands for. Prints a fixed-width table and, with
+ * the trace it stands for. The stored-coefficient idle and the
+ * probability-plus-projection rows are the forms a replayed round
+ * calls. Prints a fixed-width table and, with
  * `--json <path>`, writes the machine-readable BENCH_qsim.json used to
  * track the kernel perf trajectory across PRs.
  *
@@ -87,14 +89,25 @@ benchDensity(bench::JsonReport &json)
         auto chan = qsim::idleChannel(100.0, 30000.0, 25000.0);
         auto icp = qsim::idleChannelParams(100.0, 30000.0, 25000.0);
         std::size_t iters = 400000 >> (2 * nq);
+        // Each decaying row starts from a fresh state: a state idled
+        // through the rows before it would reach subnormal entries,
+        // whose arithmetic is many times slower.
         double generic = timeNs(
             [&] { rho.applyKraus1(0, chan); }, iters);
+        rho = testState(nq);
         double closed = timeNs(
             [&] { rho.applyIdle(0, icp.gamma, icp.lambda); }, iters);
         std::string label = "idle_closed_form_nq" + std::to_string(nq);
         report(json, label.c_str(), closed, generic);
         json.metric("idle_generic_kraus_nq" + std::to_string(nq),
                     generic, "ns/op");
+        // The replay form: factors computed once, the sweep alone.
+        const qsim::IdleCoeffs coeffs =
+            qsim::DensityMatrix::idleCoeffs(icp.gamma, icp.lambda);
+        rho = testState(nq);
+        double stored = timeNs([&] { rho.applyIdle(0, coeffs); }, iters);
+        report(json, ("idle_stored_coeffs_nq" + std::to_string(nq)).c_str(),
+               stored);
 
         double h = timeNs(
             [&] { rho.apply1(0, qsim::gates::hadamard()); }, iters);
@@ -117,6 +130,19 @@ benchDensity(bench::JsonReport &json)
                    ("cz_fast_path_nq" + std::to_string(nq)).c_str(),
                    czFast, czFull);
         }
+
+        // A readout's state update: the outcome probability, then the
+        // projection onto the likelier outcome (after the first call
+        // the same one every time, so every call does the same work).
+        double project = timeNs(
+            [&] {
+                double p1 = rho.probabilityOne(0);
+                benchmarkSink = p1;
+                rho.project(0, p1 >= 0.5);
+            },
+            iters);
+        report(json, ("measure_project_nq" + std::to_string(nq)).c_str(),
+               project);
     }
 }
 

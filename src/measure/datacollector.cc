@@ -15,26 +15,30 @@ DataCollectionUnit::configure(std::size_t k)
     bitCounts.assign(k, 0);
     count = 0;
     bitCount = 0;
+    nextBin = 0;
+    nextBitBin = 0;
 }
 
 void
 DataCollectionUnit::addSample(double s)
 {
     quma_assert(!sums.empty(), "DataCollectionUnit not configured");
-    std::size_t bin = count % sums.size();
-    sums[bin] += s;
-    ++counts[bin];
+    sums[nextBin] += s;
+    ++counts[nextBin];
     ++count;
+    if (++nextBin == sums.size())
+        nextBin = 0;
 }
 
 void
 DataCollectionUnit::addBit(bool bit)
 {
     quma_assert(!bitSums.empty(), "DataCollectionUnit not configured");
-    std::size_t bin = bitCount % bitSums.size();
-    bitSums[bin] += bit ? 1.0 : 0.0;
-    ++bitCounts[bin];
+    bitSums[nextBitBin] += bit ? 1.0 : 0.0;
+    ++bitCounts[nextBitBin];
     ++bitCount;
+    if (++nextBitBin == bitSums.size())
+        nextBitBin = 0;
 }
 
 std::size_t
@@ -80,6 +84,8 @@ DataCollectionUnit::reset()
     bitCounts.clear();
     count = 0;
     bitCount = 0;
+    nextBin = 0;
+    nextBitBin = 0;
 }
 
 } // namespace quma::measure

@@ -67,6 +67,10 @@ class DataCollectionUnit
     std::vector<std::size_t> bitCounts;
     std::size_t count = 0;
     std::size_t bitCount = 0;
+    /** The bins the next sample and bit land in: count % K and
+     *  bitCount % K, kept as cursors so a sample costs no division. */
+    std::size_t nextBin = 0;
+    std::size_t nextBitBin = 0;
 };
 
 } // namespace quma::measure

@@ -90,15 +90,21 @@ Mdu::integrate(const signal::Waveform &trace) const
 }
 
 std::pair<double, bool>
-Mdu::integrate(const qsim::ReadoutShot &shot) const
+Mdu::integrate(const qsim::ReadoutShot &shot)
 {
     const double dt = cal->sampleNs;
-    // The trace's sample count (simulateReadout's floor), clamped to
-    // the weights exactly as integrate(trace) clamps.
-    auto n = std::min(
-        static_cast<std::size_t>(
-            std::floor(static_cast<double>(shot.durationNs) / dt)),
-        cal->weights.size());
+    if (shot.durationNs != window.durationNs) {
+        // The trace's sample count (simulateReadout's floor), clamped
+        // to the weights exactly as integrate(trace) clamps.
+        window.durationNs = shot.durationNs;
+        window.samples = std::min(
+            static_cast<std::size_t>(
+                std::floor(static_cast<double>(shot.durationNs) / dt)),
+            cal->weights.size());
+        window.noiseScale =
+            cal->noiseSigma * std::sqrt(cal->prefixW2[window.samples]);
+    }
+    const std::size_t n = window.samples;
     // Samples carrying the |1> tone: those centred before the decay
     // instant. Estimate, then settle with simulateReadout's own
     // comparison so boundary samples classify identically.
@@ -119,7 +125,7 @@ Mdu::integrate(const qsim::ReadoutShot &shot) const
     }
     const MduCalibration &c = *cal;
     double s = c.prefix1[ones] + (c.prefix0[n] - c.prefix0[ones]) +
-               c.noiseSigma * std::sqrt(c.prefixW2[n]) * shot.noise;
+               window.noiseScale * shot.noise;
     return {s, s > c.threshold};
 }
 

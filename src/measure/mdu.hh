@@ -135,9 +135,10 @@ class Mdu
      * integrate() clamps), K the samples centred before the decay
      * instant (0 for |0>, n without decay) and z the shot's noise.
      * Assumes the calibration matches the readout that produced the
-     * shot, as the machine's does.
+     * shot, as the machine's does. n and sigma * sqrt(W2[n]) are
+     * recomputed only when the window length changes.
      */
-    std::pair<double, bool> integrate(const qsim::ReadoutShot &shot) const;
+    std::pair<double, bool> integrate(const qsim::ReadoutShot &shot);
 
     std::optional<Cycle> nextEventCycle() const;
     void advanceTo(Cycle now);
@@ -170,6 +171,20 @@ class Mdu
     };
 
     void process(const PendingShot &pending, const ArmedTrigger &trigger);
+
+    /**
+     * The last integrated shot's window: its sample count n and noise
+     * scale sigma * sqrt(W2[n]), functions of the calibration and the
+     * window length alone. A schedule reads out with one window
+     * length, so they are computed once per length, not per shot.
+     */
+    struct Window
+    {
+        TimeNs durationNs = -1;
+        std::size_t samples = 0;
+        double noiseScale = 0.0;
+    };
+    Window window;
 
     std::optional<PendingShot> pendingShot;
     std::optional<ArmedTrigger> armedTrigger;

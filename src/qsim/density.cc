@@ -15,12 +15,19 @@ namespace {
  * carry it set; the inner loop walks columns contiguously. Inlined, so
  * the single-qubit kernels share one copy of the index arithmetic
  * without losing the fused sweep.
+ *
+ * A one-qubit register is its own single block: fn runs once on it,
+ * the same call the loops below would make, without their set-up.
  */
 template <typename BlockFn>
 inline void
 forEachBlock1(Complex *data, std::size_t n, std::size_t stride,
               BlockFn &&fn)
 {
+    if (n == 2) {
+        fn(data, data + 2, 0, 1);
+        return;
+    }
     for (std::size_t rb = 0; rb < n; rb += 2 * stride) {
         for (std::size_t ro = 0; ro < stride; ++ro) {
             Complex *row0 = data + (rb + ro) * n;
@@ -241,11 +248,19 @@ double
 DensityMatrix::probabilityOne(unsigned q) const
 {
     quma_assert(q < nq, "qubit index out of range");
-    std::size_t mask = std::size_t{1} << q;
+    return population(q, true);
+}
+
+double
+DensityMatrix::population(unsigned q, bool one) const
+{
+    // The diagonal entries whose row has bit q == one, in row order.
+    const std::size_t mask = std::size_t{1} << q;
+    const std::size_t first = one ? mask : 0;
     double p = 0;
-    for (std::size_t i = 0; i < n; ++i)
-        if (i & mask)
-            p += rho[i * n + i].real();
+    for (std::size_t rb = first; rb < n; rb += 2 * mask)
+        for (std::size_t r = rb; r < rb + mask; ++r)
+            p += rho[r * n + r].real();
     return p;
 }
 
@@ -253,23 +268,25 @@ void
 DensityMatrix::project(unsigned q, bool outcome)
 {
     quma_assert(q < nq, "qubit index out of range");
-    std::size_t mask = std::size_t{1} << q;
-    double norm = 0;
-    for (std::size_t r = 0; r < n; ++r) {
-        for (std::size_t c = 0; c < n; ++c) {
-            bool rOne = (r & mask) != 0;
-            bool cOne = (c & mask) != 0;
-            if (rOne != outcome || cOne != outcome)
-                rho[r * n + c] = 0;
-        }
-        if (((r & mask) != 0) == outcome)
-            norm += rho[r * n + r].real();
-    }
+    const double norm = population(q, outcome);
     if (norm <= 1e-15)
         fatal("project: outcome has (near) zero probability");
-    double scale = 1.0 / norm;
-    for (auto &v : rho)
-        v *= scale;
+    const double scale = 1.0 / norm;
+    // Of each 2x2 block only the entry whose row and column both
+    // carry bit q == outcome survives, rescaled; the other three
+    // become +0.
+    forEachBlock1(rho.data(), n, std::size_t{1} << q,
+                  [outcome, scale](Complex *row0, Complex *row1,
+                                   std::size_t c0, std::size_t c1) {
+                      Complex *row = outcome ? row1 : row0;
+                      const std::size_t c = outcome ? c1 : c0;
+                      const Complex kept = row[c] * scale;
+                      row0[c0] = 0;
+                      row0[c1] = 0;
+                      row1[c0] = 0;
+                      row1[c1] = 0;
+                      row[c] = kept;
+                  });
 }
 
 double

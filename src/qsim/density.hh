@@ -116,7 +116,8 @@ class DensityMatrix
     /** Probability that measuring qubit q yields 1. */
     double probabilityOne(unsigned q) const;
 
-    /** Project qubit q onto outcome and renormalise. */
+    /** Project qubit q onto outcome and renormalise; fatal, with the
+     *  state untouched, when the outcome has (near) zero probability. */
     void project(unsigned q, bool outcome);
 
     /** Trace of the matrix (should be 1). */
@@ -135,6 +136,10 @@ class DensityMatrix
     void resetQubit(unsigned q);
 
   private:
+    /** Sum of the diagonal over the rows whose bit q is `one`, in
+     *  row order: the probability of that outcome. */
+    double population(unsigned q, bool one) const;
+
     unsigned nq;
     std::size_t n;
     std::vector<Complex> rho;

@@ -14,6 +14,13 @@ namespace quma::qsim {
 
 namespace {
 constexpr double kTwoPi = 2.0 * std::numbers::pi;
+
+/** TransmonChip::staticFrame of a qubit with these params. */
+bool
+staticFrameOf(const TransmonParams &p)
+{
+    return !(p.quasiStaticDetuningSigmaHz > 0);
+}
 } // namespace
 
 TransmonChip::TransmonChip(std::vector<TransmonParams> qubit_params,
@@ -187,7 +194,7 @@ TransmonChip::rotate(unsigned q, const DriveGate &gate)
 bool
 TransmonChip::staticFrame(unsigned q) const
 {
-    return !(qubitParams(q).quasiStaticDetuningSigmaHz > 0);
+    return staticFrameOf(qubitParams(q));
 }
 
 void
@@ -232,12 +239,11 @@ TransmonChip::measure(unsigned q, TimeNs t0_ns, TimeNs duration_ns)
 ReadoutShot
 TransmonChip::readout(unsigned q, TimeNs duration_ns)
 {
-    quma_assert(q < params.size(), "qubit index out of range");
+    const TransmonParams &p = qubitParams(q);
     double p1 = rho.probabilityOne(q);
     bool outcome = random.bernoulli(std::clamp(p1, 0.0, 1.0));
     rho.project(q, outcome);
 
-    const TransmonParams &p = params[q];
     ReadoutShot shot = sampleReadoutShot(outcome, duration_ns, p.t1Ns,
                                          random);
     if (shot.initialOne && !shot.finalOne)
@@ -246,7 +252,7 @@ TransmonChip::readout(unsigned q, TimeNs duration_ns)
     // Quasi-static noise decorrelates between shots: redraw the slow
     // frequency offset after each readout (measurements delimit
     // experiment shots in a continuous run).
-    if (!staticFrame(q))
+    if (!staticFrameOf(p))
         roundDetuningHz[q] = random.gaussian(0.0, p.quasiStaticDetuningSigmaHz);
     return shot;
 }

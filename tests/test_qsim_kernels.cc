@@ -5,20 +5,25 @@
  * idle/diagonal fast paths must agree with naive matrix references and
  * the generic Kraus machinery to 1e-12; the phasor-recurrence signal
  * chain must match direct per-sample sin/cos loops; the ziggurat
- * gaussian must produce standard-normal statistics; and none of the
- * steady-state kernels may touch the heap.
+ * gaussian must produce standard-normal statistics; the one-block
+ * case of a one-qubit register must match the generic walk bit for
+ * bit; and none of the steady-state kernels may touch the heap.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <complex>
 #include <cstdlib>
+#include <cstring>
+#include <functional>
 #include <new>
 #include <numbers>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/rng.hh"
 #include "measure/mdu.hh"
 #include "qsim/channels.hh"
@@ -363,6 +368,148 @@ TEST(ClosedFormPaths, ResetQubitMatchesKrausChannel)
     }
 }
 
+TEST(ClosedFormPaths, ProjectMatchesNaiveProjector)
+{
+    // P rho P / Tr(P rho P) with P = |o><o| on qubit q; every entry
+    // off the surviving rows and columns is exactly +0.
+    Rng rng(0xfeed8);
+    for (unsigned nq : {1u, 2u, 3u, 4u}) {
+        for (int trial = 0; trial < 4; ++trial) {
+            DensityMatrix rho = randomState(nq, rng);
+            unsigned q = static_cast<unsigned>(
+                rng.uniformInt(0, nq - 1));
+            bool outcome = trial % 2 == 1;
+            std::size_t n = rho.dim();
+            const Complex on = outcome ? 0.0 : 1.0;
+            const Complex off = outcome ? 1.0 : 0.0;
+            Mat2 proj{on, Complex{0, 0}, Complex{0, 0}, off};
+            FullMatrix pf = embed1(nq, q, proj);
+            FullMatrix ref =
+                matmulFull(matmulFull(pf, densityToFull(rho), n), pf, n);
+            double tr = 0;
+            for (std::size_t i = 0; i < n; ++i)
+                tr += ref[i * n + i].real();
+            for (Complex &v : ref)
+                v /= tr;
+            rho.project(q, outcome);
+            EXPECT_LT(maxAbsDiff(rho, ref), 1e-12);
+            std::size_t mask = std::size_t{1} << q;
+            for (std::size_t r = 0; r < n; ++r)
+                for (std::size_t c = 0; c < n; ++c)
+                    if (((r & mask) != 0) != outcome ||
+                        ((c & mask) != 0) != outcome) {
+                        Complex v = rho.element(r, c);
+                        EXPECT_TRUE(v.real() == 0 && v.imag() == 0 &&
+                                    !std::signbit(v.real()) &&
+                                    !std::signbit(v.imag()))
+                            << "nq=" << nq << " q=" << q << " (" << r
+                            << ", " << c << ")";
+                    }
+        }
+    }
+    // An outcome of (near) zero probability is fatal and writes
+    // nothing.
+    DensityMatrix ground(2);
+    EXPECT_THROW(ground.project(1, true), FatalError);
+    EXPECT_EQ(ground.element(0, 0), Complex(1, 0));
+}
+
+// ------------------------------------------------- one-block bit identity
+//
+// On a one-qubit register the single-qubit kernels visit the register
+// as one block and project/probabilityOne read it directly. A fast
+// path must compute the same expression per element in the same
+// order, so each kernel must leave the very bits the generic walk of
+// a two-qubit register leaves on the same block.
+
+/**
+ * A seeded mixed state of qubit q of `rho`, every other qubit left in
+ * |0>: a rotation, a depolarizing channel and a detuned idle step,
+ * so all four entries of the block are non-trivial.
+ */
+void
+prepareOneQubit(DensityMatrix &rho, unsigned q, std::uint64_t seed)
+{
+    Rng rng(seed);
+    rho.apply1(q, gates::raxis(rng.uniform(0.0, kTwoPi),
+                               rng.uniform(0.0, kTwoPi)));
+    rho.applyKraus1(q, depolarizing(rng.uniform(0.0, 0.2)));
+    rho.applyIdle(q, rng.uniform(0.0, 0.1), rng.uniform(0.0, 0.1),
+                  rng.uniform(-1.0, 1.0));
+}
+
+/** Qubit q's 2x2 block of `rho` when every other qubit is |0>. */
+std::array<Complex, 4>
+blockOf(const DensityMatrix &rho, unsigned q)
+{
+    std::size_t b = std::size_t{1} << q;
+    return {rho.element(0, 0), rho.element(0, b), rho.element(b, 0),
+            rho.element(b, b)};
+}
+
+bool
+sameBits(const std::array<Complex, 4> &a, const std::array<Complex, 4> &b)
+{
+    return std::memcmp(a.data(), b.data(), sizeof a) == 0;
+}
+
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+TEST(OneBlock, KernelsMatchTheGenericWalkBitForBit)
+{
+    const Mat2 u = gates::raxis(0.7, 2.1);
+    const std::vector<Mat2> kraus = idleChannel(250.0, 30000.0, 25000.0);
+    const IdleCoeffs idle = DensityMatrix::idleCoeffs(0.03, 0.02, 0.4);
+    const Complex d0 = std::polar(1.0, -0.3), d1 = std::polar(1.0, 0.9);
+    struct Kernel
+    {
+        const char *name;
+        std::function<void(DensityMatrix &, unsigned)> apply;
+    };
+    const Kernel kernels[] = {
+        {"apply1", [&](DensityMatrix &r, unsigned q) { r.apply1(q, u); }},
+        {"applyIdle",
+         [&](DensityMatrix &r, unsigned q) { r.applyIdle(q, idle); }},
+        {"applyKraus1",
+         [&](DensityMatrix &r, unsigned q) { r.applyKraus1(q, kraus); }},
+        {"resetQubit", [](DensityMatrix &r, unsigned q) { r.resetQubit(q); }},
+        {"applyDiag1",
+         [&](DensityMatrix &r, unsigned q) { r.applyDiag1(q, d0, d1); }},
+        {"project(0)",
+         [](DensityMatrix &r, unsigned q) { r.project(q, false); }},
+        {"project(1)",
+         [](DensityMatrix &r, unsigned q) { r.project(q, true); }},
+    };
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        for (const Kernel &k : kernels) {
+            DensityMatrix one(1);
+            prepareOneQubit(one, 0, seed);
+            const std::array<Complex, 4> start = blockOf(one, 0);
+            const double p1 = one.probabilityOne(0);
+            k.apply(one, 0);
+            for (unsigned q : {0u, 1u}) {
+                DensityMatrix two(2);
+                prepareOneQubit(two, q, seed);
+                ASSERT_TRUE(sameBits(blockOf(two, q), start))
+                    << "preparation, seed " << seed << " qubit " << q;
+                EXPECT_TRUE(sameBits(two.probabilityOne(q), p1))
+                    << "probabilityOne, seed " << seed << " qubit " << q;
+                k.apply(two, q);
+                EXPECT_TRUE(sameBits(blockOf(two, q), blockOf(one, 0)))
+                    << k.name << ", seed " << seed << " qubit " << q;
+                EXPECT_TRUE(
+                    sameBits(two.probabilityOne(q), one.probabilityOne(0)))
+                    << "probabilityOne after " << k.name << ", seed "
+                    << seed << " qubit " << q;
+            }
+        }
+    }
+}
+
 // ----------------------------------------------------- phasor recurrence
 
 TEST(Phasor, TracksDirectEvaluationOverLongWindows)
@@ -560,6 +707,9 @@ TEST(Allocation, SteadyStateDensityKernelsDoNotAllocate)
     Mat2 h = gates::hadamard();
     rho.apply1(0, h);
     rho.applyKraus1(0, chan); // first call sizes the persistent scratch
+    // A one-qubit register: the one-block case of every kernel.
+    DensityMatrix one(1);
+    one.applyKraus1(0, chan);
 
     g_allocCount.store(0);
     g_countAllocs.store(true);
@@ -569,6 +719,12 @@ TEST(Allocation, SteadyStateDensityKernelsDoNotAllocate)
     rho.applyIdle(1, icp.gamma, icp.lambda, 0.01);
     rho.applyKraus1(1, chan);
     rho.resetQubit(2);
+    rho.project(0, rho.probabilityOne(0) > 0.5);
+    one.apply1(0, h);
+    one.applyIdle(0, icp.gamma, icp.lambda, 0.01);
+    one.applyKraus1(0, chan);
+    one.project(0, one.probabilityOne(0) > 0.5);
+    one.resetQubit(0);
     g_countAllocs.store(false);
     EXPECT_EQ(g_allocCount.load(), 0u);
 }

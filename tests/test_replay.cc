@@ -132,23 +132,17 @@ cnotJob()
     return job;
 }
 
-/** Both qubits driven around a CZ, with only q1's frame drifting:
- *  a quasi-static detuning redrawn after every readout. */
-JobSpec
-driftingCzJob()
-{
-    JobSpec job = cnotJob();
-    job.name = "cz_one_drifting";
-    job.machine.qubits[1].quasiStaticDetuningSigmaHz = 250e3;
-    job.assembly = R"(
-        mov r1, 0
-        mov r2, 3
-        mov r15, 40000
-        Round:
+/** One round of cz_one_drifting: both qubits driven around a CZ,
+ *  then both measured. The 1 us wait spreads q1's gates in time: a
+ *  gate axis that wrongly followed the detuning would then turn
+ *  q1's gates by different angles, which the readout can see (a
+ *  common turn of every gate is an rz the Z readout cannot see). */
+constexpr const char *kDriftingCzRound = R"(
         QNopReg r15
         Pulse {q0, q1}, X90
         Wait 4
         CNOT q0, q1
+        Wait 200
         Pulse {q0}, Y90
         Wait 4
         Pulse {q1}, X90
@@ -156,11 +150,44 @@ driftingCzJob()
         Measure q0, r7
         Measure q1, r8
         Wait 600
+)";
+
+/** Three rounds of kDriftingCzRound looped in one program, with only
+ *  q1's frame drifting: a quasi-static detuning redrawn after every
+ *  readout. */
+JobSpec
+driftingCzJob()
+{
+    JobSpec job = cnotJob();
+    job.name = "cz_one_drifting";
+    job.machine.qubits[1].quasiStaticDetuningSigmaHz = 250e3;
+    job.assembly = std::string(R"(
+        mov r1, 0
+        mov r2, 3
+        mov r15, 40000
+        Round:)") + kDriftingCzRound + R"(
         addi r1, r1, 1
         bne r1, r2, Round
         halt
     )";
     job.seed = 0xd1;
+    return job;
+}
+
+/** driftingCzJob round-structured: the program is one round and
+ *  every round runs on its own chip stream, so a replayed round
+ *  draws other detunings than the run its tape was verified on. */
+JobSpec
+driftingCzRoundsJob()
+{
+    JobSpec job = driftingCzJob();
+    job.name = "cz_one_drifting_rounds";
+    job.assembly = std::string(R"(
+        mov r15, 40000)") + kDriftingCzRound + R"(
+        halt
+    )";
+    job.rounds = 6;
+    job.maxCycles = 100000 + 1'000'000;
     return job;
 }
 
@@ -214,8 +241,12 @@ experimentJobs()
     experiments::runEcho(coherence, recorder);
     coherence.artificialDetuningHz = 200e3;
     experiments::runRamsey(coherence, recorder);
-    // A drifting frame: every idle follows the round's detuning.
+    // A drifting frame: every idle follows the round's detuning. Once
+    // looped in one program, once round-structured so each replayed
+    // round draws its own detunings.
     coherence.qubitParams.quasiStaticDetuningSigmaHz = 150e3;
+    experiments::runRamsey(coherence, recorder);
+    coherence.shards = 2;
     experiments::runRamsey(coherence, recorder);
     jobs.insert(jobs.end(), recorder.specs.begin(), recorder.specs.end());
 
@@ -232,6 +263,7 @@ experimentJobs()
     jobs.push_back(spectroscopy);
     jobs.push_back(cnotJob());
     jobs.push_back(driftingCzJob());
+    jobs.push_back(driftingCzRoundsJob());
     return jobs;
 }
 
